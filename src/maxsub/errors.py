@@ -6,9 +6,9 @@ class KernelError(Exception):
 
 
 class PresentationError(KernelError):
-    """The ring presentation is structurally invalid: an inhomogeneous or
-    non-terminating rule, a failed critical-pair check, or a malformed
-    integral declaration."""
+    """The ring presentation is structurally invalid: an inhomogeneous rule,
+    rules that no lex order orients (so they may not terminate), a failed
+    critical-pair check, or a malformed integral declaration."""
 
 
 class IncompletePresentationError(KernelError):

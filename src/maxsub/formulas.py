@@ -83,14 +83,11 @@ def m2_closed(n: int) -> ClosedCount:
     """The genus-2 count of maximal rank-2 subbundles: n^3 (n^2 + 2) / 48.
 
     Evaluates for any n so sweeps can cross-check the symbolic pipeline;
-    outside the admissible range (even n >= 4 whose induced degree
-    d = 3n/2 - 2 satisfies the parity congruence) the value is flagged
-    rather than rejected.
+    outside the admissible range (even n >= 4) the value is flagged rather
+    than rejected.  The induced degree d = 3n/2 - 2 gives 2d + 4 = 3n, so
+    the degree congruence holds for every even n.
     """
     value = Fraction(n**3 * (n * n + 2), 48)
     if n < 4 or n % 2:
         return ClosedCount(value, False, "requires even n >= 4")
-    d = 3 * n // 2 - 2
-    if (2 * d + 4) % n != 0 or ((2 * d + 4) // n) % 2 == 0:
-        return ClosedCount(value, False, "degree congruence fails")
     return ClosedCount(value, True)

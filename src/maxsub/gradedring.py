@@ -6,10 +6,12 @@ curve fiber class with the generators supported on it, and the
 intersection numbers of the top-degree basis monomials.
 
 Every element is held in normal form.  When a presentation is loaded the
-rewrite system is checked for local confluence on all monomials up to the
-top degree, and monomial reduction detects cycles, so normal forms exist
-and do not depend on the order in which rules are applied.  All values are
-immutable; operations are pure functions.
+rules are oriented by a lex order of the generators, which makes rewriting
+terminate; a rule set with no such order is rejected.  Then every critical
+pair (two reducers meeting at the lcm of their left-hand sides) is joined,
+so normal forms do not depend on the order in which rules are applied.
+Normal forms of monomials are computed on first use and cached.  All
+values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .scalars import ParamScalar, Rational, as_fraction
 
 Monomial = Tuple[int, ...]
 
-_IN_PROGRESS = object()
-
 
 class RewriteRule(NamedTuple):
     lhs: Monomial
@@ -38,6 +38,31 @@ class RewriteRule(NamedTuple):
 
 def _divides(divisor: Monomial, mono: Monomial) -> bool:
     return all(d <= m for d, m in zip(divisor, mono))
+
+
+def _resolve_terms(terms, generators: Sequence[str], params: Sequence[str], error) -> dict[Monomial, ParamScalar]:
+    """Group expanded (name, exponent) terms by monomial.
+
+    Generator names index the monomial and parameter names go into the
+    coefficient; any other name raises ``error(name)``.
+    """
+    index = {n: i for i, n in enumerate(generators)}
+    param_index = {p: i for i, p in enumerate(params)}
+    grouped: dict[Monomial, ParamScalar] = {}
+    for key, coeff in terms.items():
+        mono = [0] * len(generators)
+        pexp = [0] * len(params)
+        for name, e in key:
+            if name in index:
+                mono[index[name]] += e
+            elif name in param_index:
+                pexp[param_index[name]] += e
+            else:
+                raise error(name)
+        scalar = ParamScalar(params, {tuple(pexp): coeff})
+        existing = grouped.get(tuple(mono))
+        grouped[tuple(mono)] = scalar if existing is None else existing + scalar
+    return grouped
 
 
 class RingPresentation:
@@ -63,15 +88,13 @@ class RingPresentation:
         self.top_degree = top_degree
         self.name = name
         self._index = {n: i for i, n in enumerate(self.generator_names)}
-        self._param_index = {p: i for i, p in enumerate(self.params)}
         self.fiber_index = self._index[fiber] if fiber is not None else None
         self.fiber_supported = tuple(self._index[n] for n in fiber_supported)
         self.integrals = dict(integrals or {})
         self._nf_cache: dict = {}
         self._one_scalar = ParamScalar.constant(1, self.params)
         self._validate()
-        self._warm_normal_forms()
-        self._check_confluence()
+        self._check_critical_pairs()
 
     # -- structure ---------------------------------------------------------
 
@@ -98,6 +121,7 @@ class RingPresentation:
         for mono in self.zeros:
             if not any(mono):
                 raise PresentationError("the empty monomial cannot be declared zero")
+        self._orient()  # the integral check below normalizes
         for mono in self.integrals:
             if self.degree(mono) != self.top_degree:
                 raise PresentationError(
@@ -142,40 +166,52 @@ class RingPresentation:
 
     # -- normalization -----------------------------------------------------
 
+    def _orient(self):
+        """Check that a lex order of the generators puts every rule's
+        left-hand side above each monomial of its right-hand side, so that
+        rewriting moves down a well-order and terminates.
+
+        Greedy: take a generator on which no pending (rule, right-hand
+        monomial) pair has its left-hand side below, drop the pairs it
+        decides, repeat.  Such a pick never blocks an order that works, so
+        this finds a lex order whenever one exists.
+        """
+        pending = [(rule, mono) for rule in self.rules for mono, _ in rule.rhs]
+        remaining = list(range(self.ngens))
+        while pending:
+            picks = [v for v in remaining if all(rule.lhs[v] >= mono[v] for rule, mono in pending)]
+            if not picks:
+                break
+            pick = picks[0]
+            remaining.remove(pick)
+            pending = [(rule, mono) for rule, mono in pending if rule.lhs[pick] == mono[pick]]
+        if pending:
+            stuck = dict.fromkeys(rule for rule, _ in pending)
+            listed = ", ".join(
+                f"{self.monomial_str(rule.lhs)} -> {GradedElement(self, dict(rule.rhs))}" for rule in stuck
+            )
+            raise PresentationError(
+                "rewrite rules may not terminate: no lex order of the generators puts every "
+                f"left-hand side above its right-hand side ({listed})"
+            )
+
+    def _rewrite(self, mono: Monomial, lhs: Monomial, rhs) -> dict[Monomial, ParamScalar]:
+        """One rewrite step on ``mono`` by ``lhs -> rhs``; ``lhs`` divides ``mono``."""
+        quotient = tuple(m - l for m, l in zip(mono, lhs))
+        return {tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rhs}
+
     def _monomial_nf(self, mono: Monomial) -> dict[Monomial, ParamScalar]:
         cached = self._nf_cache.get(mono)
-        if cached is _IN_PROGRESS:
-            raise PresentationError(
-                f"rewrite rules do not terminate: {self.monomial_str(mono)} reduces to itself"
-            )
         if cached is not None:
             return cached
-        if self.degree(mono) > self.top_degree:
+        if self.degree(mono) > self.top_degree or any(_divides(z, mono) for z in self.zeros):
             result: dict[Monomial, ParamScalar] = {}
-        elif any(_divides(z, mono) for z in self.zeros):
-            result = {}
         else:
-            for rule in self.rules:
-                if _divides(rule.lhs, mono):
-                    quotient = tuple(m - l for m, l in zip(mono, rule.lhs))
-                    self._nf_cache[mono] = _IN_PROGRESS
-                    try:
-                        acc: dict[Monomial, ParamScalar] = {}
-                        for rmono, rcoeff in rule.rhs:
-                            combined = tuple(q + r for q, r in zip(quotient, rmono))
-                            for nmono, ncoeff in self._monomial_nf(combined).items():
-                                total = acc.get(nmono, 0) + rcoeff * ncoeff
-                                if total:
-                                    acc[nmono] = total
-                                else:
-                                    acc.pop(nmono, None)
-                        result = acc
-                    except Exception:
-                        del self._nf_cache[mono]
-                        raise
-                    break
-            else:
+            rule = next((r for r in self.rules if _divides(r.lhs, mono)), None)
+            if rule is None:
                 result = {mono: self._one_scalar}
+            else:
+                result = self._normalize(self._rewrite(mono, rule.lhs, rule.rhs))
         self._nf_cache[mono] = result
         return result
 
@@ -192,43 +228,28 @@ class RingPresentation:
                     out.pop(nmono, None)
         return out
 
-    def _warm_normal_forms(self):
-        """Normalize every monomial up to the top degree once, at load.
+    def _check_critical_pairs(self):
+        """Join both one-step reductions of every critical pair: two
+        reducers, at least one a rule, at the lcm of their left-hand sides.
 
-        Surfaces non-terminating rule sets immediately and fills the cache
-        the later arithmetic runs on.
+        Rewriting terminates (:meth:`_orient`) and commutes with monomial
+        multiples, so this makes normal forms independent of rule order
+        (Buchberger's criterion, Bergman's diamond lemma).  Rules are
+        homogeneous, so a pair above the top degree truncates to 0 on both
+        sides.  Presets are user-editable files, so this runs on every load.
         """
-        for mono in self.monomials_up_to(self.top_degree):
-            self._monomial_nf(mono)
-
-    def _check_confluence(self):
-        """Join every locally-ambiguous reduction up to the top degree.
-
-        Together with cycle detection in :meth:`_monomial_nf` this makes the
-        deterministic normal form independent of rule application order.
-        Presets are user-editable files, so this runs on every load.
-        """
-        for mono in self.monomials_up_to(self.top_degree):
-            routes: list[tuple[str, dict[Monomial, ParamScalar]]] = []
-            if any(_divides(z, mono) for z in self.zeros):
-                routes.append(("zero-monomial", {}))
-            for rule in self.rules:
-                if _divides(rule.lhs, mono):
-                    quotient = tuple(m - l for m, l in zip(mono, rule.lhs))
-                    raw: dict[Monomial, ParamScalar] = {}
-                    for rmono, rcoeff in rule.rhs:
-                        combined = tuple(q + r for q, r in zip(quotient, rmono))
-                        raw[combined] = raw.get(combined, 0) + rcoeff
-                    routes.append((self.monomial_str(rule.lhs), raw))
-            if len(routes) < 2:
-                continue
-            results = [(label, self._normalize(raw)) for label, raw in routes]
-            first_label, first = results[0]
-            for label, other in results[1:]:
-                if other != first:
+        reducers = [(self.monomial_str(rule.lhs), rule.lhs, rule.rhs) for rule in self.rules]
+        reducers += [("zero-monomial", mono, ()) for mono in self.zeros]
+        for i, (label, lhs, rhs) in enumerate(reducers[: len(self.rules)]):
+            for other_label, other_lhs, other_rhs in reducers[i + 1 :]:
+                lcm = tuple(map(max, lhs, other_lhs))
+                if self.degree(lcm) > self.top_degree:
+                    continue
+                first = self._normalize(self._rewrite(lcm, lhs, rhs))
+                if self._normalize(self._rewrite(lcm, other_lhs, other_rhs)) != first:
                     raise PresentationError(
-                        f"rewrite system is not locally confluent on {self.monomial_str(mono)}: "
-                        f"reducing via {first_label} and via {label} give different normal forms"
+                        f"rewrite system is not locally confluent on {self.monomial_str(lcm)}: "
+                        f"reducing via {label} and via {other_label} give different normal forms"
                     )
 
     # -- element constructors ----------------------------------------------
@@ -253,7 +274,7 @@ class RingPresentation:
         return GradedElement(self, self._normalize({mono: self._one_scalar}))
 
     def parameter(self, name: str) -> ParamScalar:
-        if name not in self._param_index:
+        if name not in self.params:
             raise UnknownGeneratorError(f"unknown parameter {name!r}")
         return ParamScalar.variable(name, self.params)
 
@@ -266,25 +287,10 @@ class RingPresentation:
         preset classes), so resolution happens here rather than at parse
         time.
         """
-        raw: dict[Monomial, ParamScalar] = {}
-        zero_param = (0,) * len(self.params)
-        for key, coeff in terms.items():
-            mono = [0] * self.ngens
-            pexp = list(zero_param)
-            for name, e in key:
-                if name in self._index:
-                    mono[self._index[name]] += e
-                elif name in self._param_index:
-                    pexp[self._param_index[name]] += e
-                else:
-                    raise UnknownGeneratorError(
-                        f"unknown name {name!r}: not a generator or parameter of this presentation"
-                    )
-            scalar = ParamScalar(self.params, {tuple(pexp): coeff})
-            key_mono = tuple(mono)
-            existing = raw.get(key_mono)
-            raw[key_mono] = scalar if existing is None else existing + scalar
-        return GradedElement(self, self._normalize(raw))
+        def unknown(name):
+            return UnknownGeneratorError(f"unknown name {name!r}: not a generator or parameter of this presentation")
+
+        return GradedElement(self, self._normalize(_resolve_terms(terms, self.generator_names, self.params, unknown)))
 
     def parse(self, text: str) -> "GradedElement":
         """Parse an expression and reduce it to normal form in this ring."""
@@ -334,12 +340,10 @@ class GradedElement:
         (key, coeff), = terms.items()
         if coeff != 1:
             raise ValueError(f"{monomial_text!r} is not a bare monomial")
-        mono = [0] * self.ring.ngens
-        for name, e in key:
-            if name not in self.ring._index:
-                raise UnknownGeneratorError(f"unknown generator {name!r}")
-            mono[self.ring._index[name]] += e
-        return self._terms.get(tuple(mono), ParamScalar(self.ring.params))
+        (mono,) = _resolve_terms(
+            terms, self.ring.generator_names, (), lambda name: UnknownGeneratorError(f"unknown generator {name!r}")
+        )
+        return self._terms.get(mono, ParamScalar(self.ring.params))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -562,38 +566,21 @@ def _single_monomial(node, ring_names, line, what) -> Monomial:
     (key, coeff), = terms.items()
     if coeff != 1:
         raise PresentationError(f"{what} on line {line} must have coefficient 1")
-    index = {n: i for i, n in enumerate(ring_names)}
-    mono = [0] * len(ring_names)
-    for name, e in key:
-        if name not in index:
-            raise PresentationError(f"{what} on line {line} uses unknown generator {name!r}")
-        mono[index[name]] += e
-    return tuple(mono)
+    (mono,) = _resolve_terms(
+        terms, ring_names, (), lambda name: PresentationError(f"{what} on line {line} uses unknown generator {name!r}")
+    )
+    return mono
 
 
 def presentation_from_data(data: PresentationFileData, name: str = "") -> RingPresentation:
     """Assemble and validate a presentation from parsed file content."""
     gen_names = [n for n, _ in data.generators]
     params = tuple(data.params)
-    index = {n: i for i, n in enumerate(gen_names)}
-    param_index = {p: i for i, p in enumerate(params)}
 
     def rhs_terms(node, line) -> Tuple[Tuple[Monomial, ParamScalar], ...]:
-        grouped: dict[Monomial, ParamScalar] = {}
-        for key, coeff in expand(node).items():
-            mono = [0] * len(gen_names)
-            pexp = [0] * len(params)
-            for sym, e in key:
-                if sym in index:
-                    mono[index[sym]] += e
-                elif sym in param_index:
-                    pexp[param_index[sym]] += e
-                else:
-                    raise PresentationError(f"rule on line {line} uses unknown name {sym!r}")
-            scalar = ParamScalar(params, {tuple(pexp): coeff})
-            key_mono = tuple(mono)
-            existing = grouped.get(key_mono)
-            grouped[key_mono] = scalar if existing is None else existing + scalar
+        grouped = _resolve_terms(
+            expand(node), gen_names, params, lambda sym: PresentationError(f"rule on line {line} uses unknown name {sym!r}")
+        )
         return tuple((m, c) for m, c in grouped.items() if c)
 
     rules = []
@@ -608,10 +595,10 @@ def presentation_from_data(data: PresentationFileData, name: str = "") -> RingPr
             raise PresentationError(f"duplicate integral for monomial on line {line}")
         integrals[mono] = value
     fiber = data.fiber
-    if fiber is not None and fiber not in index:
+    if fiber is not None and fiber not in gen_names:
         raise PresentationError(f"fiber class {fiber!r} is not a generator")
     for n in data.fiber_supported:
-        if n not in index:
+        if n not in gen_names:
             raise PresentationError(f"fiber-supported name {n!r} is not a generator")
     return RingPresentation(
         generators=data.generators,
@@ -627,5 +614,9 @@ def presentation_from_data(data: PresentationFileData, name: str = "") -> RingPr
 
 
 def load_presentation(text: str, name: str = "") -> RingPresentation:
-    """Parse and validate a presentation file; see the README for the grammar."""
+    """Parse and validate a presentation file; see the README for the grammar.
+
+    A rule set that no lex order of the generators orients, or that fails
+    the critical-pair check, raises :class:`PresentationError`.
+    """
     return presentation_from_data(parse_presentation_text(text), name)

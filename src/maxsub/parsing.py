@@ -17,6 +17,9 @@ from typing import Optional
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _OPS = set("+-*^/()")
+# Parentheses recurse in the parser and in expand; this bound keeps both far
+# from Python's recursion limit, so deep input is a ParseError, not a crash.
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -109,6 +112,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -149,12 +153,11 @@ class _Parser:
                 return node
 
     def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.value in "+-":
-            self.advance()
-            operand = self.factor()
-            return Neg(operand) if tok.value == "-" else operand
-        return self.power()
+        negative = False
+        while self.peek().kind == "op" and self.peek().value in "+-":
+            negative ^= self.advance().value == "-"
+        operand = self.power()
+        return Neg(operand) if negative else operand
 
     def power(self):
         node = self.atom()
@@ -164,7 +167,9 @@ class _Parser:
             if tok.kind != "num":
                 self.fail("exponents must be nonnegative integer literals", expected="an integer")
             self.advance()
-            node = Pow(node, int(tok.value))
+            # (x^a)^b is x^(a*b): a chain of powers stays one node
+            base, exponent = (node.base, node.exponent) if isinstance(node, Pow) else (node, 1)
+            node = Pow(base, exponent * int(tok.value))
         return node
 
     def atom(self):
@@ -187,8 +192,12 @@ class _Parser:
             self.advance()
             return Name(tok.value, tok.line, tok.column)
         if tok.kind == "op" and tok.value == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested more than {MAX_NESTING} deep")
             self.advance()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             closing = self.peek()
             if not (closing.kind == "op" and closing.value == ")"):
                 self.fail("unbalanced parenthesis", expected="')'")
@@ -243,14 +252,21 @@ def expand(node) -> dict[TermKey, Fraction]:
     if isinstance(node, Neg):
         return {k: -c for k, c in expand(node.operand).items()}
     if isinstance(node, BinOp):
-        left = expand(node.left)
-        right = expand(node.right)
-        if node.op == "*":
-            return _mul_terms(left, right)
-        out = dict(left)
-        sign = 1 if node.op == "+" else -1
-        for key, coeff in right.items():
-            _merge(out, key, sign * coeff)
+        # Sums and products parse as left-deep chains; walk the chain in a
+        # loop so that its length costs no recursion depth.
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        out = expand(node)
+        for link in reversed(chain):
+            right = expand(link.right)
+            if link.op == "*":
+                out = _mul_terms(out, right)
+            else:
+                sign = 1 if link.op == "+" else -1
+                for key, coeff in right.items():
+                    _merge(out, key, sign * coeff)
         return out
     if isinstance(node, Pow):
         result: dict[TermKey, Fraction] = {(): Fraction(1)}

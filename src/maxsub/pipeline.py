@@ -103,8 +103,8 @@ class Preset:
         if d.denominator != 1:
             return False
         if self.subbundle_rank == 2 and self.genus == 2:
-            d = int(d)
-            return rank >= 4 and rank % 2 == 0 and (2 * d + 4) % rank == 0 and ((2 * d + 4) // rank) % 2 == 1
+            # d' = 1 forces d = 3n/2 - 2, so 2d + 4 = 3n: the congruence always holds
+            return rank >= 4 and rank % 2 == 0
         return True
 
     @property
@@ -357,22 +357,14 @@ def preset_from_text(text: str, name: str = "") -> Preset:
     )
 
 
-def _preset_file(filename: str) -> str:
-    return resources.files("maxsub").joinpath("presets", filename).read_text()
-
-
 def load_preset(name: str, genus: int | None = None) -> Preset:
-    """Load a built-in preset: ``g2-rank2`` or ``jacobian`` (any genus >= 2;
-    genera 2..5 ship as files, others are generated)."""
+    """Load a built-in preset: ``g2-rank2`` or ``jacobian`` (any genus >= 2,
+    rendered by :func:`jacobian_ring_text`; the shipped ``jacobian-g{2..5}``
+    files are byte-identical copies)."""
     if name == "g2-rank2":
         if genus not in (None, 2):
             raise PresetError("the g2-rank2 preset is specific to genus 2")
-        return preset_from_text(_preset_file("g2-rank2.ring"))
+        return preset_from_text(resources.files("maxsub").joinpath("presets", "g2-rank2.ring").read_text())
     if name == "jacobian":
-        g = 2 if genus is None else genus
-        if g < 2:
-            raise PresetError(f"genus must be at least 2, got {g}")
-        if 2 <= g <= 5:
-            return preset_from_text(_preset_file(f"jacobian-g{g}.ring"))
-        return preset_from_text(jacobian_ring_text(g))
+        return preset_from_text(jacobian_ring_text(2 if genus is None else genus))
     raise PresetError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

@@ -7,7 +7,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from maxsub import load_preset
-from maxsub.gradedring import GradedElement
+from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.scalars import ParamScalar
 
 
@@ -155,6 +155,90 @@ def reduce_in_random_order(ring, raw_terms, rng):
             else:
                 terms.pop(combined, None)
     raise AssertionError("random-order reduction did not terminate")
+
+
+class UncheckedRing(RingPresentation):
+    """A presentation loaded without the critical-pair check, so that
+    :func:`exhaustive_confluence_failure` can judge it.  Its rules are still
+    oriented, so its normal forms exist."""
+
+    def _check_critical_pairs(self):
+        pass
+
+
+def exhaustive_confluence_failure(ring):
+    """Reference confluence check: the load-time check before critical pairs.
+
+    Normalize every monomial up to the top degree, with cycle detection,
+    then join every monomial that two or more reducers (rules or zero
+    monomials) apply to.  Returns the first failure as text, or None.  It
+    visits every monomial up to the top degree, so keep rings small.
+    """
+    in_progress = object()
+    one = ParamScalar.constant(1, ring.params)
+    cache = {}
+
+    def rewrite(mono, rule):
+        quotient = tuple(m - l for m, l in zip(mono, rule.lhs))
+        return {tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rule.rhs}
+
+    def normalize(raw):
+        out = {}
+        for mono, coeff in raw.items():
+            for nmono, ncoeff in monomial_nf(mono).items():
+                total = out.get(nmono, ParamScalar(ring.params)) + coeff * ncoeff
+                if total:
+                    out[nmono] = total
+                else:
+                    out.pop(nmono, None)
+        return out
+
+    def monomial_nf(mono):
+        cached = cache.get(mono)
+        if cached is in_progress:
+            raise _RewriteCycle(mono)
+        if cached is not None:
+            return cached
+        if ring.degree(mono) > ring.top_degree or any(_divides(z, mono) for z in ring.zeros):
+            result = {}
+        else:
+            rule = next((r for r in ring.rules if _divides(r.lhs, mono)), None)
+            if rule is None:
+                result = {mono: one}
+            else:
+                cache[mono] = in_progress
+                result = normalize(rewrite(mono, rule))
+        cache[mono] = result
+        return result
+
+    monomials = list(ring.monomials_up_to(ring.top_degree))
+    try:
+        for mono in monomials:
+            monomial_nf(mono)
+    except _RewriteCycle as cycle:
+        return f"rewrite rules do not terminate: {ring.monomial_str(cycle.args[0])} reduces to itself"
+    for mono in monomials:
+        routes = []
+        if any(_divides(zero, mono) for zero in ring.zeros):
+            routes.append(("zero-monomial", {}))
+        for rule in ring.rules:
+            if _divides(rule.lhs, mono):
+                routes.append((ring.monomial_str(rule.lhs), normalize(rewrite(mono, rule))))
+        for label, other in routes[1:]:
+            if other != routes[0][1]:
+                return (
+                    f"not locally confluent on {ring.monomial_str(mono)}: "
+                    f"reducing via {routes[0][0]} and via {label} give different normal forms"
+                )
+    return None
+
+
+class _RewriteCycle(Exception):
+    pass
+
+
+def _divides(divisor, mono):
+    return all(d <= m for d, m in zip(divisor, mono))
 
 
 def exponential_element(x, top_terms=None):

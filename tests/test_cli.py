@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from maxsub.cli import run
 
 G2_RING = str(resources.files("maxsub").joinpath("presets", "g2-rank2.ring"))
@@ -64,6 +66,15 @@ def test_parse_error_exits_2(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "line 1" in out.err
+
+
+@pytest.mark.parametrize("command", ["reduce", "integrate"])
+def test_deep_nesting_exits_2(capsys, command):
+    deep = "(" * 5000 + "alpha" + ")" * 5000
+    assert run([command, "--ring", G2_RING, deep]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: line 1, column 101: parentheses nested more than 100 deep\n"
 
 
 def test_usage_error_exits_2(capsys):

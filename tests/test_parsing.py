@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from maxsub.parsing import (
+    MAX_NESTING,
     ParseError,
     expand,
     parse_expression,
@@ -70,6 +71,28 @@ def test_syntax_errors_have_positions(text):
     message = str(err.value)
     assert "line 1" in message
     assert "column" in message
+
+
+def test_nesting_is_bounded():
+    deep = "(" * MAX_NESTING + "alpha" + ")" * MAX_NESTING
+    assert terms(deep) == {(("alpha", 1),): Fraction(1)}
+    nested = "x"
+    for _ in range(MAX_NESTING):
+        nested = f"2*(1 - {nested})"
+    power = (-2) ** MAX_NESTING
+    assert terms(nested) == {(("x", 1),): Fraction(power), (): Fraction(2 * (1 - power), 3)}
+    with pytest.raises(ParseError) as err:
+        parse_expression("(" * 5000 + "alpha" + ")" * 5000)
+    assert f"column {MAX_NESTING + 1}: parentheses nested more than {MAX_NESTING} deep" in str(err.value)
+
+
+def test_long_chains_cost_no_recursion():
+    n = 5000
+    assert terms(" + ".join(["alpha"] * n)) == {(("alpha", 1),): Fraction(n)}
+    assert terms("*".join(["x"] * n)) == {(("x", n),): Fraction(1)}
+    assert terms("-" * n + "x") == {(("x", 1),): Fraction(1)}
+    assert terms("x" + "^1" * n) == {(("x", 1),): Fraction(1)}
+    assert terms("(x^2)^3^2") == {(("x", 12),): Fraction(1)}
 
 
 def test_error_reports_expected_token():
