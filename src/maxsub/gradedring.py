@@ -10,8 +10,10 @@ rules are oriented by a lex order of the generators, which makes rewriting
 terminate; a rule set with no such order is rejected.  Then every critical
 pair (two reducers meeting at the lcm of their left-hand sides) is joined,
 so normal forms do not depend on the order in which rules are applied.
-Normal forms of monomials are computed on first use and cached.  All
-values are immutable; operations are pure functions.
+Normal forms of monomials are cached on first use.  Expressions are reduced
+after every product (:meth:`RingPresentation.evaluate`); only a file's
+rules, zeros and integrals, and ``coefficient``, are expanded as free
+polynomials first.  All values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from .parsing import PresentationFileData, expand, parse_expression, parse_presentation_text
-from .scalars import ParamScalar, Rational, as_fraction
+from .parsing import BinOp, Name, Neg, Num, Pow, PresentationFileData, expand, names
+from .parsing import parse_expression, parse_presentation_text
+from .scalars import ParamScalar, Rational, as_fraction, power
 
 Monomial = Tuple[int, ...]
 
@@ -200,11 +203,15 @@ class RingPresentation:
         quotient = tuple(m - l for m, l in zip(mono, lhs))
         return {tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rhs}
 
+    def _truncates(self, mono: Monomial) -> bool:
+        """The one truncation rule, shared by products and normal forms."""
+        return self.degree(mono) > self.top_degree
+
     def _monomial_nf(self, mono: Monomial) -> dict[Monomial, ParamScalar]:
         cached = self._nf_cache.get(mono)
         if cached is not None:
             return cached
-        if self.degree(mono) > self.top_degree or any(_divides(z, mono) for z in self.zeros):
+        if self._truncates(mono) or any(_divides(z, mono) for z in self.zeros):
             result: dict[Monomial, ParamScalar] = {}
         else:
             rule = next((r for r in self.rules if _divides(r.lhs, mono)), None)
@@ -278,23 +285,42 @@ class RingPresentation:
             raise UnknownGeneratorError(f"unknown parameter {name!r}")
         return ParamScalar.variable(name, self.params)
 
-    def element_from_expanded(self, terms: Mapping[tuple, Fraction]) -> "GradedElement":
-        """Build an element from symbolic (name, exponent) term keys.
+    def evaluate(self, node) -> "GradedElement":
+        """Reduce an expression tree to normal form after every product: the
+        same as expanding, then reducing, as truncation plus normal form is a
+        ring homomorphism.  Names are checked first, zero products or not."""
+        unknown = [name for name in names(node) if name not in self._index and name not in self.params]
+        if unknown:
+            raise UnknownGeneratorError(f"unknown name {unknown[0]!r}: not a generator or parameter of this presentation")
+        return self.scalar(out) if isinstance(out := self._evaluate(node), ParamScalar) else out
 
-        Names are resolved against the presentation: generator names index
-        the monomial, parameter names go into the coefficient.  This is the
-        single entry point for text-derived data (expressions, rule sides,
-        preset classes), so resolution happens here rather than at parse
-        time.
-        """
-        def unknown(name):
-            return UnknownGeneratorError(f"unknown name {name!r}: not a generator or parameter of this presentation")
-
-        return GradedElement(self, self._normalize(_resolve_terms(terms, self.generator_names, self.params, unknown)))
+    def _evaluate(self, node) -> "GradedElement | ParamScalar":
+        # scalar subtrees stay ParamScalars: a coefficient needs no normal form
+        if isinstance(node, Num):
+            return ParamScalar.constant(node.value, self.params)
+        if isinstance(node, Name):
+            return self.generator(node.name) if node.name in self._index else self.parameter(node.name)
+        if isinstance(node, Neg):
+            return -self._evaluate(node.operand)
+        if isinstance(node, Pow):
+            return self._evaluate(node.base) ** node.exponent
+        # a left-deep chain of sums and products: a loop costs no recursion
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        out = self._evaluate(node)
+        for link in reversed(chain):
+            if link.op != "*":
+                right = self._evaluate(link.right)
+                out = out + right if link.op == "+" else out - right
+            elif not out.is_zero:  # a zero product skips the factors left
+                out = out * self._evaluate(link.right)
+        return out
 
     def parse(self, text: str) -> "GradedElement":
         """Parse an expression and reduce it to normal form in this ring."""
-        return self.element_from_expanded(expand(parse_expression(text)))
+        return self.evaluate(parse_expression(text))
 
     def __repr__(self):
         label = self.name or ",".join(self.generator_names) or "point"
@@ -334,15 +360,8 @@ class GradedElement:
 
     def coefficient(self, monomial_text: str) -> ParamScalar:
         """Coefficient of a single basis monomial, given as text."""
-        terms = expand(parse_expression(monomial_text))
-        if len(terms) != 1:
-            raise ValueError(f"{monomial_text!r} is not a single monomial")
-        (key, coeff), = terms.items()
-        if coeff != 1:
-            raise ValueError(f"{monomial_text!r} is not a bare monomial")
-        (mono,) = _resolve_terms(
-            terms, self.ring.generator_names, (), lambda name: UnknownGeneratorError(f"unknown generator {name!r}")
-        )
+        node = parse_expression(monomial_text)
+        mono = _single_monomial(node, self.ring.generator_names, repr(monomial_text), ValueError, UnknownGeneratorError)
         return self._terms.get(mono, ParamScalar(self.ring.params))
 
     # -- arithmetic ---------------------------------------------------------
@@ -398,10 +417,11 @@ class GradedElement:
         if isinstance(other, GradedElement):
             self._check_ring(other)
             raw: dict[Monomial, ParamScalar] = {}
+            truncates = self.ring._truncates
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
                     mono = tuple(a + b for a, b in zip(m1, m2))
-                    if self.ring.degree(mono) > self.ring.top_degree:
+                    if truncates(mono):
                         continue
                     total = raw.get(mono, 0) + c1 * c2
                     if total:
@@ -423,12 +443,7 @@ class GradedElement:
         return GradedElement(self.ring, {m: c / divisor for m, c in self._terms.items()})
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("ring exponents must be nonnegative integers")
-        result = self.ring.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return power(self, exponent, self.ring.one())
 
     def __eq__(self, other):
         if isinstance(other, GradedElement):
@@ -559,16 +574,14 @@ class GradedElement:
 # -- loading -----------------------------------------------------------------
 
 
-def _single_monomial(node, ring_names, line, what) -> Monomial:
+def _single_monomial(node, generators, where: str, error=PresentationError, unknown=PresentationError) -> Monomial:
+    """The monomial of a bare product of generators; ``where`` names it in errors."""
     terms = expand(node)
     if len(terms) != 1:
-        raise PresentationError(f"{what} on line {line} must be a single monomial")
-    (key, coeff), = terms.items()
-    if coeff != 1:
-        raise PresentationError(f"{what} on line {line} must have coefficient 1")
-    (mono,) = _resolve_terms(
-        terms, ring_names, (), lambda name: PresentationError(f"{what} on line {line} uses unknown generator {name!r}")
-    )
+        raise error(f"{where} must be a single monomial")
+    if next(iter(terms.values())) != 1:
+        raise error(f"{where} must have coefficient 1")
+    (mono,) = _resolve_terms(terms, generators, (), lambda name: unknown(f"{where} uses unknown generator {name!r}"))
     return mono
 
 
@@ -585,12 +598,12 @@ def presentation_from_data(data: PresentationFileData, name: str = "") -> RingPr
 
     rules = []
     for lhs_node, rhs_node, line in data.rules:
-        lhs = _single_monomial(lhs_node, gen_names, line, "rule left-hand side")
+        lhs = _single_monomial(lhs_node, gen_names, f"rule left-hand side on line {line}")
         rules.append(RewriteRule(lhs, rhs_terms(rhs_node, line)))
-    zeros = [_single_monomial(node, gen_names, line, "zero-monomial") for node, line in data.zeros]
+    zeros = [_single_monomial(node, gen_names, f"zero-monomial on line {line}") for node, line in data.zeros]
     integrals = {}
     for node, value, line in data.integrals:
-        mono = _single_monomial(node, gen_names, line, "integral monomial")
+        mono = _single_monomial(node, gen_names, f"integral monomial on line {line}")
         if mono in integrals:
             raise PresentationError(f"duplicate integral for monomial on line {line}")
         integrals[mono] = value

@@ -3,9 +3,9 @@
 The expression grammar covers rational literals, parameter and generator
 names, ``+ - *`` and ``^`` with nonnegative integer exponents, and
 parentheses.  ``/`` is allowed only between integer literals, to write
-exact rationals such as ``5/24``.  Names are left unresolved here; they
-are matched against a loaded presentation when an expression is turned
-into a ring element.
+exact rationals such as ``5/24``.  Names are left unresolved here; a
+ring resolves them in ``RingPresentation.evaluate``.  :func:`expand`
+serves presentation files, where there is no ring yet to reduce in.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _OPS = set("+-*^/()")
-# Parentheses recurse in the parser and in expand; this bound keeps both far
-# from Python's recursion limit, so deep input is a ParseError, not a crash.
+# Parentheses recurse in the parser, expand and ring evaluation; this bound
+# keeps them far from Python's recursion limit, so deep input is a ParseError.
 MAX_NESTING = 100
 
 
@@ -213,6 +213,21 @@ def parse_expression(text: str, line: int = 1, column: int = 1):
     return _Parser(tokenize(text, line, column)).parse()
 
 
+def names(node) -> Iterator[str]:
+    """Every name in an expression tree, in text order, without recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            yield node.name
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, BinOp):
+            stack += (node.right, node.left)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+
+
 # -- formal expansion ------------------------------------------------------
 
 TermKey = tuple[tuple[str, int], ...]
@@ -242,8 +257,8 @@ def _mul_terms(a: dict[TermKey, Fraction], b: dict[TermKey, Fraction]) -> dict[T
 def expand(node) -> dict[TermKey, Fraction]:
     """Distribute an expression tree into monomial terms over its names.
 
-    Names stay symbolic; callers split them into generators and parameters
-    against a concrete presentation.
+    Names stay symbolic; callers resolve them against a presentation.  It
+    truncates nothing, so it serves only presentation files and monomials.
     """
     if isinstance(node, Num):
         return {(): node.value} if node.value else {}

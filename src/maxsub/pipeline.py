@@ -27,7 +27,7 @@ from math import factorial, gcd
 from .chern import ChernCharacter, TotalChernClass
 from .errors import PresetError
 from .gradedring import RingPresentation, presentation_from_data
-from .parsing import expand, parse_presentation_text
+from .parsing import parse_presentation_text
 from .scalars import ParamScalar
 
 PRESET_NAMES = ("g2-rank2", "jacobian")
@@ -344,7 +344,7 @@ def preset_from_text(text: str, name: str = "") -> Preset:
     ring = presentation_from_data(data, name or header["name"])
 
     def total_class(node) -> TotalChernClass:
-        return TotalChernClass.from_total_element(ring, ring.element_from_expanded(expand(node)))
+        return TotalChernClass.from_total_element(ring, ring.evaluate(node))
 
     return Preset(
         name=header["name"],

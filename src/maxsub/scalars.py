@@ -23,6 +23,23 @@ def as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def power(base, exponent: int, one):
+    """``base**exponent`` by square and multiply; a zero square ends it, as all
+    later powers are zero too.  Values need only ``*`` and ``is_zero``."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponents must be nonnegative integers")
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if not exponent:
+            return one if result is None else result
+        base = base * base
+        if base.is_zero:
+            return base
+
+
 class ParamScalar:
     """Polynomial in formal parameters with Fraction coefficients.
 
@@ -166,12 +183,7 @@ class ParamScalar:
         return ParamScalar(self.params, {e: c / divisor for e, c in self._terms.items()})
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("scalar exponents must be nonnegative integers")
-        result = ParamScalar.constant(1, self.params)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return power(self, exponent, ParamScalar.constant(1, self.params))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

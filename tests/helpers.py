@@ -7,7 +7,9 @@ from itertools import product
 from hypothesis import strategies as st
 
 from maxsub import load_preset
-from maxsub.gradedring import GradedElement, RingPresentation
+from maxsub.errors import UnknownGeneratorError
+from maxsub.gradedring import GradedElement, RingPresentation, _resolve_terms
+from maxsub.parsing import expand, parse_expression
 from maxsub.scalars import ParamScalar
 
 
@@ -155,6 +157,18 @@ def reduce_in_random_order(ring, raw_terms, rng):
             else:
                 terms.pop(combined, None)
     raise AssertionError("random-order reduction did not terminate")
+
+
+def expanded_parse(ring, text):
+    """Reference evaluation: expand the whole expression as a free
+    polynomial, resolve its names, and only then reduce to normal form.
+    It truncates nothing until the end, so keep exponents small."""
+
+    def unknown(name):
+        return UnknownGeneratorError(f"unknown name {name!r}: not a generator or parameter of this presentation")
+
+    terms = _resolve_terms(expand(parse_expression(text)), ring.generator_names, ring.params, unknown)
+    return GradedElement(ring, ring._normalize(terms))
 
 
 class UncheckedRing(RingPresentation):

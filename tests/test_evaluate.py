@@ -1,0 +1,113 @@
+"""Expressions evaluated in the ring, truncating after every product,
+against the reference that expands them as free polynomials first."""
+
+import time
+from importlib import resources
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from maxsub.cli import run
+from maxsub.errors import UnknownGeneratorError
+from maxsub.parsing import Name
+
+from helpers import expanded_parse, g2_ring, jacobian_preset
+
+G2_RING = str(resources.files("maxsub").joinpath("presets", "g2-rank2.ring"))
+RINGS = {"g2-rank2": g2_ring, "jacobian-g3": lambda: jacobian_preset(3).ring}
+
+
+def rationals_st():
+    return st.one_of(
+        st.integers(0, 6).map(str),
+        st.tuples(st.integers(0, 6), st.integers(1, 4)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    )
+
+
+@st.composite
+def expressions_st(draw, ring, depth=3):
+    """Small expression texts: sums, differences, products, signs, powers
+    up to 6, over the ring's generators, its parameter ``n`` and rationals.
+    Bounded depth keeps the reference expansion small."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(st.sampled_from(ring.generator_names + ring.params), rationals_st()))
+    kind = draw(st.sampled_from(["+", "-", "*", "neg", "^"]))
+    inner = draw(expressions_st(ring, depth - 1))
+    if kind == "neg":
+        return f"-({inner})"
+    if kind == "^":
+        return f"({inner})^{draw(st.integers(0, 6))}"
+    return f"({inner}) {kind} ({draw(expressions_st(ring, depth - 1))})"
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@given(data=st.data())
+def test_parse_matches_expand_then_reduce(ring_name, data):
+    ring = RINGS[ring_name]()
+    text = data.draw(expressions_st(ring), label="text")
+    assert ring.parse(text) == expanded_parse(ring, text)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(theta + xi1 + f)^6",
+        "xi1^2 + 2*theta*f",
+        "(1 + theta)^7*(1 - xi1)^3",
+        "0*theta + n*f",
+        "-(n*theta - 1/2*xi1)^2*(3/4 + f)",
+        "(theta - theta)^0 + theta^0",
+        "(2*theta)^3 - 8*theta^3",
+        "xi1*xi1*(theta + f)^5",
+        "theta*theta*theta*theta*(1 + n*xi1)",
+        "((1 + f)^2)^3 - (1 + f)^6",
+    ],
+)
+def test_parse_matches_expand_then_reduce_examples(ring_name, text):
+    ring = RINGS[ring_name]()
+    assert ring.parse(text) == expanded_parse(ring, text)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+def test_power_matches_repeated_multiplication(ring_name):
+    ring = RINGS[ring_name]()
+    for text in ("theta", "1 + theta", "xi1 + f", "n*theta - 2*xi1 + 1/3", "0", "1"):
+        base = ring.parse(text)
+        expected = ring.one()
+        for k in range(21):
+            assert base**k == expected, (text, k)
+            expected = expected * base
+    with pytest.raises(ValueError):
+        ring.one() ** -1
+
+
+@pytest.mark.parametrize("text", ["0*foo", "foo - foo", "foo^0", "theta^7*foo", "theta^6*alpha*(foo + 1)"])
+def test_unknown_names_raise_even_when_their_terms_vanish(text):
+    with pytest.raises(UnknownGeneratorError, match="'foo'"):
+        g2_ring().parse(text)
+
+
+def test_unknown_name_in_vanishing_product_exits_1(capsys):
+    assert run(["reduce", "--ring", G2_RING, "0*foo"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: unknown name 'foo': not a generator or parameter of this presentation\n"
+
+
+def test_zero_product_skips_the_factors_left(monkeypatch):
+    ring = g2_ring()
+    seen = []
+    evaluate = ring._evaluate
+    monkeypatch.setattr(ring, "_evaluate", lambda node: seen.append(node) or evaluate(node))
+    assert ring.parse("theta^6*alpha*xi2*(Lambda + 1)").is_zero
+    assert [node.name for node in seen if isinstance(node, Name)] == ["theta"]
+
+
+@pytest.mark.parametrize("expression", ["alpha^2000000", "*".join(["theta"] * 5000)])
+def test_huge_products_reduce_fast(capsys, expression):
+    start = time.perf_counter()
+    assert run(["reduce", "--ring", G2_RING, expression]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == "0\n"

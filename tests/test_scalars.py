@@ -27,6 +27,17 @@ def test_exact_arithmetic():
     assert (x * Fraction(5, 24)) * Fraction(24, 5) == x
 
 
+def test_power_matches_repeated_multiplication():
+    x = n()
+    for base in (x + 1, x * Fraction(2, 3) - x**2, ParamScalar(("n",)), ParamScalar.constant(-1, ("n",))):
+        expected = ParamScalar.constant(1, ("n",))
+        for k in range(21):
+            assert base**k == expected, (base, k)
+            expected = expected * base
+    with pytest.raises(ValueError):
+        x**-1
+
+
 def test_division_only_by_nonzero_rationals():
     with pytest.raises(ZeroDivisionError):
         n() / 0
