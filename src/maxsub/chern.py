@@ -39,6 +39,24 @@ def _padded(ring: RingPresentation, parts: Sequence[GradedElement], what: str) -
     return tuple(out)
 
 
+def _graded_product(ring: RingPresentation, a0, a: Sequence[GradedElement], b0, b: Sequence[GradedElement]) -> list:
+    """Components 1..len(a) of (a0 + a_1 + a_2 + ...) * (b0 + b_1 + b_2 + ...) for
+    scalars a0, b0 and a_k, b_k of degree 2k, truncated; zero components are skipped."""
+    count = len(a)
+    parts = [ring.zero()] * count
+    for i, x in enumerate(a):
+        if x.is_zero:
+            continue
+        parts[i] = parts[i] + x * b0
+        for j, y in enumerate(b[: count - 1 - i]):
+            if not y.is_zero:
+                parts[i + j + 1] = parts[i + j + 1] + x * y
+    for j, y in enumerate(b):
+        if not y.is_zero:
+            parts[j] = parts[j] + y * a0
+    return parts
+
+
 class ChernCharacter:
     """Rank plus graded components ch_1..ch_top, each homogeneous."""
 
@@ -83,8 +101,7 @@ class ChernCharacter:
         return ChernCharacter(self.ring, -self.rank, [-p for p in self.parts])
 
     def scale(self, value: Rational | ParamScalar) -> "ChernCharacter":
-        scalar = value if isinstance(value, ParamScalar) else ParamScalar.constant(value, self.ring.params)
-        return ChernCharacter(self.ring, self.rank * scalar, [p * scalar for p in self.parts])
+        return ChernCharacter(self.ring, self.rank * value, [p * value for p in self.parts])
 
     def dual(self) -> "ChernCharacter":
         """Character of the dual bundle: ch_k -> (-1)^k ch_k.  An involution."""
@@ -98,16 +115,8 @@ class ChernCharacter:
         result = self
         for other in others:
             result._check(other)
-            ring = result.ring
-            count = len(result.parts)
-            parts = []
-            for k in range(1, count + 1):
-                term = ring.zero()
-                term = term + result.part(k) * other.rank + other.part(k) * result.rank
-                for i in range(1, k):
-                    term = term + result.part(i) * other.part(k - i)
-                parts.append(term)
-            result = ChernCharacter(ring, result.rank * other.rank, parts)
+            parts = _graded_product(result.ring, result.rank, result.parts, other.rank, other.parts)
+            result = ChernCharacter(result.ring, result.rank * other.rank, parts)
         return result
 
     def total_class(self) -> "TotalChernClass":
@@ -174,14 +183,7 @@ class TotalChernClass:
     def __mul__(self, other: "TotalChernClass") -> "TotalChernClass":
         if self.ring is not other.ring:
             raise ValueError("Chern classes belong to different presentations")
-        count = len(self.parts)
-        parts = []
-        for k in range(1, count + 1):
-            term = self.component(k) + other.component(k)
-            for i in range(1, k):
-                term = term + self.component(i) * other.component(k - i)
-            parts.append(term)
-        return TotalChernClass(self.ring, parts)
+        return TotalChernClass(self.ring, _graded_product(self.ring, 1, self.parts, 1, other.parts))
 
     def character(self, rank) -> ChernCharacter:
         """Newton recursion: p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... +- k c_k,

@@ -24,6 +24,15 @@ def _load_ring_file(path: str):
     return load_presentation(text, name=Path(path).stem)
 
 
+def _print_exact(value) -> None:
+    try:  # Python caps int-to-text conversion, which keeps printing time bounded
+        text = str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise KernelError(f"the exact result has more than {limit} digits, too many to print") from None
+    print(text)
+
+
 def _cmd_count(args) -> int:
     preset = load_preset(args.preset, genus=args.genus)
     result = count_maximal_subbundles(preset)
@@ -36,13 +45,13 @@ def _cmd_count(args) -> int:
 
 def _cmd_reduce(args) -> int:
     ring = _load_ring_file(args.ring)
-    print(ring.parse(args.expression))
+    _print_exact(ring.parse(args.expression))
     return 0
 
 
 def _cmd_integrate(args) -> int:
     ring = _load_ring_file(args.ring)
-    print(ring.parse(args.expression).integrate())
+    _print_exact(ring.parse(args.expression).integrate())
     return 0
 
 
@@ -61,17 +70,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_formulas(args) -> int:
     if args.formula == "s-invariant":
-        print(formulas.s_invariant(args.n, args.d, args.n_sub, args.d_sub))
+        value = formulas.s_invariant(args.n, args.d, args.n_sub, args.d_sub)
     elif args.formula == "hirschowitz-smax":
-        print(formulas.hirschowitz_smax(args.n, args.n_sub, args.d, args.g))
+        value = formulas.hirschowitz_smax(args.n, args.n_sub, args.d, args.g)
     elif args.formula == "stratum-dim":
-        print(formulas.stratum_dim(args.n, args.n_sub, args.d, args.g, args.s))
+        value = formulas.stratum_dim(args.n, args.n_sub, args.d, args.g, args.s)
     elif args.formula == "quot-dim":
-        print(formulas.quot_dim(args.sub_rank, args.sub_deg, args.rank, args.deg, args.g))
+        value = formulas.quot_dim(args.sub_rank, args.sub_deg, args.rank, args.deg, args.g)
     elif args.formula == "m1":
-        print(formulas.m1_closed(args.n, args.g))
+        value = formulas.m1_closed(args.n, args.g)
     elif args.formula == "m2":
-        print(formulas.m2_closed(args.n))
+        value = formulas.m2_closed(args.n)
+    _print_exact(value)
     return 0
 
 

@@ -19,6 +19,7 @@ polynomials first.  All values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -228,11 +229,12 @@ class RingPresentation:
             if not coeff:
                 continue
             for nmono, ncoeff in self._monomial_nf(mono).items():
-                total = out.get(nmono, 0) + coeff * ncoeff
+                total = out.get(nmono)
+                total = coeff * ncoeff if total is None else total + coeff * ncoeff
                 if total:
                     out[nmono] = total
                 else:
-                    out.pop(nmono, None)
+                    del out[nmono]
         return out
 
     def _check_critical_pairs(self):
@@ -386,11 +388,12 @@ class GradedElement:
             self._check_ring(other)
             terms = dict(self._terms)
             for mono, coeff in other._terms.items():
-                total = terms.get(mono, 0) + coeff
+                total = terms.get(mono)
+                total = coeff if total is None else total + coeff
                 if total:
                     terms[mono] = total
                 else:
-                    terms.pop(mono, None)
+                    del terms[mono]
             return GradedElement(self.ring, terms)
         scalar = self._coerce_scalar(other)
         if scalar is None:
@@ -416,23 +419,27 @@ class GradedElement:
     def __mul__(self, other):
         if isinstance(other, GradedElement):
             self._check_ring(other)
+            if not self._terms or not other._terms:
+                return self.ring.zero()
             raw: dict[Monomial, ParamScalar] = {}
             truncates = self.ring._truncates
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
+                    mono = tuple(map(add, m1, m2))
                     if truncates(mono):
                         continue
-                    total = raw.get(mono, 0) + c1 * c2
+                    total = raw.get(mono)
+                    total = c1 * c2 if total is None else total + c1 * c2
                     if total:
                         raw[mono] = total
                     else:
-                        raw.pop(mono, None)
+                        del raw[mono]
             return GradedElement(self.ring, self.ring._normalize(raw))
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return GradedElement(self.ring, {m: c * scalar for m, c in self._terms.items()})
+        if not isinstance(other, (int, Fraction)):  # a rational scales the coefficients directly
+            other = self._coerce_scalar(other)
+            if other is None:
+                return NotImplemented
+        return GradedElement(self.ring, {m: c * other for m, c in self._terms.items()})
 
     __rmul__ = __mul__
 

@@ -96,16 +96,11 @@ class Preset:
         return n * Fraction(self.subbundle_degree, np) + (n - np) * (g - 1)
 
     def is_admissible(self, rank: int) -> bool:
-        """Whether a concrete rank n satisfies the exact-count hypotheses."""
-        if rank <= self.subbundle_rank:
-            return False
-        d = self.induced_degree.evaluate({RANK_PARAMETER: rank})
-        if d.denominator != 1:
-            return False
-        if self.subbundle_rank == 2 and self.genus == 2:
-            # d' = 1 forces d = 3n/2 - 2, so 2d + 4 = 3n: the congruence always holds
-            return rank >= 4 and rank % 2 == 0
-        return True
+        """Whether a concrete rank n satisfies the exact-count hypotheses: n > n'
+        and an integral induced degree d (for g2-rank2, d = 3n/2 - 2: even n >= 4)."""
+        np, g = self.subbundle_rank, self.genus
+        d = Fraction(rank * self.subbundle_degree, np) + (rank - np) * (g - 1)  # induced_degree at n = rank
+        return rank > np and d.denominator == 1
 
     @property
     def admissibility_note(self) -> str:

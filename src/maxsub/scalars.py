@@ -1,14 +1,20 @@
 """Exact scalars: sparse polynomials in declared formal parameters.
 
-These are the coefficients of every cohomology class in the kernel.  All
-arithmetic is exact rational arithmetic; division is only ever by an
-explicit nonzero rational, so values stay inside Q[parameters] and no
-floating point enters anywhere.
+These are the coefficients of every cohomology class in the kernel.  A
+value is stored as integer numerators over one common denominator, in
+lowest terms, so arithmetic is integer arithmetic with one gcd per result,
+and ``==`` and ``hash`` compare the stored form.  Division is only ever by
+an explicit nonzero rational, so values stay inside Q[parameters] and no
+floating point enters anywhere.  The public constructor validates its
+input; arithmetic results are built by ``_make``, which trusts its input
+and only divides out the common factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -41,13 +47,15 @@ def power(base, exponent: int, one):
 
 
 class ParamScalar:
-    """Polynomial in formal parameters with Fraction coefficients.
+    """Polynomial in formal parameters with rational coefficients.
 
-    Stored sparsely as a map from parameter-exponent vectors to nonzero
-    rationals.  Instances are immutable; all operations return new values.
+    Stored sparsely as ``_num``, a map from parameter-exponent vectors to
+    nonzero integers, over one denominator ``_den > 0`` with
+    ``gcd(_den, *_num.values()) == 1``.  Instances are immutable; all
+    operations return new values.
     """
 
-    __slots__ = ("params", "_terms")
+    __slots__ = ("params", "_num", "_den")
 
     def __init__(
         self,
@@ -67,12 +75,15 @@ class ParamScalar:
                 coeff = as_fraction(coeff)
                 if coeff:
                     clean[expo] = coeff
-        self._terms = clean
+        # the lcm of reduced denominators leaves no factor common to all numerators
+        self._den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
 
     @classmethod
     def constant(cls, value: Rational, params: Iterable[str] = ()) -> "ParamScalar":
         params = tuple(params)
-        return cls(params, {(0,) * len(params): value})
+        value = as_fraction(value)
+        return _make(params, {(0,) * len(params): value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, name: str, params: Iterable[str]) -> "ParamScalar":
@@ -85,42 +96,43 @@ class ParamScalar:
     # -- views ------------------------------------------------------------
 
     def items(self):
-        return self._terms.items()
+        """(exponents, coefficient) pairs, coefficients as ``Fraction``s."""
+        return {e: Fraction(c, self._den) for e, c in self._num.items()}.items()
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self._terms)
+        return all(not any(e) for e in self._num)
 
     def constant_value(self) -> Fraction:
-        if not self._terms:
+        if not self._num:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant")
-        return next(iter(self._terms.values()))
+        return Fraction(next(iter(self._num.values())), self._den)
 
     def total_degree(self) -> int:
-        if not self._terms:
+        if not self._num:
             return 0
-        return max(sum(e) for e in self._terms)
+        return max(sum(e) for e in self._num)
 
     def evaluate(self, assignment: Mapping[str, Rational]) -> Fraction:
         """Specialize every parameter to an exact rational."""
         values = [as_fraction(assignment[p]) for p in self.params]
-        total = Fraction(0)
-        for expo, coeff in self._terms.items():
+        total = 0
+        for expo, coeff in self._num.items():
             term = coeff
             for value, e in zip(values, expo):
                 if e:
                     term *= value**e
             total += term
-        return total
+        return Fraction(total, self._den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -137,42 +149,52 @@ class ParamScalar:
             return ParamScalar.constant(other, self.params)
         return None
 
+    def _plus(self, other: "ParamScalar", sign: int) -> "ParamScalar":
+        """``self + sign * other`` over the lcm of the two denominators."""
+        d1, d2 = self._den, other._den
+        den = d1 // gcd(d1, d2) * d2
+        s1, s2 = den // d1, den // d2 * sign
+        num = {e: c * s1 for e, c in self._num.items()}
+        for e, c in other._num.items():
+            num[e] = num.get(e, 0) + c * s2
+        return _make(self.params, {e: c for e, c in num.items() if c}, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return ParamScalar(self.params, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamScalar(self.params, {e: -c for e, c in self._terms.items()})
+        return _make(self.params, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # scale the numerators: no constant scalar is built
+            num = {e: c * other.numerator for e, c in self._num.items()} if other else {}
+            return _make(self.params, num, self._den * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
-        return ParamScalar(self.params, terms)
+        num: dict[Exponents, int] = {}
+        for e1, c1 in self._num.items():
+            for e2, c2 in other._num.items():
+                expo = tuple(map(add, e1, e2))
+                num[expo] = num.get(expo, 0) + c1 * c2
+        return _make(self.params, {e: c for e, c in num.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -180,7 +202,7 @@ class ParamScalar:
         divisor = as_fraction(other)
         if not divisor:
             raise ZeroDivisionError("division of a scalar by zero")
-        return ParamScalar(self.params, {e: c / divisor for e, c in self._terms.items()})
+        return self * (1 / divisor)
 
     def __pow__(self, exponent: int):
         return power(self, exponent, ParamScalar.constant(1, self.params))
@@ -193,19 +215,19 @@ class ParamScalar:
                 if self.is_constant and other.is_constant:
                     return self.constant_value() == other.constant_value()
                 return False
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self):
         if self.is_constant:
             return hash(self.constant_value())
-        return hash((self.params, frozenset(self._terms.items())))
+        return hash((self.params, self._den, frozenset(self._num.items())))
 
     # -- printing ---------------------------------------------------------
 
     def _sorted_terms(self):
         return sorted(
-            self._terms.items(),
+            self.items(),
             key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
         )
 
@@ -246,3 +268,17 @@ class ParamScalar:
 
     def __repr__(self) -> str:
         return f"ParamScalar({str(self)!r})"
+
+
+def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> ParamScalar:
+    """Trusted constructor for arithmetic results: ``num`` maps exponent vectors
+    of the right width to nonzero ints, ``den > 0``; it only divides out the gcd."""
+    common = gcd(den, *num.values())
+    if common != 1:
+        num = {e: c // common for e, c in num.items()}
+        den //= common
+    out = object.__new__(ParamScalar)
+    out.params = params
+    out._num = num
+    out._den = den
+    return out

@@ -98,6 +98,101 @@ def base_elements_st(ring, max_degree=10, max_terms=3):
     return elements_st(ring, max_degree, max_terms, allowed=allowed)
 
 
+# -- reference scalar ------------------------------------------------------------
+
+
+class ReferenceScalar:
+    """The scalar as it was before integer numerators: a dict from parameter
+    exponent vectors to nonzero ``Fraction``s, re-validated on every result.
+    Slow, but every operation is plain ``Fraction`` arithmetic, so it serves
+    as the oracle for :class:`maxsub.scalars.ParamScalar`."""
+
+    def __init__(self, params, terms=None):
+        self.params = tuple(params)
+        self._terms = {}
+        for expo, coeff in (terms or {}).items():
+            expo = tuple(expo)
+            if len(expo) != len(self.params) or any(e < 0 for e in expo):
+                raise ValueError("bad exponent vector")
+            coeff = Fraction(coeff)
+            if coeff:
+                self._terms[expo] = coeff
+
+    @classmethod
+    def constant(cls, value, params):
+        return cls(params, {(0,) * len(params): value})
+
+    def items(self):
+        return self._terms.items()
+
+    def _coerce(self, other):
+        return other if isinstance(other, ReferenceScalar) else ReferenceScalar.constant(other, self.params)
+
+    def __add__(self, other):
+        terms = dict(self._terms)
+        for expo, coeff in self._coerce(other)._terms.items():
+            terms[expo] = terms.get(expo, Fraction(0)) + coeff
+        return ReferenceScalar(self.params, terms)
+
+    def __neg__(self):
+        return ReferenceScalar(self.params, {e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in self._coerce(other)._terms.items():
+                expo = tuple(a + b for a, b in zip(e1, e2))
+                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
+        return ReferenceScalar(self.params, terms)
+
+    def __truediv__(self, other):
+        return ReferenceScalar(self.params, {e: c / Fraction(other) for e, c in self._terms.items()})
+
+    def __pow__(self, exponent):
+        result = ReferenceScalar.constant(1, self.params)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        return self._terms == self._coerce(other)._terms
+
+    def __hash__(self):
+        if all(not any(e) for e in self._terms):
+            return hash(next(iter(self._terms.values()), Fraction(0)))
+        return hash((self.params, frozenset(self._terms.items())))
+
+    def evaluate(self, assignment):
+        total = Fraction(0)
+        for expo, coeff in self._terms.items():
+            for name, e in zip(self.params, expo):
+                coeff *= Fraction(assignment[name]) ** e
+            total += coeff
+        return total
+
+    def __str__(self):
+        pieces = []
+        for expo, coeff in sorted(self._terms.items(), key=lambda item: (-sum(item[0]), tuple(-e for e in item[0]))):
+            mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(self.params, expo) if e)
+            mag = abs(coeff)
+            if not mono:
+                text = str(mag)
+            elif mag == 1:
+                text = mono
+            elif mag.denominator == 1:
+                text = f"{mag}*{mono}"
+            else:
+                text = f"({mag})*{mono}"
+            if pieces:
+                pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
+            else:
+                pieces.append(f"-{text}" if coeff < 0 else text)
+        return "".join(pieces) or "0"
+
+
 # -- independent oracles -------------------------------------------------------
 
 

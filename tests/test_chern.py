@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maxsub.chern import ChernCharacter, TotalChernClass
+from maxsub.chern import ChernCharacter, TotalChernClass, _graded_product
 
-from helpers import elements_st, exponential_element, g2_preset
+from helpers import elements_st, exponential_element, g2_preset, scalars_st
 
 PRESET = g2_preset()
 RING = PRESET.ring
@@ -178,3 +178,23 @@ def test_line_bundle_exponential(name, scale):
     assert ch.rank == 1
     for k in range(1, RING.top_degree // 2 + 1):
         assert ch.part(k) == expected.homogeneous_component(2 * k)
+
+
+@st.composite
+def sparse_components_st(draw):
+    """Components 1..top/2 of a random element, some of them zeroed."""
+    x = draw(elements_st(RING, max_terms=4))
+    count = RING.top_degree // 2
+    keep = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    return tuple(x.homogeneous_component(2 * k) if kept else RING.zero() for k, kept in enumerate(keep, start=1))
+
+
+@given(sparse_components_st(), sparse_components_st(), scalars_st(RING), st.one_of(st.integers(-3, 3), scalars_st(RING)))
+def test_graded_product_matches_dense_double_loop(a, b, a0, b0):
+    dense = []
+    for k in range(1, len(a) + 1):
+        term = a[k - 1] * b0 + b[k - 1] * a0
+        for i in range(1, k):
+            term = term + a[i - 1] * b[k - i - 1]
+        dense.append(term)
+    assert _graded_product(RING, a0, a, b0, b) == dense

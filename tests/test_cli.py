@@ -77,6 +77,14 @@ def test_deep_nesting_exits_2(capsys, command):
     assert out.err == "error: line 1, column 101: parentheses nested more than 100 deep\n"
 
 
+@pytest.mark.parametrize("command, expression", [("reduce", "2^20000"), ("integrate", "2^20000*alpha^3*theta^2")])
+def test_too_many_digits_exits_1(capsys, command, expression):
+    assert run([command, "--ring", G2_RING, expression]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the exact result has more than 4300 digits, too many to print\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert run(["count", "--preset", "not-a-preset"]) == 2
     assert run(["count"]) == 2

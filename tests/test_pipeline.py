@@ -261,6 +261,16 @@ def test_admissibility_flags():
     assert count_maximal_subbundles(PRESET).specialize(2) == 1
 
 
+def test_admissibility_matches_symbolic_induced_degree():
+    # the symbolic test is_admissible used before: evaluate induced_degree at n = k
+    for preset in [PRESET] + [jacobian_preset(g) for g in range(2, 9)]:
+        for k in range(2, 200):
+            expected = k > preset.subbundle_rank and preset.induced_degree.evaluate({"n": k}).denominator == 1
+            if preset.subbundle_rank == 2 and preset.genus == 2:
+                expected = expected and k >= 4 and k % 2 == 0
+            assert preset.is_admissible(k) == expected, (preset.name, preset.genus, k)
+
+
 def test_closed_forms_match_pipeline():
     from maxsub.formulas import m1_closed, m2_closed
 

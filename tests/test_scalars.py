@@ -1,8 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maxsub.scalars import ParamScalar
+
+from helpers import ReferenceScalar
 
 
 def n():
@@ -97,3 +102,49 @@ def test_equality_against_rationals():
     assert ParamScalar.constant(3, ("n",)) == 3
     assert ParamScalar.constant(Fraction(1, 2), ("n",)) == Fraction(1, 2)
     assert n() != 1
+
+
+# -- against the Fraction-dict reference ---------------------------------------
+
+PARAM_LISTS = (("n",), ("n", "m"))
+rationals_st = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
+
+
+@st.composite
+def polynomial_pairs_st(draw, params):
+    """The same random polynomial as a ParamScalar and as a ReferenceScalar."""
+    expos = st.tuples(*[st.integers(0, 3)] * len(params))
+    terms = draw(st.dictionaries(expos, rationals_st, max_size=4))
+    return ParamScalar(params, terms), ReferenceScalar(params, terms)
+
+
+def assert_agrees(fast, ref):
+    assert dict(fast.items()) == dict(ref.items())
+    assert all(type(c) is Fraction for _, c in fast.items())
+    assert str(fast) == str(ref)
+    assert fast.evaluate({"n": Fraction(3, 2), "m": -2}) == ref.evaluate({"n": Fraction(3, 2), "m": -2})
+    # lowest terms: integer numerators, none zero, over a positive denominator
+    assert fast._den > 0 and gcd(fast._den, *fast._num.values()) == 1
+    assert all(type(c) is int and c for c in fast._num.values())
+
+
+@pytest.mark.parametrize("params", PARAM_LISTS)
+@given(data=st.data())
+def test_arithmetic_matches_reference(params, data):
+    (a, ra), (b, rb) = data.draw(polynomial_pairs_st(params)), data.draw(polynomial_pairs_st(params))
+    q = data.draw(rationals_st.filter(bool))
+    k = data.draw(st.integers(0, 6))
+    assert_agrees(a, ra)
+    for fast, ref in (
+        (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
+        (a / q, ra / q), (a / q.numerator, ra / q.numerator), (a**k, ra**k),
+        (a + q, ra + q), (q - a, ReferenceScalar.constant(q, params) - ra),
+        (q * a, ra * q), (a * q.numerator, ra * q.numerator), (a * 0, ra * 0),
+    ):
+        assert_agrees(fast, ref)
+    assert (a == b) == (ra == rb)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a - a).is_zero and a / q * q == a
+    if a.is_constant:
+        assert a == a.constant_value() and hash(a) == hash(ra) == hash(a.constant_value())
