@@ -5,16 +5,25 @@ both directions through the Newton power-sum recursion with exact division
 by factorials, so they are mutually inverse at any fixed rank, including
 virtual (negative or symbolic) ranks.  Characters are truncated at half
 the ring's top degree; everything above vanishes for dimensional reasons.
+
+Both kinds of object store only their nonzero components, keyed by ``k``
+in increasing order, and every recursion and product runs over those keys
+alone: a line bundle's class ``1 + c_1`` costs one component at any genus.
+The public constructors check that each component is homogeneous of
+degree ``2k`` in the right ring.  Results computed here are homogeneous by
+construction and go through the trusted :func:`_character` and
+:func:`_class`, which only drop zero components.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-from typing import Sequence
+from math import prod
+from typing import Mapping, Sequence
 
 from .gradedring import GradedElement, RingPresentation
 from .scalars import ParamScalar, Rational
+
+Components = dict  # {k: nonzero GradedElement of degree 2k}, keys increasing
 
 
 def _as_rank(ring: RingPresentation, value) -> ParamScalar:
@@ -25,59 +34,133 @@ def _as_rank(ring: RingPresentation, value) -> ParamScalar:
     return ParamScalar.constant(value, ring.params)
 
 
-def _padded(ring: RingPresentation, parts: Sequence[GradedElement], what: str) -> tuple:
-    count = ring.top_degree // 2
-    out = []
-    for k in range(1, count + 1):
-        part = parts[k - 1] if k - 1 < len(parts) else ring.zero()
+def _checked(ring: RingPresentation, parts, what: str) -> Components:
+    """Components from outside: a sequence ``ch_1, ch_2, ...`` or a mapping
+    ``{k: ch_k}``, each in ``ring`` and homogeneous of degree ``2k``."""
+    items = parts.items() if isinstance(parts, Mapping) else enumerate(parts, start=1)
+    out = {}
+    for k, part in items:
+        if k < 1:
+            raise ValueError(f"{what} components are numbered from 1, got {k}")
         if part.ring is not ring:
             raise ValueError(f"{what} component {k} belongs to a different presentation")
-        bad = [d for d in part.degrees() if d != 2 * k]
-        if bad:
+        if any(d != 2 * k for d in part.degrees()):
             raise ValueError(f"{what} component {k} is not homogeneous of degree {2 * k}")
-        out.append(part)
-    return tuple(out)
+        out[k] = part
+    return _nonzero(out)
 
 
-def _graded_product(ring: RingPresentation, a0, a: Sequence[GradedElement], b0, b: Sequence[GradedElement]) -> list:
-    """Components 1..len(a) of (a0 + a_1 + a_2 + ...) * (b0 + b_1 + b_2 + ...) for
-    scalars a0, b0 and a_k, b_k of degree 2k, truncated; zero components are skipped."""
-    count = len(a)
-    parts = [ring.zero()] * count
-    for i, x in enumerate(a):
-        if x.is_zero:
+def _nonzero(parts: Components) -> Components:
+    return {k: parts[k] for k in sorted(parts) if not parts[k].is_zero}
+
+
+def _character(ring: RingPresentation, rank: ParamScalar, parts: Components) -> "ChernCharacter":
+    """Trusted constructor: ``parts`` are homogeneous and in ``ring``."""
+    ch = object.__new__(ChernCharacter)
+    ch.ring, ch.rank, ch._parts = ring, rank, _nonzero(parts)
+    return ch
+
+
+def _class(ring: RingPresentation, parts: Components) -> "TotalChernClass":
+    """Trusted constructor: ``parts`` are homogeneous and in ``ring``."""
+    c = object.__new__(TotalChernClass)
+    c.ring, c._parts = ring, _nonzero(parts)
+    return c
+
+
+def _accumulate(out: Components, k: int, value: GradedElement):
+    total = out.get(k)
+    out[k] = value if total is None else total + value
+
+
+def _newton_sum(given: Components, known: Components, k: int, last) -> GradedElement | None:
+    """The sum of (-1)^(i-1) g_i x_(k-i) over the nonzero g_i of ``given``
+    with i <= k, where x_j is ``known[j]`` for j >= 1 and ``last`` for j = 0;
+    None when no term is present.  One step of either Newton recursion."""
+    acc = None
+    for i, g in given.items():
+        if i > k:
+            break
+        x = last if i == k else known.get(k - i)
+        if x is None:
             continue
-        parts[i] = parts[i] + x * b0
-        for j, y in enumerate(b[: count - 1 - i]):
-            if not y.is_zero:
-                parts[i + j + 1] = parts[i + j + 1] + x * y
-    for j, y in enumerate(b):
-        if not y.is_zero:
-            parts[j] = parts[j] + y * a0
-    return parts
+        term = g * x
+        if acc is None:
+            acc = term if i % 2 else -term
+        else:
+            acc = acc + term if i % 2 else acc - term
+    return acc
 
 
-class ChernCharacter:
-    """Rank plus graded components ch_1..ch_top, each homogeneous."""
+def _factorials(keys):
+    """``(k, k!)`` for increasing ``keys``, from one running product."""
+    factorial, last = 1, 0
+    for k in keys:
+        factorial *= prod(range(last + 1, k + 1))
+        last = k
+        yield k, factorial
 
-    __slots__ = ("ring", "rank", "parts")
 
-    def __init__(self, ring: RingPresentation, rank, parts: Sequence[GradedElement] = ()):
+def _graded_product(ring: RingPresentation, a0, a: Components, b0, b: Components) -> Components:
+    """Components k >= 1 of (a0 + a_1 + a_2 + ...) * (b0 + b_1 + b_2 + ...) for
+    scalars a0, b0 and a_k, b_k of degree 2k, truncated at half the top
+    degree; only the keys present in ``a`` and ``b`` are visited."""
+    count = ring.top_degree // 2
+    out: Components = {}
+    for i, x in a.items():
+        _accumulate(out, i, x * b0)
+        for j, y in b.items():
+            if i + j > count:
+                break
+            _accumulate(out, i + j, x * y)
+    for j, y in b.items():
+        _accumulate(out, j, y * a0)
+    return out
+
+
+class _SparseGraded:
+    """Shared views of the nonzero components ``_parts``."""
+
+    __slots__ = ()
+
+    @property
+    def parts(self) -> tuple:
+        """Dense read-only view: components 1..top_degree/2, zeros included."""
+        zero = self.ring.zero()
+        return tuple(self._parts.get(k, zero) for k in range(1, self.ring.top_degree // 2 + 1))
+
+    def items(self):
+        """The nonzero components as ``(k, component)``, k increasing."""
+        return self._parts.items()
+
+    def _get(self, k: int) -> GradedElement:
+        part = self._parts.get(k)
+        return self.ring.zero() if part is None else part
+
+    def _body(self) -> str:
+        return " + ".join(f"[{p}]" for p in self._parts.values())
+
+
+class ChernCharacter(_SparseGraded):
+    """Rank plus graded components ch_1..ch_top, each homogeneous; only the
+    nonzero ones are stored."""
+
+    __slots__ = ("ring", "rank", "_parts")
+
+    def __init__(self, ring: RingPresentation, rank, parts: Sequence[GradedElement] | Mapping[int, GradedElement] = ()):
         self.ring = ring
         self.rank = _as_rank(ring, rank)
-        self.parts = _padded(ring, parts, "character")
+        self._parts = _checked(ring, parts, "character")
 
     @classmethod
     def constant(cls, ring: RingPresentation, rank) -> "ChernCharacter":
-        return cls(ring, rank)
+        return _character(ring, _as_rank(ring, rank), {})
 
     def part(self, k: int) -> GradedElement:
         """Component ch_k for k >= 1 (the rank is ch_0)."""
         if k < 1:
             raise IndexError("use .rank for ch_0")
-        if k > len(self.parts):
-            return self.ring.zero()
-        return self.parts[k - 1]
+        return self._get(k)
 
     def _check(self, other: "ChernCharacter"):
         if self.ring is not other.ring:
@@ -85,90 +168,89 @@ class ChernCharacter:
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
         self._check(other)
-        return ChernCharacter(
-            self.ring, self.rank + other.rank,
-            [a + b for a, b in zip(self.parts, other.parts)],
-        )
+        parts = dict(self._parts)
+        for k, p in other._parts.items():
+            _accumulate(parts, k, p)
+        return _character(self.ring, self.rank + other.rank, parts)
 
     def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
         self._check(other)
-        return ChernCharacter(
-            self.ring, self.rank - other.rank,
-            [a - b for a, b in zip(self.parts, other.parts)],
-        )
+        parts = dict(self._parts)
+        for k, p in other._parts.items():
+            _accumulate(parts, k, -p)
+        return _character(self.ring, self.rank - other.rank, parts)
 
     def __neg__(self) -> "ChernCharacter":
-        return ChernCharacter(self.ring, -self.rank, [-p for p in self.parts])
+        return _character(self.ring, -self.rank, {k: -p for k, p in self._parts.items()})
 
     def scale(self, value: Rational | ParamScalar) -> "ChernCharacter":
-        return ChernCharacter(self.ring, self.rank * value, [p * value for p in self.parts])
+        parts = {k: p * value for k, p in self._parts.items()}
+        return _character(self.ring, _as_rank(self.ring, self.rank * value), parts)
 
     def dual(self) -> "ChernCharacter":
         """Character of the dual bundle: ch_k -> (-1)^k ch_k.  An involution."""
-        return ChernCharacter(
-            self.ring, self.rank,
-            [p if k % 2 == 0 else -p for k, p in enumerate(self.parts, start=1)],
-        )
+        parts = {k: p if k % 2 == 0 else -p for k, p in self._parts.items()}
+        return _character(self.ring, self.rank, parts)
 
     def tensor(self, *others: "ChernCharacter") -> "ChernCharacter":
         """Graded product of total characters; the rank multiplies."""
         result = self
         for other in others:
             result._check(other)
-            parts = _graded_product(result.ring, result.rank, result.parts, other.rank, other.parts)
-            result = ChernCharacter(result.ring, result.rank * other.rank, parts)
+            parts = _graded_product(result.ring, result.rank, result._parts, other.rank, other._parts)
+            result = _character(result.ring, result.rank * other.rank, parts)
         return result
 
     def total_class(self) -> "TotalChernClass":
-        """Invert the Newton recursion: c_k from the power sums p_k = k! ch_k.
+        """Invert the Newton recursion: k c_k = sum_i (-1)^(i-1) c_(k-i) p_i
+        with the power sums p_i = i! ch_i, over the nonzero p_i only.
 
         Multiplicative over sums of characters, which is exactly the
         consistency c(A) * c(B - A) = c(B) behind the degeneracy-locus count.
         """
         ring = self.ring
-        count = len(self.parts)
-        p = [ring.zero()] + [self.parts[k - 1] * factorial(k) for k in range(1, count + 1)]
-        c: list[GradedElement] = [ring.one()]
-        for k in range(1, count + 1):
-            acc = p[k]
-            for i in range(1, k):
-                acc = acc - c[i] * p[k - i] * ((-1) ** (i - 1))
-            c.append(acc * Fraction((-1) ** (k - 1), k))
-        return TotalChernClass(ring, c[1:])
+        p = {i: self._parts[i] * factorial for i, factorial in _factorials(self._parts)}
+        c: Components = {}
+        for k in range(1, ring.top_degree // 2 + 1):
+            acc = _newton_sum(p, c, k, 1)  # c_0 = 1
+            if acc is not None and not acc.is_zero:
+                c[k] = acc / k
+        return _class(ring, c)
 
     def __eq__(self, other):
         if isinstance(other, ChernCharacter):
-            return self.ring is other.ring and self.rank == other.rank and self.parts == other.parts
+            return self.ring is other.ring and self.rank == other.rank and self._parts == other._parts
         return NotImplemented
 
     def __repr__(self):
-        parts = " + ".join(f"[{p}]" for p in self.parts if not p.is_zero)
-        return f"ChernCharacter({self.rank}{' + ' + parts if parts else ''})"
+        body = self._body()
+        return f"ChernCharacter({self.rank}{' + ' + body if body else ''})"
 
 
-class TotalChernClass:
-    """Total Chern class 1 + c_1 + ... + c_top with homogeneous components."""
+class TotalChernClass(_SparseGraded):
+    """Total Chern class 1 + c_1 + ... + c_top with homogeneous components;
+    only the nonzero ones are stored."""
 
-    __slots__ = ("ring", "parts")
+    __slots__ = ("ring", "_parts")
 
-    def __init__(self, ring: RingPresentation, parts: Sequence[GradedElement] = ()):
+    def __init__(self, ring: RingPresentation, parts: Sequence[GradedElement] | Mapping[int, GradedElement] = ()):
         self.ring = ring
-        self.parts = _padded(ring, parts, "Chern class")
+        self._parts = _checked(ring, parts, "Chern class")
 
     @classmethod
     def from_total_element(cls, ring: RingPresentation, total: GradedElement) -> "TotalChernClass":
         """Split an inhomogeneous element 1 + c_1 + ... into components."""
         if total.constant_coefficient() != 1:
             raise ValueError("a total Chern class must have constant term 1")
-        count = ring.top_degree // 2
-        return cls(ring, [total.homogeneous_component(2 * k) for k in range(1, count + 1)])
+        terms: dict = {}
+        for mono, coeff in total.items():
+            k = ring.degree(mono) // 2  # generators have even degree
+            if k:
+                terms.setdefault(k, {})[mono] = coeff
+        return _class(ring, {k: GradedElement(ring, t) for k, t in terms.items()})
 
     def component(self, k: int) -> GradedElement:
-        if k == 0:
-            return self.ring.one()
-        if k > len(self.parts):
-            return self.ring.zero()
-        return self.parts[k - 1]
+        return self.ring.one() if k == 0 else self._get(k)
 
     def top(self) -> GradedElement:
         """The top-degree component c_{topDegree/2} (the Porteous class)."""
@@ -176,35 +258,33 @@ class TotalChernClass:
 
     def total_element(self) -> GradedElement:
         total = self.ring.one()
-        for p in self.parts:
+        for p in self._parts.values():
             total = total + p
         return total
 
     def __mul__(self, other: "TotalChernClass") -> "TotalChernClass":
         if self.ring is not other.ring:
             raise ValueError("Chern classes belong to different presentations")
-        return TotalChernClass(self.ring, _graded_product(self.ring, 1, self.parts, 1, other.parts))
+        return _class(self.ring, _graded_product(self.ring, 1, self._parts, 1, other._parts))
 
     def character(self, rank) -> ChernCharacter:
-        """Newton recursion: p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... +- k c_k,
-        then ch_k = p_k / k! and ch_0 is the given rank."""
+        """Newton recursion: p_k = c_1 p_(k-1) - c_2 p_(k-2) + ... +- k c_k
+        over the nonzero c_i and p_(k-i) only, then ch_k = p_k / k! and ch_0
+        is the given rank."""
         ring = self.ring
-        count = len(self.parts)
-        p: list[GradedElement] = [ring.zero()]
-        for k in range(1, count + 1):
-            acc = self.component(k) * ((-1) ** (k - 1) * k)
-            for i in range(1, k):
-                term = self.component(i) * p[k - i]
-                acc = acc + term * ((-1) ** (i - 1))
-            p.append(acc)
-        parts = [p[k] / factorial(k) for k in range(1, count + 1)]
-        return ChernCharacter(ring, rank, parts)
+        p: Components = {}
+        for k in range(1, ring.top_degree // 2 + 1):
+            acc = _newton_sum(self._parts, p, k, k)  # the last term is +- k c_k
+            if acc is not None and not acc.is_zero:
+                p[k] = acc
+        parts = {k: p[k] / factorial for k, factorial in _factorials(p)}
+        return _character(ring, _as_rank(ring, rank), parts)
 
     def __eq__(self, other):
         if isinstance(other, TotalChernClass):
-            return self.ring is other.ring and self.parts == other.parts
+            return self.ring is other.ring and self._parts == other._parts
         return NotImplemented
 
     def __repr__(self):
-        parts = " + ".join(f"[{p}]" for p in self.parts if not p.is_zero)
-        return f"TotalChernClass(1{' + ' + parts if parts else ''})"
+        body = self._body()
+        return f"TotalChernClass(1{' + ' + body if body else ''})"

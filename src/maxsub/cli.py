@@ -16,7 +16,7 @@ from . import formulas
 from .errors import KernelError
 from .gradedring import load_presentation
 from .parsing import ParseError
-from .pipeline import PRESET_NAMES, consistency_report, count_maximal_subbundles, load_preset
+from .pipeline import PRESET_NAMES, CountResult, consistency_report, count_maximal_subbundles, load_preset
 
 
 def _load_ring_file(path: str):
@@ -24,9 +24,9 @@ def _load_ring_file(path: str):
     return load_presentation(text, name=Path(path).stem)
 
 
-def _print_exact(value) -> None:
+def _print_exact(value, render=str) -> None:
     try:  # Python caps int-to-text conversion, which keeps printing time bounded
-        text = str(value)
+        text = render(value)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise KernelError(f"the exact result has more than {limit} digits, too many to print") from None
@@ -37,9 +37,9 @@ def _cmd_count(args) -> int:
     preset = load_preset(args.preset, genus=args.genus)
     result = count_maximal_subbundles(preset)
     if args.format == "record":
-        print(result.to_json())
+        _print_exact(result, CountResult.to_json)
     else:
-        print(result.summary(verbose=args.verbose))
+        _print_exact(result, lambda r: r.summary(verbose=args.verbose))
     return 0
 
 

@@ -26,13 +26,18 @@ from math import factorial, gcd
 
 from .chern import ChernCharacter, TotalChernClass
 from .errors import PresetError
-from .gradedring import RingPresentation, presentation_from_data
+from .gradedring import RewriteRule, RingPresentation, presentation_from_data
 from .parsing import parse_presentation_text
 from .scalars import ParamScalar
 
 PRESET_NAMES = ("g2-rank2", "jacobian")
 
 RANK_PARAMETER = "n"
+
+#: Largest genus of the built-in rank-1 preset.  Its top Chern class carries
+#: 1/genus!, so the work grows faster than linearly in the genus; the bound
+#: keeps every run short.
+JACOBIAN_MAX_GENUS = 10_000
 
 #: Conditions under which the computed number is literally the count of
 #: distinct maximal subbundles, recorded on every result.  The integral is
@@ -136,10 +141,11 @@ def sections_character(preset: Preset) -> ChernCharacter:
     character (the derived pushforward vanishes for degree reasons, so the
     fiber integral is the whole answer)."""
     up = upstairs_character(preset)
-    pushed = [p.pushforward_fiber() for p in up.parts]
-    rank = pushed[0].constant_coefficient() if pushed else ParamScalar(preset.ring.params)
-    # the last component would come from beyond the ring's top degree
-    return ChernCharacter(preset.ring, rank, pushed[1:] + [preset.ring.zero()])
+    rank = up.part(1).pushforward_fiber().constant_coefficient()
+    # ch_k comes from the upstairs ch_{k+1}; the top component would come
+    # from beyond the ring's top degree and is left out
+    pushed = {k - 1: p.pushforward_fiber() for k, p in up.items() if k > 1}
+    return ChernCharacter(preset.ring, rank, pushed)
 
 
 def evaluation_character(preset: Preset) -> ChernCharacter:
@@ -149,7 +155,7 @@ def evaluation_character(preset: Preset) -> ChernCharacter:
 
     def restricted(cls: TotalChernClass, rank) -> ChernCharacter:
         ch = cls.character(rank)
-        return ChernCharacter(preset.ring, ch.rank, [p.restrict_to_point() for p in ch.parts])
+        return ChernCharacter(preset.ring, ch.rank, {k: p.restrict_to_point() for k, p in ch.items()})
 
     u = restricted(preset.chern_u, preset.subbundle_rank)
     l = restricted(preset.chern_l, 1)
@@ -329,6 +335,38 @@ chern_L: 1 + xi1
 """
 
 
+def jacobian_preset(genus: int) -> Preset:
+    """The rank-1 preset at the given genus, built as data: the same ring and
+    classes as ``preset_from_text(jacobian_ring_text(genus))``, but genus!
+    is never printed and parsed back, so a huge genus loads too."""
+    if genus < 2:
+        raise PresetError(f"genus must be at least 2, got {genus}")
+    if genus > JACOBIAN_MAX_GENUS:
+        raise PresetError(f"the jacobian preset supports genus up to {JACOBIAN_MAX_GENUS}, got {genus}")
+    g = genus
+    params = (RANK_PARAMETER,)
+    ring = RingPresentation(
+        generators=(("theta", 2), ("xi1", 2), ("f", 2)),
+        params=params,
+        rules=[RewriteRule((0, 2, 0), (((1, 0, 1), ParamScalar.constant(-2, params)),))],  # xi1^2 -> -2*theta*f
+        zeros=[(0, 0, 2), (0, 1, 1), (g + 1, 0, 0)],  # f^2, xi1*f, theta^(g+1)
+        fiber="f",
+        fiber_supported=("xi1",),
+        integrals={(g, 0, 0): Fraction(factorial(g))},  # theta^g = g!
+        top_degree=2 * g,
+        name="jacobian",
+    )
+    return Preset(
+        name="jacobian",
+        ring=ring,
+        genus=g,
+        subbundle_rank=1,
+        subbundle_degree=1,
+        chern_u=TotalChernClass(ring, [ring.generator("f")]),  # 1 + f
+        chern_l=TotalChernClass(ring, [ring.generator("xi1")]),  # 1 + xi1
+    )
+
+
 def preset_from_text(text: str, name: str = "") -> Preset:
     """Build a preset from a presentation file carrying a preset header."""
     data = parse_presentation_text(text)
@@ -353,13 +391,13 @@ def preset_from_text(text: str, name: str = "") -> Preset:
 
 
 def load_preset(name: str, genus: int | None = None) -> Preset:
-    """Load a built-in preset: ``g2-rank2`` or ``jacobian`` (any genus >= 2,
-    rendered by :func:`jacobian_ring_text`; the shipped ``jacobian-g{2..5}``
-    files are byte-identical copies)."""
+    """Load a built-in preset: ``g2-rank2`` or ``jacobian`` (genus 2 to
+    :data:`JACOBIAN_MAX_GENUS`, built by :func:`jacobian_preset`; the shipped
+    ``jacobian-g{2..5}`` files are rendered by :func:`jacobian_ring_text`)."""
     if name == "g2-rank2":
         if genus not in (None, 2):
             raise PresetError("the g2-rank2 preset is specific to genus 2")
         return preset_from_text(resources.files("maxsub").joinpath("presets", "g2-rank2.ring").read_text())
     if name == "jacobian":
-        return preset_from_text(jacobian_ring_text(2 if genus is None else genus))
+        return jacobian_preset(2 if genus is None else genus)
     raise PresetError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

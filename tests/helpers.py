@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import factorial
 
 from hypothesis import strategies as st
 
@@ -96,6 +97,60 @@ def base_elements_st(ring, max_degree=10, max_terms=3):
         killed.add(ring.fiber_index)
     allowed = [n for i, n in enumerate(ring.generator_names) if i not in killed]
     return elements_st(ring, max_degree, max_terms, allowed=allowed)
+
+
+@st.composite
+def sparse_components_st(draw, ring, max_terms=4):
+    """Components 1..top/2 of a random element, some of them zeroed."""
+    x = draw(elements_st(ring, max_degree=ring.top_degree, max_terms=max_terms))
+    count = ring.top_degree // 2
+    keep = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    return tuple(x.homogeneous_component(2 * k) if kept else ring.zero() for k, kept in enumerate(keep, start=1))
+
+
+# -- dense references for the chern recursions --------------------------------------
+#
+# The loops ``maxsub.chern`` ran before it stored only nonzero components: every
+# component 1..top/2, zero or not, takes part in every step.  Each takes and
+# returns dense component lists ``[x_1, ..., x_(top/2)]``.
+
+
+def dense_character(ring, c):
+    """Components ch_1.. of the character of the total class 1 + c_1 + ...:
+    p_k = c_1 p_(k-1) - c_2 p_(k-2) + ... +- k c_k, then ch_k = p_k / k!."""
+    count = len(c)
+    p = [ring.zero()]
+    for k in range(1, count + 1):
+        acc = c[k - 1] * ((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            acc = acc + c[i - 1] * p[k - i] * ((-1) ** (i - 1))
+        p.append(acc)
+    return [p[k] / factorial(k) for k in range(1, count + 1)]
+
+
+def dense_total_class(ring, ch):
+    """Components c_1.. of the total class of the character rank + ch_1 + ...,
+    from the power sums p_k = k! ch_k."""
+    count = len(ch)
+    p = [ring.zero()] + [ch[k - 1] * factorial(k) for k in range(1, count + 1)]
+    c = [ring.one()]
+    for k in range(1, count + 1):
+        acc = p[k]
+        for i in range(1, k):
+            acc = acc - c[i] * p[k - i] * ((-1) ** (i - 1))
+        c.append(acc * Fraction((-1) ** (k - 1), k))
+    return c[1:]
+
+
+def dense_graded_product(a0, a, b0, b):
+    """Components 1..len(a) of (a0 + a_1 + ...) * (b0 + b_1 + ...)."""
+    dense = []
+    for k in range(1, len(a) + 1):
+        term = a[k - 1] * b0 + b[k - 1] * a0
+        for i in range(1, k):
+            term = term + a[i - 1] * b[k - i - 1]
+        dense.append(term)
+    return dense
 
 
 # -- reference scalar ------------------------------------------------------------
@@ -352,8 +407,6 @@ def _divides(divisor, mono):
 
 def exponential_element(x, top_terms=None):
     """Truncated exponential sum x^k / k!, reduced in the ring."""
-    from math import factorial
-
     ring = x.ring
     count = ring.top_degree // 2 if top_terms is None else top_terms
     total = ring.one()

@@ -4,7 +4,17 @@ from hypothesis import strategies as st
 
 from maxsub.chern import ChernCharacter, TotalChernClass, _graded_product
 
-from helpers import elements_st, exponential_element, g2_preset, scalars_st
+from helpers import (
+    dense_character,
+    dense_graded_product,
+    dense_total_class,
+    elements_st,
+    exponential_element,
+    g2_preset,
+    jacobian_preset,
+    scalars_st,
+    sparse_components_st,
+)
 
 PRESET = g2_preset()
 RING = PRESET.ring
@@ -180,16 +190,7 @@ def test_line_bundle_exponential(name, scale):
         assert ch.part(k) == expected.homogeneous_component(2 * k)
 
 
-@st.composite
-def sparse_components_st(draw):
-    """Components 1..top/2 of a random element, some of them zeroed."""
-    x = draw(elements_st(RING, max_terms=4))
-    count = RING.top_degree // 2
-    keep = draw(st.lists(st.booleans(), min_size=count, max_size=count))
-    return tuple(x.homogeneous_component(2 * k) if kept else RING.zero() for k, kept in enumerate(keep, start=1))
-
-
-@given(sparse_components_st(), sparse_components_st(), scalars_st(RING), st.one_of(st.integers(-3, 3), scalars_st(RING)))
+@given(sparse_components_st(RING), sparse_components_st(RING), scalars_st(RING), st.one_of(st.integers(-3, 3), scalars_st(RING)))
 def test_graded_product_matches_dense_double_loop(a, b, a0, b0):
     dense = []
     for k in range(1, len(a) + 1):
@@ -197,4 +198,36 @@ def test_graded_product_matches_dense_double_loop(a, b, a0, b0):
         for i in range(1, k):
             term = term + a[i - 1] * b[k - i - 1]
         dense.append(term)
-    assert _graded_product(RING, a0, a, b0, b) == dense
+    sparse = _graded_product(RING, a0, dict(enumerate(a, start=1)), b0, dict(enumerate(b, start=1)))
+    assert [sparse.get(k, RING.zero()) for k in range(1, len(a) + 1)] == dense
+
+
+# -- sparse storage against the dense references -----------------------------------
+
+ORACLE_RINGS = {"g2-rank2": RING, "jacobian-g6": jacobian_preset(6).ring}
+
+
+@pytest.mark.parametrize("ring_name", ORACLE_RINGS)
+@given(data=st.data())
+def test_sparse_operations_match_dense_reference(ring_name, data):
+    ring = ORACLE_RINGS[ring_name]
+    a, b = data.draw(sparse_components_st(ring)), data.draw(sparse_components_st(ring))
+    rank_a = data.draw(st.integers(-3, 3))
+    rank_b = data.draw(st.one_of(st.integers(-3, 3), scalars_st(ring)))
+    ch_a, ch_b = ChernCharacter(ring, rank_a, a), ChernCharacter(ring, rank_b, b)
+    c_a, c_b = TotalChernClass(ring, a), TotalChernClass(ring, b)
+
+    assert list(c_a.character(rank_a).parts) == dense_character(ring, a)
+    assert list(ch_a.total_class().parts) == dense_total_class(ring, a)
+    assert list((c_a * c_b).parts) == dense_graded_product(1, a, 1, b)
+    tensor = ch_a.tensor(ch_b)
+    assert tensor.rank == ch_a.rank * ch_b.rank
+    assert list(tensor.parts) == dense_graded_product(rank_a, a, rank_b, b)
+    assert list(ch_a.dual().parts) == [x if k % 2 == 0 else -x for k, x in enumerate(a, start=1)]
+    assert list((ch_a + ch_b).parts) == [x + y for x, y in zip(a, b)]
+    assert list((ch_a - ch_b).parts) == [x - y for x, y in zip(a, b)]
+    # only the nonzero components are stored, in increasing k
+    for obj in (c_a.character(rank_a), ch_a.total_class(), tensor, ch_a - ch_b):
+        keys = [k for k, _ in obj.items()]
+        assert keys == sorted(keys)
+        assert keys == [k for k, x in enumerate(obj.parts, start=1) if not x.is_zero]

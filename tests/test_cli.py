@@ -77,9 +77,29 @@ def test_deep_nesting_exits_2(capsys, command):
     assert out.err == "error: line 1, column 101: parentheses nested more than 100 deep\n"
 
 
-@pytest.mark.parametrize("command, expression", [("reduce", "2^20000"), ("integrate", "2^20000*alpha^3*theta^2")])
-def test_too_many_digits_exits_1(capsys, command, expression):
-    assert run([command, "--ring", G2_RING, expression]) == 1
+def test_count_jacobian_huge_genus(capsys):
+    assert run(["count", "--preset", "jacobian", "--genus", "2000"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "m_1 = n^2000\n"
+    assert out.err == ""
+    assert run(["count", "--preset", "jacobian", "--genus", "10001"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the jacobian preset supports genus up to 10000, got 10001\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["reduce", "--ring", G2_RING, "2^20000"], id="reduce-2^20000"),
+        pytest.param(["integrate", "--ring", G2_RING, "2^20000*alpha^3*theta^2"], id="integrate-2^20000*alpha^3*theta^2"),
+        # c_top = (1/2000!)*n^2000*theta^2000, and 2000! has 5,736 digits
+        pytest.param(["count", "--preset", "jacobian", "--genus", "2000", "--verbose"], id="count-verbose-g2000"),
+        pytest.param(["count", "--preset", "jacobian", "--genus", "2000", "--format", "record"], id="count-record-g2000"),
+    ],
+)
+def test_too_many_digits_exits_1(capsys, argv):
+    assert run(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: the exact result has more than 4300 digits, too many to print\n"

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,39 @@ def test_shipped_jacobian_files_match_generator():
         assert shipped == jacobian_ring_text(g)
 
 
+def _ring_data(ring):
+    return (
+        ring.name, ring.generator_names, ring.generator_degrees, ring.params, ring.rules, ring.zeros,
+        ring.fiber_index, ring.fiber_supported, ring.integrals, ring.top_degree,
+    )
+
+
+def _class_terms(cls):
+    return [dict(p.items()) for p in cls.parts]
+
+
+@pytest.mark.parametrize("genus", range(2, 14))
+def test_jacobian_preset_built_as_data_matches_rendered_text(genus):
+    built = load_preset("jacobian", genus=genus)
+    parsed = preset_from_text(jacobian_ring_text(genus))
+    assert _ring_data(built.ring) == _ring_data(parsed.ring)
+    for field in ("name", "genus", "subbundle_rank", "subbundle_degree"):
+        assert getattr(built, field) == getattr(parsed, field)
+    assert _class_terms(built.chern_u) == _class_terms(parsed.chern_u)
+    assert _class_terms(built.chern_l) == _class_terms(parsed.chern_l)
+
+
+def test_jacobian_count_at_genus_1000_is_fast():
+    # on a 2-CPU machine, the dense O(g^2) Newton recursions took about 17 s and
+    # the sparse ones take about 50 ms; the bound catches a return to the former
+    start = time.perf_counter()
+    preset = load_preset("jacobian", genus=1000)
+    count = count_maximal_subbundles(preset).count
+    elapsed = time.perf_counter() - start
+    assert count == preset.rank_symbol**1000
+    assert elapsed < 3.0
+
+
 def test_theta_integrals_match_bruteforce():
     for g in (2, 3, 4, 5):
         ring = jacobian_preset(g).ring
@@ -61,6 +95,8 @@ def test_genus_below_two_rejected():
         load_preset("jacobian", genus=1)
     with pytest.raises(PresetError):
         jacobian_ring_text(1)
+    with pytest.raises(PresetError, match="up to 10000"):
+        load_preset("jacobian", genus=10001)
     with pytest.raises(PresetError):
         load_preset("g2-rank2", genus=3)
     with pytest.raises(PresetError):
