@@ -21,17 +21,9 @@ from math import prod
 from typing import Mapping, Sequence
 
 from .gradedring import GradedElement, RingPresentation
-from .scalars import ParamScalar, Rational
+from .scalars import ParamScalar, Rational, as_scalar
 
 Components = dict  # {k: nonzero GradedElement of degree 2k}, keys increasing
-
-
-def _as_rank(ring: RingPresentation, value) -> ParamScalar:
-    if isinstance(value, ParamScalar):
-        if value.params == ring.params:
-            return value
-        return ParamScalar.constant(value.constant_value(), ring.params)
-    return ParamScalar.constant(value, ring.params)
 
 
 def _checked(ring: RingPresentation, parts, what: str) -> Components:
@@ -149,12 +141,12 @@ class ChernCharacter(_SparseGraded):
 
     def __init__(self, ring: RingPresentation, rank, parts: Sequence[GradedElement] | Mapping[int, GradedElement] = ()):
         self.ring = ring
-        self.rank = _as_rank(ring, rank)
+        self.rank = as_scalar(rank, ring.params)
         self._parts = _checked(ring, parts, "character")
 
     @classmethod
     def constant(cls, ring: RingPresentation, rank) -> "ChernCharacter":
-        return _character(ring, _as_rank(ring, rank), {})
+        return _character(ring, as_scalar(rank, ring.params), {})
 
     def part(self, k: int) -> GradedElement:
         """Component ch_k for k >= 1 (the rank is ch_0)."""
@@ -174,18 +166,14 @@ class ChernCharacter(_SparseGraded):
         return _character(self.ring, self.rank + other.rank, parts)
 
     def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
-        self._check(other)
-        parts = dict(self._parts)
-        for k, p in other._parts.items():
-            _accumulate(parts, k, -p)
-        return _character(self.ring, self.rank - other.rank, parts)
+        return self + (-other)
 
     def __neg__(self) -> "ChernCharacter":
         return _character(self.ring, -self.rank, {k: -p for k, p in self._parts.items()})
 
     def scale(self, value: Rational | ParamScalar) -> "ChernCharacter":
         parts = {k: p * value for k, p in self._parts.items()}
-        return _character(self.ring, _as_rank(self.ring, self.rank * value), parts)
+        return _character(self.ring, as_scalar(self.rank * value, self.ring.params), parts)
 
     def dual(self) -> "ChernCharacter":
         """Character of the dual bundle: ch_k -> (-1)^k ch_k.  An involution."""
@@ -256,12 +244,6 @@ class TotalChernClass(_SparseGraded):
         """The top-degree component c_{topDegree/2} (the Porteous class)."""
         return self.component(self.ring.top_degree // 2)
 
-    def total_element(self) -> GradedElement:
-        total = self.ring.one()
-        for p in self._parts.values():
-            total = total + p
-        return total
-
     def __mul__(self, other: "TotalChernClass") -> "TotalChernClass":
         if self.ring is not other.ring:
             raise ValueError("Chern classes belong to different presentations")
@@ -278,7 +260,7 @@ class TotalChernClass(_SparseGraded):
             if acc is not None and not acc.is_zero:
                 p[k] = acc
         parts = {k: p[k] / factorial for k, factorial in _factorials(p)}
-        return _character(ring, _as_rank(ring, rank), parts)
+        return _character(ring, as_scalar(rank, ring.params), parts)
 
     def __eq__(self, other):
         if isinstance(other, TotalChernClass):

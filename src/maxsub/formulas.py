@@ -56,13 +56,24 @@ def quot_dim(rank_sub: int, deg_sub: int, rank: int, deg: int, g: int) -> int:
     return rank_sub * deg - rank * deg_sub - rank_sub * (rank - rank_sub) * (g - 1)
 
 
+def m1(n, g: int):
+    """n^g, the count of maximal line subbundles, for an int or a symbolic rank n."""
+    return n**g
+
+
+def m2(n):
+    """n^3 (n^2 + 2) / 48, the genus-2 count of maximal rank-2 subbundles,
+    for an int or a symbolic rank n."""
+    return Fraction(1, 48) * n**3 * (n * n + 2)
+
+
 def m1_closed(n: int, g: int) -> int:
     """The classical count of maximal line subbundles: n^g."""
     if n < 1:
         raise ValueError(f"rank must be positive, got {n}")
     if g < 2:
         raise ValueError(f"genus must be at least 2, got {g}")
-    return n**g
+    return m1(n, g)
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,7 @@ def m2_closed(n: int) -> ClosedCount:
     than rejected.  The induced degree d = 3n/2 - 2 gives 2d + 4 = 3n, so
     the degree congruence holds for every even n.
     """
-    value = Fraction(n**3 * (n * n + 2), 48)
+    value = m2(n)
     if n < 4 or n % 2:
         return ClosedCount(value, False, "requires even n >= 4")
     return ClosedCount(value, True)

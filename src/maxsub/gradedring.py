@@ -30,7 +30,7 @@ from .errors import (
 )
 from .parsing import BinOp, Name, Neg, Num, Pow, PresentationFileData, expand, names
 from .parsing import parse_expression, parse_presentation_text
-from .scalars import ParamScalar, Rational, as_fraction, power
+from .scalars import ParamScalar, Rational, as_fraction, as_scalar, monomial_text, power, signed_sum
 
 Monomial = Tuple[int, ...]
 
@@ -92,17 +92,22 @@ class RingPresentation:
         self.top_degree = top_degree
         self.name = name
         self._index = {n: i for i, n in enumerate(self.generator_names)}
-        self.fiber_index = self._index[fiber] if fiber is not None else None
-        self.fiber_supported = tuple(self._index[n] for n in fiber_supported)
         self.integrals = dict(integrals or {})
         self._nf_cache: dict = {}
         self._one_scalar = ParamScalar.constant(1, self.params)
-        self._validate()
+        self._validate(fiber, fiber_supported)
+        self.fiber_index = self._index[fiber] if fiber is not None else None
+        self.fiber_supported = tuple(self._index[n] for n in fiber_supported)
         self._check_critical_pairs()
 
     # -- structure ---------------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, fiber: Optional[str], fiber_supported: Sequence[str]):
+        if fiber is not None and fiber not in self._index:
+            raise PresentationError(f"fiber class {fiber!r} is not a generator")
+        for n in fiber_supported:
+            if n not in self._index:
+                raise PresentationError(f"fiber-supported name {n!r} is not a generator")
         if len(set(self.generator_names)) != len(self.generator_names):
             raise PresentationError("duplicate generator names")
         if set(self.generator_names) & set(self.params):
@@ -147,13 +152,7 @@ class RingPresentation:
         return sum(e * d for e, d in zip(mono, self.generator_degrees))
 
     def monomial_str(self, mono: Monomial) -> str:
-        parts = []
-        for name, e in zip(self.generator_names, mono):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return monomial_text(self.generator_names, mono) or "1"
 
     def monomials_up_to(self, bound: int) -> Iterator[Monomial]:
         """All exponent vectors of weighted degree at most ``bound``."""
@@ -270,11 +269,7 @@ class RingPresentation:
         return self.scalar(1)
 
     def scalar(self, value: Rational | ParamScalar) -> "GradedElement":
-        if not isinstance(value, ParamScalar):
-            value = ParamScalar.constant(value, self.params)
-        elif value.params != self.params:
-            value = ParamScalar.constant(value.constant_value(), self.params)
-        return GradedElement(self, self._normalize({(0,) * self.ngens: value}))
+        return GradedElement(self, self._normalize({(0,) * self.ngens: as_scalar(value, self.params)}))
 
     def generator(self, name: str) -> "GradedElement":
         if name not in self._index:
@@ -372,33 +367,21 @@ class GradedElement:
         if self.ring is not other.ring:
             raise ValueError("elements belong to different presentations")
 
-    def _coerce_scalar(self, value) -> ParamScalar | None:
-        if isinstance(value, ParamScalar):
-            if value.params == self.ring.params:
-                return value
-            if value.is_constant:
-                return ParamScalar.constant(value.constant_value(), self.ring.params)
-            raise ValueError("scalar over a different parameter list")
-        if isinstance(value, (int, Fraction)):
-            return ParamScalar.constant(value, self.ring.params)
-        return None
-
     def __add__(self, other):
-        if isinstance(other, GradedElement):
-            self._check_ring(other)
-            terms = dict(self._terms)
-            for mono, coeff in other._terms.items():
-                total = terms.get(mono)
-                total = coeff if total is None else total + coeff
-                if total:
-                    terms[mono] = total
-                else:
-                    del terms[mono]
-            return GradedElement(self.ring, terms)
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return self + self.ring.scalar(scalar)
+        if not isinstance(other, GradedElement):
+            if not isinstance(other, (ParamScalar, int, Fraction)):
+                return NotImplemented
+            other = self.ring.scalar(other)
+        self._check_ring(other)
+        terms = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            total = terms.get(mono)
+            total = coeff if total is None else total + coeff
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+        return GradedElement(self.ring, terms)
 
     __radd__ = __add__
 
@@ -406,12 +389,9 @@ class GradedElement:
         return GradedElement(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, GradedElement):
-            return self + (-other)
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
+        if not isinstance(other, (GradedElement, ParamScalar, int, Fraction)):
             return NotImplemented
-        return self + self.ring.scalar(-scalar)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -435,10 +415,11 @@ class GradedElement:
                     else:
                         del raw[mono]
             return GradedElement(self.ring, self.ring._normalize(raw))
-        if not isinstance(other, (int, Fraction)):  # a rational scales the coefficients directly
-            other = self._coerce_scalar(other)
-            if other is None:
-                return NotImplemented
+        if isinstance(other, ParamScalar):
+            other = as_scalar(other, self.ring.params)
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        # a rational scales the coefficients directly: no constant scalar is built
         return GradedElement(self.ring, {m: c * other for m, c in self._terms.items()})
 
     __rmul__ = __mul__
@@ -533,46 +514,20 @@ class GradedElement:
 
     # -- printing -------------------------------------------------------------
 
-    def _sorted_terms(self):
-        ring = self.ring
-        return sorted(
-            self._terms.items(),
-            key=lambda item: (-ring.degree(item[0]), tuple(-e for e in item[0])),
-        )
-
     def _term_pieces(self):
+        """(negative, text) per term, highest degree first; a coefficient
+        of several terms is parenthesized, a single one keeps its sign."""
         ring = self.ring
-        for mono, coeff in self._sorted_terms():
-            mono_str = ring.monomial_str(mono) if any(mono) else ""
-            single = len(list(coeff.items())) == 1
-            if not mono_str:
-                if single:
-                    (expo, c), = coeff.items()
-                    body = str(ParamScalar(ring.params, {expo: abs(c)}))
-                    yield c < 0, body
-                else:
-                    yield False, f"({coeff})"
-            elif single:
-                (expo, c), = coeff.items()
-                head = ParamScalar(ring.params, {expo: abs(c)})
-                if head == 1:
-                    yield c < 0, mono_str
-                else:
-                    yield c < 0, f"{head}*{mono_str}"
-            else:
-                yield False, f"({coeff})*{mono_str}"
+        for mono in sorted(self._terms, key=lambda m: (-ring.degree(m), tuple(-e for e in m))):
+            pieces = list(self._terms[mono].term_pieces())
+            negative, text = pieces[0] if len(pieces) == 1 else (False, f"({signed_sum(pieces)})")
+            mono_text = monomial_text(ring.generator_names, mono)
+            if mono_text:
+                text = mono_text if text == "1" else f"{text}*{mono_text}"
+            yield negative, text
 
     def __str__(self) -> str:
-        pieces = list(self._term_pieces())
-        if not pieces:
-            return "0"
-        out = []
-        for i, (negative, text) in enumerate(pieces):
-            if i == 0:
-                out.append(f"-{text}" if negative else text)
-            else:
-                out.append(f" - {text}" if negative else f" + {text}")
-        return "".join(out)
+        return signed_sum(self._term_pieces())
 
     def __repr__(self):
         return f"GradedElement({str(self)!r})"
@@ -614,18 +569,12 @@ def presentation_from_data(data: PresentationFileData, name: str = "") -> RingPr
         if mono in integrals:
             raise PresentationError(f"duplicate integral for monomial on line {line}")
         integrals[mono] = value
-    fiber = data.fiber
-    if fiber is not None and fiber not in gen_names:
-        raise PresentationError(f"fiber class {fiber!r} is not a generator")
-    for n in data.fiber_supported:
-        if n not in gen_names:
-            raise PresentationError(f"fiber-supported name {n!r} is not a generator")
     return RingPresentation(
         generators=data.generators,
         params=params,
         rules=rules,
         zeros=zeros,
-        fiber=fiber,
+        fiber=data.fiber,
         fiber_supported=data.fiber_supported,
         integrals=integrals,
         top_degree=data.top_degree,

@@ -24,11 +24,12 @@ from fractions import Fraction
 from importlib import resources
 from math import factorial, gcd
 
+from . import formulas
 from .chern import ChernCharacter, TotalChernClass
 from .errors import PresetError
 from .gradedring import RewriteRule, RingPresentation, presentation_from_data
 from .parsing import parse_presentation_text
-from .scalars import ParamScalar
+from .scalars import ParamScalar, monomial_text
 
 PRESET_NAMES = ("g2-rank2", "jacobian")
 
@@ -183,15 +184,7 @@ class CountResult:
 
     def to_record(self) -> dict:
         def scalar_terms(s: ParamScalar) -> dict:
-            out = {}
-            for expo, coeff in sorted(s.items(), key=lambda kv: kv[0], reverse=True):
-                mono = "*".join(
-                    f"{p}^{e}" if e > 1 else p
-                    for p, e in zip(s.params, expo)
-                    if e
-                ) or "1"
-                out[mono] = str(coeff)
-            return out
+            return {monomial_text(s.params, e) or "1": str(c) for e, c in sorted(s.items(), reverse=True)}
 
         def character_record(ch: ChernCharacter) -> dict:
             return {
@@ -294,11 +287,10 @@ def consistency_report(preset: Preset) -> list[tuple[str, bool, str]]:
 
 
 def _closed_form(preset: Preset) -> ParamScalar | None:
-    n = preset.rank_symbol
     if preset.subbundle_rank == 1:
-        return n ** preset.genus
+        return formulas.m1(preset.rank_symbol, preset.genus)
     if preset.subbundle_rank == 2 and preset.genus == 2:
-        return n**5 / 48 + n**3 / 24
+        return formulas.m2(preset.rank_symbol)
     return None
 
 

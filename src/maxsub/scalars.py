@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 Exponents = Tuple[int, ...]
@@ -137,17 +137,9 @@ class ParamScalar:
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other) -> "ParamScalar | None":
-        if isinstance(other, ParamScalar):
-            if other.params == self.params:
-                return other
-            if not other.params:
-                return ParamScalar.constant(other.constant_value(), self.params)
-            if not self.params:
-                return None  # handled by reflected op on the wider side
-            raise ValueError("scalars over different parameter lists")
-        if isinstance(other, (int, Fraction)):
-            return ParamScalar.constant(other, self.params)
-        return None
+        if isinstance(other, (ParamScalar, int, Fraction)):
+            return as_scalar(other, self.params)
+        return None  # a foreign type: let its reflected operation decide
 
     def _plus(self, other: "ParamScalar", sign: int) -> "ParamScalar":
         """``self + sign * other`` over the lcm of the two denominators."""
@@ -225,49 +217,51 @@ class ParamScalar:
 
     # -- printing ---------------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(
-            self.items(),
-            key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])),
-        )
-
-    def _monomial_str(self, expo: Exponents) -> str:
-        parts = []
-        for name, e in zip(self.params, expo):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
-    def _term_pieces(self):
-        """Yield (negative, text) for each term in canonical order."""
-        for expo, coeff in self._sorted_terms():
-            mono = self._monomial_str(expo)
-            mag = abs(coeff)
-            if not mono:
-                yield coeff < 0, str(mag)
-            elif mag == 1:
-                yield coeff < 0, mono
-            elif mag.denominator == 1:
-                yield coeff < 0, f"{mag}*{mono}"
-            else:
-                yield coeff < 0, f"({mag})*{mono}"
+    def term_pieces(self):
+        """(negative, text) for each term, highest degree first."""
+        for expo in sorted(self._num, key=lambda e: (-sum(e), tuple(-x for x in e))):
+            coeff = self._num[expo]
+            mag = Fraction(abs(coeff), self._den)
+            mono = monomial_text(self.params, expo)
+            if mono and mag != 1:
+                mono = f"{mag}*{mono}" if mag.denominator == 1 else f"({mag})*{mono}"
+            yield coeff < 0, mono or str(mag)
 
     def __str__(self) -> str:
-        pieces = list(self._term_pieces())
-        if not pieces:
-            return "0"
-        out = []
-        for i, (negative, text) in enumerate(pieces):
-            if i == 0:
-                out.append(f"-{text}" if negative else text)
-            else:
-                out.append(f" - {text}" if negative else f" + {text}")
-        return "".join(out)
+        return signed_sum(self.term_pieces())
 
     def __repr__(self) -> str:
         return f"ParamScalar({str(self)!r})"
+
+
+def as_scalar(value, params: Tuple[str, ...]) -> ParamScalar:
+    """The one conversion rule for coefficients: an ``int`` or ``Fraction``
+    becomes a constant over ``params``, and a scalar over another parameter
+    list converts only when it is constant; anything else is a ValueError."""
+    if isinstance(value, ParamScalar):
+        if value.params == params:
+            return value
+        value = value.constant_value()  # a ValueError unless constant
+    elif not isinstance(value, (int, Fraction)):
+        raise ValueError(f"expected an exact scalar, got {type(value).__name__}")
+    return ParamScalar.constant(value, params)
+
+
+def monomial_text(names: Sequence[str], expo: Sequence[int]) -> str:
+    """``a*b^2`` for the exponents ``expo`` of ``names``; empty for the unit."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, expo) if e)
+
+
+def signed_sum(pieces: Iterable[Tuple[bool, str]]) -> str:
+    """Join ``(negative, text)`` pieces as ``a - b + c``; ``0`` when empty."""
+    out = []
+    for negative, text in pieces:
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(text)
+    return "".join(out) or "0"
 
 
 def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> ParamScalar:

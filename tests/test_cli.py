@@ -1,11 +1,13 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from maxsub.cli import run
 
 G2_RING = str(resources.files("maxsub").joinpath("presets", "g2-rank2.ring"))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_count_g2_golden(capsys):
@@ -36,6 +38,47 @@ def test_count_verbose(capsys):
     assert "integral over base = (1/3)*n^5 + (2/3)*n^3" in out
     assert "ch_4(sections) = -(1/12)*n*alpha^3*theta" in out
     assert out.endswith("m_2 = (1/48)*n^5 + (1/24)*n^3\n")
+
+
+#: golden file in tests/golden -> the command whose complete stdout it pins
+GOLDEN_RUNS = {
+    "count-g2-rank2-verbose.txt": ["count", "--preset", "g2-rank2", "--verbose"],
+    "count-g2-rank2-record.json": ["count", "--preset", "g2-rank2", "--format", "record"],
+    "count-jacobian-g5-verbose.txt": ["count", "--preset", "jacobian", "--genus", "5", "--verbose"],
+    "check-g2-rank2.txt": ["check", "--preset", "g2-rank2"],
+    "check-jacobian-g4.txt": ["check", "--preset", "jacobian", "--genus", "4"],
+}
+
+
+@pytest.mark.parametrize("golden", GOLDEN_RUNS)
+def test_full_stdout_golden(capsys, golden):
+    assert run(GOLDEN_RUNS[golden]) == 0
+    out = capsys.readouterr()
+    assert out.out == (GOLDEN / golden).read_text()
+    assert out.err == ""
+
+
+@pytest.mark.parametrize(
+    "expression, expected",
+    [
+        pytest.param("(n+1) + alpha", "alpha + (n + 1)", id="constant-sum"),
+        pytest.param(
+            "(alpha + n*f - 1/2*xi2 + 3)^3",
+            "9/4*alpha^3*f + alpha^3 + 3*n*alpha^2*f + 9*alpha^2 + 18*n*alpha*f - 27/2*xi2 + 27*alpha + 27*n*f + 27",
+            id="cube",
+        ),
+        pytest.param(
+            "(n^2-n+1/3)*alpha*theta - (n+1)^2*f + n - 1",
+            "(n^2 - n + 1/3)*alpha*theta + (-n^2 - 2*n - 1)*f + (n - 1)",
+            id="polynomial-coefficients",
+        ),
+    ],
+)
+def test_reduce_parametric_golden(capsys, expression, expected):
+    assert run(["reduce", "--ring", G2_RING, expression]) == 0
+    out = capsys.readouterr()
+    assert out.out == expected + "\n"
+    assert out.err == ""
 
 
 def test_count_record(capsys):

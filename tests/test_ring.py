@@ -9,7 +9,7 @@ from maxsub.errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from maxsub.gradedring import load_presentation
+from maxsub.gradedring import RingPresentation, load_presentation
 from maxsub.scalars import ParamScalar
 
 from helpers import g2_ring, jacobian_preset, reduce_in_random_order, theta_power_integral
@@ -216,6 +216,18 @@ def test_wrong_degree_integral_rejected():
     with pytest.raises(PresentationError) as err:
         load_presentation(text)
     assert "degree" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "fiber_data, message",
+    [
+        ({"fiber": "y"}, "fiber class 'y' is not a generator"),
+        ({"fiber_supported": ["y"]}, "fiber-supported name 'y' is not a generator"),
+    ],
+)
+def test_unknown_fiber_names_rejected_on_direct_construction(fiber_data, message):
+    with pytest.raises(PresentationError, match=message):
+        RingPresentation([("x", 2)], top_degree=2, **fiber_data)
 
 
 def test_odd_generator_degree_rejected():

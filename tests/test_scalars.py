@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maxsub.chern import ChernCharacter
 from maxsub.scalars import ParamScalar
 
-from helpers import ReferenceScalar
+from helpers import ReferenceScalar, g2_ring
 
 
 def n():
@@ -63,6 +64,36 @@ def test_mismatched_parameter_lists_rejected():
         x + y
     # bare constants embed into any parameter list
     assert x + ParamScalar.constant(1) == x + 1
+
+
+# -- one conversion rule at every entry point ------------------------------------
+
+RING = g2_ring()
+ALPHA = RING.generator("alpha")
+#: a constant and a non-constant scalar, both over a parameter list the ring does not use
+OTHER_CONSTANT = ParamScalar.constant(Fraction(3, 2), ("m", "n"))
+OTHER_VARIABLE = ParamScalar.variable("m", ("m", "n"))
+#: entry point -> (how a scalar goes through it, the result for OTHER_CONSTANT)
+CONVERSIONS = {
+    "ParamScalar +": (lambda s: n() + s, n() + Fraction(3, 2)),
+    "GradedElement +": (lambda s: ALPHA + s, RING.parse("alpha + 3/2")),
+    "GradedElement *": (lambda s: ALPHA * s, RING.parse("3/2*alpha")),
+    "ring.scalar": (RING.scalar, RING.parse("3/2")),
+    "ChernCharacter rank": (lambda s: ChernCharacter(RING, s).rank, RING.parse("3/2").constant_coefficient()),
+}
+
+
+@pytest.mark.parametrize("entry", CONVERSIONS)
+def test_conversion_rule(entry):
+    """A constant over another parameter list converts; a non-constant one
+    is a ValueError, wherever a coefficient enters."""
+    convert, expected = CONVERSIONS[entry]
+    converted = convert(OTHER_CONSTANT)
+    assert converted == expected
+    coeffs = [converted] if isinstance(converted, ParamScalar) else [c for _, c in converted.items()]
+    assert {c.params for c in coeffs} == {("n",)}
+    with pytest.raises(ValueError):
+        convert(OTHER_VARIABLE)
 
 
 def test_evaluate():
