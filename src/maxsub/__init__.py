@@ -5,61 +5,64 @@ the number of maximal rank-n' subbundles of a general rank-n bundle on a
 curve, by integrating a top Chern class over the parameter space of
 candidates.  Everything runs in exact rational arithmetic over presented
 graded-commutative cohomology rings.
+
+Each public name is loaded from its module on first access, so a process
+imports only the modules it uses.
 """
 
-from .chern import ChernCharacter, TotalChernClass
-from .errors import (
-    FiberClassError,
-    IncompletePresentationError,
-    KernelError,
-    PresentationError,
-    PresetError,
-    UnknownGeneratorError,
-)
-from .formulas import hirschowitz_smax, m1_closed, m2_closed, quot_dim, s_invariant, stratum_dim
-from .gradedring import GradedElement, RingPresentation, load_presentation
-from .parsing import ParseError, parse_expression
-from .pipeline import (
-    CountResult,
-    Preset,
-    count_maximal_subbundles,
-    evaluation_character,
-    load_preset,
-    preset_from_text,
-    sections_character,
-    upstairs_character,
-)
-from .scalars import ParamScalar
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChernCharacter",
-    "CountResult",
-    "FiberClassError",
-    "GradedElement",
-    "IncompletePresentationError",
-    "KernelError",
-    "ParamScalar",
-    "ParseError",
-    "PresentationError",
-    "Preset",
-    "PresetError",
-    "RingPresentation",
-    "TotalChernClass",
-    "UnknownGeneratorError",
-    "count_maximal_subbundles",
-    "evaluation_character",
-    "hirschowitz_smax",
-    "load_preset",
-    "load_presentation",
-    "m1_closed",
-    "m2_closed",
-    "parse_expression",
-    "preset_from_text",
-    "quot_dim",
-    "s_invariant",
-    "sections_character",
-    "stratum_dim",
-    "upstairs_character",
-]
+#: The built-in counting presets of :func:`maxsub.pipeline.load_preset`,
+#: here so that the CLI can list them without loading the kernel.
+PRESET_NAMES = ("g2-rank2", "jacobian")
+
+#: public name -> the module that defines it; the order is that of ``__all__``
+_HOME = {
+    "ChernCharacter": "chern",
+    "CountResult": "pipeline",
+    "FiberClassError": "errors",
+    "GradedElement": "gradedring",
+    "IncompletePresentationError": "errors",
+    "KernelError": "errors",
+    "ParamScalar": "scalars",
+    "ParseError": "errors",
+    "PresentationError": "errors",
+    "Preset": "pipeline",
+    "PresetError": "errors",
+    "RingPresentation": "gradedring",
+    "TotalChernClass": "chern",
+    "UnknownGeneratorError": "errors",
+    "count_maximal_subbundles": "pipeline",
+    "evaluation_character": "pipeline",
+    "hirschowitz_smax": "formulas",
+    "load_preset": "pipeline",
+    "load_presentation": "gradedring",
+    "m1_closed": "formulas",
+    "m2_closed": "formulas",
+    "parse_expression": "parsing",
+    "preset_from_text": "pipeline",
+    "quot_dim": "formulas",
+    "s_invariant": "formulas",
+    "sections_character": "pipeline",
+    "stratum_dim": "formulas",
+    "upstairs_character": "pipeline",
+}
+
+__all__ = list(_HOME)
+_SUBMODULES = frozenset(_HOME.values())
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:  # a submodule, as in ``import maxsub; maxsub.pipeline``
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

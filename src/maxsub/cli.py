@@ -4,22 +4,25 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 on domain errors, 2 on usage or parse errors.  Output is byte-stable
 across runs (canonical monomial ordering, exact rationals), so it is safe
 to pin in golden-file tests.
+
+Each command imports the modules it needs when it runs, so a process loads
+no more of the package than its command uses.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from . import formulas
-from .errors import KernelError
-from .gradedring import load_presentation
-from .parsing import ParseError
-from .pipeline import PRESET_NAMES, CountResult, consistency_report, count_maximal_subbundles, load_preset
+from . import PRESET_NAMES
+from .errors import KernelError, ParseError
 
 
 def _load_ring_file(path: str):
+    from pathlib import Path
+
+    from .gradedring import load_presentation
+
     text = Path(path).read_text()
     return load_presentation(text, name=Path(path).stem)
 
@@ -34,10 +37,12 @@ def _print_exact(value, render=str) -> None:
 
 
 def _cmd_count(args) -> int:
+    from .pipeline import count_maximal_subbundles, load_preset
+
     preset = load_preset(args.preset, genus=args.genus)
     result = count_maximal_subbundles(preset)
     if args.format == "record":
-        _print_exact(result, CountResult.to_json)
+        _print_exact(result, lambda r: r.to_json())
     else:
         _print_exact(result, lambda r: r.summary(verbose=args.verbose))
     return 0
@@ -56,6 +61,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .pipeline import consistency_report, load_preset
+
     preset = load_preset(args.preset, genus=args.genus)
     failures = 0
     for name, ok, detail in consistency_report(preset):
@@ -69,6 +76,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_formulas(args) -> int:
+    from . import formulas
+
     if args.formula == "s-invariant":
         value = formulas.s_invariant(args.n, args.d, args.n_sub, args.d_sub)
     elif args.formula == "hirschowitz-smax":

@@ -1,4 +1,4 @@
-"""Exception types shared across the kernel."""
+"""Exception types shared across the kernel and the CLI."""
 
 
 class KernelError(Exception):
@@ -25,3 +25,14 @@ class UnknownGeneratorError(KernelError):
 
 class PresetError(KernelError):
     """Counting preset parameters are out of range or inconsistent."""
+
+
+class ParseError(Exception):
+    """Syntax error with position information and an expected-token hint."""
+
+    def __init__(self, message: str, line: int, column: int, expected: str | None = None):
+        self.line = line
+        self.column = column
+        self.expected = expected
+        hint = f" (expected {expected})" if expected else ""
+        super().__init__(f"line {line}, column {column}: {message}{hint}")

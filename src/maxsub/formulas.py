@@ -7,7 +7,6 @@ subbundles, used as oracles against the symbolic pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -76,13 +75,15 @@ def m1_closed(n: int, g: int) -> int:
     return m1(n, g)
 
 
-@dataclass(frozen=True)
 class ClosedCount:
     """An exact count plus whether the hypotheses for exact counting hold."""
 
-    value: Fraction
-    admissible: bool
-    note: str | None = None
+    __slots__ = ("value", "admissible", "note")
+
+    def __init__(self, value: Fraction, admissible: bool, note: str | None = None):
+        self.value = value
+        self.admissible = admissible
+        self.note = note
 
     def __str__(self):
         if self.admissible:

@@ -11,34 +11,29 @@ serves presentation files, where there is no ring yet to reduce in.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from .errors import ParseError
+
+# Names and numbers are ASCII only: str.isalpha and str.isdigit also accept
+# letters and digits of other scripts, which the grammar does not have.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DIGITS = frozenset("0123456789")
 _OPS = set("+-*^/()")
 # Parentheses recurse in the parser, expand and ring evaluation; this bound
 # keeps them far from Python's recursion limit, so deep input is a ParseError.
 MAX_NESTING = 100
 
 
-class ParseError(Exception):
-    """Syntax error with position information and an expected-token hint."""
+class Token:
+    __slots__ = ("kind", "value", "line", "column")
 
-    def __init__(self, message: str, line: int, column: int, expected: str | None = None):
+    def __init__(self, kind: str, value: str, line: int, column: int):
+        self.kind = kind  # "num" | "name" | "op" | "end"
+        self.value = value
         self.line = line
         self.column = column
-        self.expected = expected
-        hint = f" (expected {expected})" if expected else ""
-        super().__init__(f"line {line}, column {column}: {message}{hint}")
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    value: str
-    line: int
-    column: int
 
 
 def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
@@ -54,15 +49,14 @@ def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
         elif ch.isspace():
             pos += 1
             cur_col += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             end = pos
-            while end < len(text) and text[end].isdigit():
+            while end < len(text) and text[end] in _DIGITS:
                 end += 1
             tokens.append(Token("num", text[pos:end], cur_line, cur_col))
             cur_col += end - pos
             pos = end
-        elif ch.isalpha() or ch == "_":
-            match = _NAME_RE.match(text, pos)
+        elif match := _NAME_RE.match(text, pos):
             tokens.append(Token("name", match.group(), cur_line, cur_col))
             cur_col += len(match.group())
             pos = match.end()
@@ -78,34 +72,44 @@ def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
 
 # -- abstract syntax -------------------------------------------------------
 
-@dataclass(frozen=True)
 class Num:
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Name:
-    name: str
-    line: int
-    column: int
+    __slots__ = ("name", "line", "column")
+
+    def __init__(self, name: str, line: int, column: int):
+        self.name = name
+        self.line = line
+        self.column = column
 
 
-@dataclass(frozen=True)
 class Neg:
-    operand: object
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
 class BinOp:
-    op: str  # "+", "-", "*"
-    left: object
-    right: object
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right):
+        self.op = op  # "+", "-", "*"
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class Pow:
-    base: object
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent: int):
+        self.base = base
+        self.exponent = exponent
 
 
 class _Parser:
@@ -294,19 +298,34 @@ def expand(node) -> dict[TermKey, Fraction]:
 
 # -- presentation files ----------------------------------------------------
 
-@dataclass
 class PresentationFileData:
     """Raw, positionally-annotated content of a presentation file."""
 
-    params: list[str] = field(default_factory=list)
-    generators: list[tuple[str, int]] = field(default_factory=list)
-    rules: list[tuple[object, object, int]] = field(default_factory=list)  # lhs, rhs, line
-    zeros: list[tuple[object, int]] = field(default_factory=list)
-    fiber: Optional[str] = None
-    fiber_supported: list[str] = field(default_factory=list)
-    integrals: list[tuple[object, Fraction, int]] = field(default_factory=list)
-    top_degree: Optional[int] = None
-    preset: dict = field(default_factory=dict)
+    __slots__ = (
+        "params", "generators", "rules", "zeros", "fiber", "fiber_supported", "integrals", "top_degree", "preset",
+    )
+
+    def __init__(
+        self,
+        params: list[str] | None = None,
+        generators: list[tuple[str, int]] | None = None,
+        rules: list[tuple[object, object, int]] | None = None,  # lhs, rhs, line
+        zeros: list[tuple[object, int]] | None = None,
+        fiber: Optional[str] = None,
+        fiber_supported: list[str] | None = None,
+        integrals: list[tuple[object, Fraction, int]] | None = None,
+        top_degree: Optional[int] = None,
+        preset: dict | None = None,
+    ):
+        self.params = [] if params is None else params
+        self.generators = [] if generators is None else generators
+        self.rules = [] if rules is None else rules
+        self.zeros = [] if zeros is None else zeros
+        self.fiber = fiber
+        self.fiber_supported = [] if fiber_supported is None else fiber_supported
+        self.integrals = [] if integrals is None else integrals
+        self.top_degree = top_degree
+        self.preset = {} if preset is None else preset
 
 
 _SECTION_RE = re.compile(r"^(\w+)\s*:\s*(.*)$")
@@ -329,6 +348,10 @@ def _split_names(body: str, line: int, what: str) -> list[str]:
         names.append(name)
         col += len(chunk) + 1
     return names
+
+
+def _is_digits(text: str) -> bool:
+    return bool(text) and set(text) <= _DIGITS
 
 
 def _constant_of(node, line: int) -> Fraction:
@@ -377,7 +400,7 @@ def parse_presentation_text(text: str) -> PresentationFileData:
                     name, deg = name.strip(), deg.strip()
                     if not _NAME_RE.fullmatch(name):
                         raise ParseError(f"invalid generator name {name!r}", lineno, body_col)
-                    if not deg.isdigit():
+                    if not _is_digits(deg):
                         raise ParseError(f"invalid degree {deg!r} for generator {name!r}", lineno, body_col)
                     data.generators.append((name, int(deg)))
         elif section == "rules":
@@ -407,14 +430,14 @@ def parse_presentation_text(text: str) -> PresentationFileData:
             data.integrals.append((mono, value, lineno))
         elif section == "top_degree":
             value = body.strip()
-            if not value.isdigit():
+            if not _is_digits(value):
                 raise ParseError(f"top_degree must be a nonnegative integer, got {value!r}", lineno, body_col)
             data.top_degree = int(value)
         elif section == "preset":
             data.preset["name"] = body.strip()
         elif section in ("genus", "subbundle_rank", "subbundle_degree"):
             value = body.strip()
-            if not re.fullmatch(r"-?\d+", value):
+            if not _is_digits(value.removeprefix("-")):
                 raise ParseError(f"{section} must be an integer, got {value!r}", lineno, body_col)
             data.preset[section] = int(value)
         elif section in ("chern_U", "chern_L"):

@@ -18,20 +18,16 @@ polynomials in n.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import factorial, gcd
 
-from . import formulas
+from . import PRESET_NAMES, formulas
 from .chern import ChernCharacter, TotalChernClass
 from .errors import PresetError
-from .gradedring import RewriteRule, RingPresentation, presentation_from_data
+from .gradedring import GradedElement, RewriteRule, RingPresentation, presentation_from_data
 from .parsing import parse_presentation_text
 from .scalars import ParamScalar, monomial_text
-
-PRESET_NAMES = ("g2-rank2", "jacobian")
 
 RANK_PARAMETER = "n"
 
@@ -55,31 +51,40 @@ GENERALITY_CAVEATS = (
 )
 
 
-@dataclass(frozen=True)
 class Preset:
     """A counting problem: a ring presentation plus the bundle data."""
 
-    name: str
-    ring: RingPresentation
-    genus: int
-    subbundle_rank: int
-    subbundle_degree: int
-    chern_u: TotalChernClass
-    chern_l: TotalChernClass
+    __slots__ = ("name", "ring", "genus", "subbundle_rank", "subbundle_degree", "chern_u", "chern_l")
 
-    def __post_init__(self):
-        if self.genus < 2:
-            raise PresetError(f"genus must be at least 2, got {self.genus}")
-        if self.subbundle_rank < 1:
+    def __init__(
+        self,
+        name: str,
+        ring: RingPresentation,
+        genus: int,
+        subbundle_rank: int,
+        subbundle_degree: int,
+        chern_u: TotalChernClass,
+        chern_l: TotalChernClass,
+    ):
+        if genus < 2:
+            raise PresetError(f"genus must be at least 2, got {genus}")
+        if subbundle_rank < 1:
             raise PresetError("subbundle rank must be positive")
-        if self.subbundle_degree != 1:
+        if subbundle_degree != 1:
             raise PresetError("presets normalize the subbundle degree to 1")
-        if gcd(self.subbundle_rank, self.subbundle_degree) != 1:
+        if gcd(subbundle_rank, subbundle_degree) != 1:
             raise PresetError("subbundle rank and degree must be coprime for a universal bundle")
-        if RANK_PARAMETER not in self.ring.params:
+        if RANK_PARAMETER not in ring.params:
             raise PresetError(f"the ring must declare the rank parameter {RANK_PARAMETER!r}")
-        if self.ring.fiber_index is None:
+        if ring.fiber_index is None:
             raise PresetError("the ring must declare a fiber class")
+        self.name = name
+        self.ring = ring
+        self.genus = genus
+        self.subbundle_rank = subbundle_rank
+        self.subbundle_degree = subbundle_degree
+        self.chern_u = chern_u
+        self.chern_l = chern_l
 
     @property
     def covering_degree(self) -> int:
@@ -94,19 +99,21 @@ class Preset:
     def rank_symbol(self) -> ParamScalar:
         return self.ring.parameter(RANK_PARAMETER)
 
+    def induced_degree_at(self, n):
+        """The big bundle's degree d forced by n'd - nd' = n'(n-n')(g-1), for
+        an int or the symbolic rank n."""
+        np = self.subbundle_rank
+        return n * Fraction(self.subbundle_degree, np) + (n - np) * (self.genus - 1)
+
     @property
     def induced_degree(self) -> ParamScalar:
-        """The big bundle's degree d forced by n'd - nd' = n'(n-n')(g-1)."""
-        n = self.rank_symbol
-        np, g = self.subbundle_rank, self.genus
-        return n * Fraction(self.subbundle_degree, np) + (n - np) * (g - 1)
+        """The induced degree d as a polynomial in the rank n."""
+        return self.induced_degree_at(self.rank_symbol)
 
     def is_admissible(self, rank: int) -> bool:
         """Whether a concrete rank n satisfies the exact-count hypotheses: n > n'
         and an integral induced degree d (for g2-rank2, d = 3n/2 - 2: even n >= 4)."""
-        np, g = self.subbundle_rank, self.genus
-        d = Fraction(rank * self.subbundle_degree, np) + (rank - np) * (g - 1)  # induced_degree at n = rank
-        return rank > np and d.denominator == 1
+        return rank > self.subbundle_rank and self.induced_degree_at(rank).denominator == 1
 
     @property
     def admissibility_note(self) -> str:
@@ -163,17 +170,28 @@ def evaluation_character(preset: Preset) -> ChernCharacter:
     return u.dual().tensor(l.dual()).scale(preset.rank_symbol * preset.canonical_degree)
 
 
-@dataclass(frozen=True)
 class CountResult:
     """The count with all the intermediates that certify it."""
 
-    preset: Preset
-    count: ParamScalar
-    integral: ParamScalar
-    sections: ChernCharacter
-    evaluation: ChernCharacter
-    top_class: object  # GradedElement
-    caveats: tuple = GENERALITY_CAVEATS
+    __slots__ = ("preset", "count", "integral", "sections", "evaluation", "top_class", "caveats")
+
+    def __init__(
+        self,
+        preset: Preset,
+        count: ParamScalar,
+        integral: ParamScalar,
+        sections: ChernCharacter,
+        evaluation: ChernCharacter,
+        top_class: GradedElement,
+        caveats: tuple = GENERALITY_CAVEATS,
+    ):
+        self.preset = preset
+        self.count = count
+        self.integral = integral
+        self.sections = sections
+        self.evaluation = evaluation
+        self.top_class = top_class
+        self.caveats = caveats
 
     @property
     def label(self) -> str:
@@ -210,6 +228,8 @@ class CountResult:
         }
 
     def to_json(self) -> str:
+        import json  # only --format record needs it
+
         return json.dumps(self.to_record(), indent=2)
 
     def summary(self, verbose: bool = False) -> str:

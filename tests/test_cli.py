@@ -202,3 +202,44 @@ def test_check_command(capsys):
     assert "FAIL" not in out
     assert run(["check", "--preset", "jacobian", "--genus", "4"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "expression,message",
+    [
+        ("α + 1", "line 1, column 1: unexpected character 'α'"),
+        ("alpha^²", "line 1, column 7: unexpected character '²'"),
+        ("٣*alpha", "line 1, column 1: unexpected character '٣'"),
+    ],
+)
+def test_non_ascii_expression_exits_2(capsys, expression, message):
+    # the grammar is ASCII: letters and digits of other scripts are syntax errors
+    assert run(["reduce", "--ring", G2_RING, expression]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+NON_ASCII_RINGS = {
+    "zeros": ("generators: a=2\nzeros: β\ntop_degree: 2\n", "line 2, column 7: unexpected character 'β'"),
+    "degree": ("generators: a=²\ntop_degree: 2\n", "line 1, column 12: invalid degree '²' for generator 'a'"),
+    "top-degree": (
+        "generators: a=2\ntop_degree: ²\n",
+        "line 2, column 12: top_degree must be a nonnegative integer, got '²'",
+    ),
+    "integral": (
+        "generators: a=2\nintegrals: a = ³\ntop_degree: 2\n",
+        "line 2, column 15: unexpected character '³'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NON_ASCII_RINGS)
+def test_non_ascii_ring_file_exits_2(capsys, tmp_path, case):
+    text, message = NON_ASCII_RINGS[case]
+    ring = tmp_path / "bad.ring"
+    ring.write_text(text, encoding="utf-8")
+    assert run(["reduce", "--ring", str(ring), "a"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"

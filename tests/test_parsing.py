@@ -145,6 +145,9 @@ def test_point_ring_text():
         ("integrals: x^2\ntop_degree: 2\n", "monomial = rational"),
         ("top_degree: -2\n", "nonnegative"),
         ("generators: x=2\nintegrals: x = y\ntop_degree: 2\n", "constant"),
+        # digits of other scripts are not integers here
+        ("top_degree: 2\ngenus: ٢\n", "genus must be an integer"),
+        ("top_degree: 2\nsubbundle_rank: -١\n", "subbundle_rank must be an integer"),
     ],
 )
 def test_presentation_errors(text, needle):
