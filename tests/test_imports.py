@@ -15,8 +15,6 @@ from pathlib import Path
 import pytest
 
 import maxsub
-import maxsub.errors
-import maxsub.parsing
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 G2_RING = str(resources.files("maxsub").joinpath("presets", "g2-rank2.ring"))
