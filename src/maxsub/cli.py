@@ -75,23 +75,32 @@ def _cmd_check(args) -> int:
     return 0
 
 
+#: formulas command -> (function in maxsub.formulas, help, its integer options in call order)
+_FORMULAS = {
+    "s-invariant": ("s_invariant", "n'd - nd'", ("n", "d", "n-sub", "d-sub")),
+    "hirschowitz-smax": ("hirschowitz_smax", "generic maximum of the minimal invariant", ("n", "n-sub", "d", "g")),
+    "stratum-dim": ("stratum_dim", "dimension of the fixed-invariant stratum", ("n", "n-sub", "d", "g", "s")),
+    "quot-dim": ("quot_dim", "expected dimension of a subsheaf space", ("sub-rank", "sub-deg", "rank", "deg", "g")),
+    "m1": ("m1_closed", "count of maximal line subbundles, n^g", ("n", "g")),
+    "m2": ("m2_closed", "genus-2 count of maximal rank-2 subbundles", ("n",)),
+}
+
+
 def _cmd_formulas(args) -> int:
     from . import formulas
 
-    if args.formula == "s-invariant":
-        value = formulas.s_invariant(args.n, args.d, args.n_sub, args.d_sub)
-    elif args.formula == "hirschowitz-smax":
-        value = formulas.hirschowitz_smax(args.n, args.n_sub, args.d, args.g)
-    elif args.formula == "stratum-dim":
-        value = formulas.stratum_dim(args.n, args.n_sub, args.d, args.g, args.s)
-    elif args.formula == "quot-dim":
-        value = formulas.quot_dim(args.sub_rank, args.sub_deg, args.rank, args.deg, args.g)
-    elif args.formula == "m1":
-        value = formulas.m1_closed(args.n, args.g)
-    elif args.formula == "m2":
-        value = formulas.m2_closed(args.n)
-    _print_exact(value)
+    function, _, options = _FORMULAS[args.formula]
+    _print_exact(getattr(formulas, function)(*(getattr(args, option.replace("-", "_")) for option in options)))
     return 0
+
+
+def _integer(text: str) -> int:
+    """An integer option: an optional '-', then ASCII digits.  int() alone
+    also takes digits of other scripts, '+', '_' and surrounding spaces."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="run a counting preset end to end")
     count.add_argument("--preset", required=True, choices=PRESET_NAMES)
-    count.add_argument("--genus", type=int, default=None, help="genus for the jacobian preset (default 2)")
+    count.add_argument("--genus", type=_integer, default=None, help="genus for the jacobian preset (default 2)")
     count.add_argument("--verbose", action="store_true", help="print the intermediate characters")
     count.add_argument("--format", choices=("text", "record"), default="text")
     count.set_defaults(handler=_cmd_count)
@@ -121,44 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
     form = sub.add_parser("formulas", help="closed-form invariants")
     fsub = form.add_subparsers(dest="formula", required=True)
 
-    s_inv = fsub.add_parser("s-invariant", help="n'd - nd'")
-    s_inv.add_argument("--n", type=int, required=True)
-    s_inv.add_argument("--d", type=int, required=True)
-    s_inv.add_argument("--n-sub", dest="n_sub", type=int, required=True)
-    s_inv.add_argument("--d-sub", dest="d_sub", type=int, required=True)
-
-    smax = fsub.add_parser("hirschowitz-smax", help="generic maximum of the minimal invariant")
-    smax.add_argument("--n", type=int, required=True)
-    smax.add_argument("--n-sub", dest="n_sub", type=int, required=True)
-    smax.add_argument("--d", type=int, required=True)
-    smax.add_argument("--g", type=int, required=True)
-
-    sdim = fsub.add_parser("stratum-dim", help="dimension of the fixed-invariant stratum")
-    sdim.add_argument("--n", type=int, required=True)
-    sdim.add_argument("--n-sub", dest="n_sub", type=int, required=True)
-    sdim.add_argument("--d", type=int, required=True)
-    sdim.add_argument("--g", type=int, required=True)
-    sdim.add_argument("--s", type=int, required=True)
-
-    qdim = fsub.add_parser("quot-dim", help="expected dimension of a subsheaf space")
-    qdim.add_argument("--sub-rank", dest="sub_rank", type=int, required=True)
-    qdim.add_argument("--sub-deg", dest="sub_deg", type=int, required=True)
-    qdim.add_argument("--rank", type=int, required=True)
-    qdim.add_argument("--deg", type=int, required=True)
-    qdim.add_argument("--g", type=int, required=True)
-
-    m1 = fsub.add_parser("m1", help="count of maximal line subbundles, n^g")
-    m1.add_argument("--n", type=int, required=True)
-    m1.add_argument("--g", type=int, required=True)
-
-    m2 = fsub.add_parser("m2", help="genus-2 count of maximal rank-2 subbundles")
-    m2.add_argument("--n", type=int, required=True)
+    for formula, (_, help_text, options) in _FORMULAS.items():
+        command = fsub.add_parser(formula, help=help_text)
+        for option in options:
+            command.add_argument(f"--{option}", type=_integer, required=True)
 
     form.set_defaults(handler=_cmd_formulas)
 
     check = sub.add_parser("check", help="run a preset's internal consistency suite")
     check.add_argument("--preset", required=True, choices=PRESET_NAMES)
-    check.add_argument("--genus", type=int, default=None)
+    check.add_argument("--genus", type=_integer, default=None)
     check.set_defaults(handler=_cmd_check)
 
     return parser

@@ -243,7 +243,7 @@ class RingPresentation:
         Rewriting terminates (:meth:`_orient`) and commutes with monomial
         multiples, so this makes normal forms independent of rule order
         (Buchberger's criterion, Bergman's diamond lemma).  Rules are
-        homogeneous, so a pair above the top degree truncates to 0 on both
+        homogeneous, so a pair whose lcm :meth:`_truncates` is 0 on both
         sides.  Presets are user-editable files, so this runs on every load.
         """
         reducers = [(self.monomial_str(rule.lhs), rule.lhs, rule.rhs) for rule in self.rules]
@@ -251,7 +251,7 @@ class RingPresentation:
         for i, (label, lhs, rhs) in enumerate(reducers[: len(self.rules)]):
             for other_label, other_lhs, other_rhs in reducers[i + 1 :]:
                 lcm = tuple(map(max, lhs, other_lhs))
-                if self.degree(lcm) > self.top_degree:
+                if self._truncates(lcm):
                     continue
                 first = self._normalize(self._rewrite(lcm, lhs, rhs))
                 if self._normalize(self._rewrite(lcm, other_lhs, other_rhs)) != first:

@@ -305,30 +305,20 @@ class PresentationFileData:
         "params", "generators", "rules", "zeros", "fiber", "fiber_supported", "integrals", "top_degree", "preset",
     )
 
-    def __init__(
-        self,
-        params: list[str] | None = None,
-        generators: list[tuple[str, int]] | None = None,
-        rules: list[tuple[object, object, int]] | None = None,  # lhs, rhs, line
-        zeros: list[tuple[object, int]] | None = None,
-        fiber: Optional[str] = None,
-        fiber_supported: list[str] | None = None,
-        integrals: list[tuple[object, Fraction, int]] | None = None,
-        top_degree: Optional[int] = None,
-        preset: dict | None = None,
-    ):
-        self.params = [] if params is None else params
-        self.generators = [] if generators is None else generators
-        self.rules = [] if rules is None else rules
-        self.zeros = [] if zeros is None else zeros
-        self.fiber = fiber
-        self.fiber_supported = [] if fiber_supported is None else fiber_supported
-        self.integrals = [] if integrals is None else integrals
-        self.top_degree = top_degree
-        self.preset = {} if preset is None else preset
+    def __init__(self):
+        self.params: list[str] = []
+        self.generators: list[tuple[str, int]] = []
+        self.rules: list[tuple[object, object, int]] = []  # lhs, rhs, line
+        self.zeros: list[tuple[object, int]] = []
+        self.fiber: Optional[str] = None
+        self.fiber_supported: list[str] = []
+        self.integrals: list[tuple[object, Fraction, int]] = []
+        self.top_degree: Optional[int] = None
+        self.preset: dict = {}
 
 
-_SECTION_RE = re.compile(r"^(\w+)\s*:\s*(.*)$")
+_SECTION_RE = re.compile(r"\w+")
+_DIGITS_RE = re.compile(r"[0-9]*")
 
 _SCALAR_SECTIONS = {
     "params", "generators", "fiber", "fiber_supported", "top_degree",
@@ -336,31 +326,44 @@ _SCALAR_SECTIONS = {
 }
 
 
-def _split_names(body: str, line: int, what: str) -> list[str]:
-    names = []
-    if not body.strip():
-        return names
-    col = 1
-    for chunk in body.split(","):
-        name = chunk.strip()
-        if not _NAME_RE.fullmatch(name or ""):
-            raise ParseError(f"invalid {what} name {name!r}", line, col)
-        names.append(name)
-        col += len(chunk) + 1
-    return names
+def _pieces(text: str, sep: str, column: int, maxsplit: int = -1) -> list[tuple[str, int]]:
+    """Split ``text``, which starts at line column ``column``, at ``sep``:
+    each piece stripped, with the column of its first character."""
+    pieces = []
+    for chunk in text.split(sep, maxsplit):
+        piece = chunk.lstrip()
+        pieces.append((piece.rstrip(), column + len(chunk) - len(piece)))
+        column += len(chunk) + len(sep)
+    return pieces
 
 
-def _is_digits(text: str) -> bool:
-    return bool(text) and set(text) <= _DIGITS
+def _pair(text: str, sep: str, column: int, line: int, message: str) -> list[tuple[str, int]]:
+    """The two pieces of ``left sep right``; an error names the second
+    ``sep``, or the start of ``text`` when there is none."""
+    pieces = _pieces(text, sep, column)
+    if len(pieces) != 2:
+        extra = text.find(sep, text.find(sep) + len(sep)) if len(pieces) > 2 else 0
+        raise ParseError(message, line, column + extra)
+    return pieces
 
 
-def _constant_of(node, line: int) -> Fraction:
-    terms = expand(node)
-    if not terms:
-        return Fraction(0)
-    if list(terms) != [()]:
-        raise ParseError("expected an exact rational constant", line, 1)
-    return terms[()]
+def _name(text: str, line: int, column: int, what: str) -> str:
+    """``text`` if it is an ASCII name; else a ParseError at its first other character."""
+    match = _NAME_RE.match(text)
+    end = match.end() if match else 0
+    if not 0 < end == len(text):
+        raise ParseError(f"invalid {what} name {text!r}", line, column + end)
+    return text
+
+
+def _integer(text: str, line: int, column: int, message: str, signed: bool = False) -> int:
+    """``text`` as an int: ASCII digits, after one ``-`` if ``signed``; else
+    a ParseError at its first other character."""
+    start = 1 if signed and text.startswith("-") else 0
+    end = _DIGITS_RE.match(text, start).end()
+    if not start < end == len(text):
+        raise ParseError(message, line, column + end)
+    return int(text)
 
 
 def parse_presentation_text(text: str) -> PresentationFileData:
@@ -371,79 +374,62 @@ def parse_presentation_text(text: str) -> PresentationFileData:
     ``fiber_supported``, ``integrals`` (``monomial = rational``, one per
     line), ``top_degree``, and the optional preset header (``preset``,
     ``genus``, ``subbundle_rank``, ``subbundle_degree``, ``chern_U``,
-    ``chern_L``).  ``#`` starts a comment.
+    ``chern_L``).  ``#`` starts a comment.  Errors name the line and column
+    of the first offending character.
     """
     data = PresentationFileData()
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
+        content, column = _pieces(raw, "#", 1, 1)[0]
+        if not content:
             continue
-        match = _SECTION_RE.match(stripped.strip())
-        if match is None:
-            raise ParseError("expected 'section: content'", lineno, 1)
-        section, body = match.group(1), match.group(2)
-        body_col = stripped.index(":") + 2
+        pieces = _pieces(content, ":", column, 1)
+        if len(pieces) != 2 or not _SECTION_RE.fullmatch(pieces[0][0]):
+            raise ParseError("expected 'section: content'", lineno, column)
+        (section, section_col), (body, column) = pieces
         if section in _SCALAR_SECTIONS:
             if section in seen:
-                raise ParseError(f"duplicate section {section!r}", lineno, 1)
+                raise ParseError(f"duplicate section {section!r}", lineno, section_col)
             seen.add(section)
-        if section == "params":
-            data.params = _split_names(body, lineno, "parameter")
+        items = _pieces(body, ",", column) if body else []
+        if section in ("params", "fiber_supported"):
+            what = "parameter" if section == "params" else "generator"
+            setattr(data, section, [_name(name, lineno, col, what) for name, col in items])
         elif section == "generators":
-            if body.strip():
-                for chunk in body.split(","):
-                    entry = chunk.strip()
-                    if "=" not in entry:
-                        raise ParseError(f"generator entry {entry!r} must be 'name=degree'", lineno, body_col)
-                    name, _, deg = entry.partition("=")
-                    name, deg = name.strip(), deg.strip()
-                    if not _NAME_RE.fullmatch(name):
-                        raise ParseError(f"invalid generator name {name!r}", lineno, body_col)
-                    if not _is_digits(deg):
-                        raise ParseError(f"invalid degree {deg!r} for generator {name!r}", lineno, body_col)
-                    data.generators.append((name, int(deg)))
+            for entry, col in items:
+                if "=" not in entry:
+                    raise ParseError(f"generator entry {entry!r} must be 'name=degree'", lineno, col)
+                (name, name_col), (degree, degree_col) = _pieces(entry, "=", col, 1)
+                _name(name, lineno, name_col, "generator")
+                message = f"invalid degree {degree!r} for generator {name!r}"
+                data.generators.append((name, _integer(degree, lineno, degree_col, message)))
         elif section == "rules":
-            if body.count("->") != 1:
-                raise ParseError("a rule must contain exactly one '->'", lineno, body_col)
-            lhs_text, rhs_text = body.split("->")
-            lhs = parse_expression(lhs_text, lineno, body_col)
-            rhs = parse_expression(rhs_text, lineno, body_col + len(lhs_text) + 2)
-            data.rules.append((lhs, rhs, lineno))
+            (lhs, lhs_col), (rhs, rhs_col) = _pair(body, "->", column, lineno, "a rule must contain exactly one '->'")
+            data.rules.append((parse_expression(lhs, lineno, lhs_col), parse_expression(rhs, lineno, rhs_col), lineno))
         elif section == "zeros":
-            for chunk in body.split(","):
-                if chunk.strip():
-                    data.zeros.append((parse_expression(chunk, lineno, body_col), lineno))
+            data.zeros += [(parse_expression(chunk, lineno, col), lineno) for chunk, col in items if chunk]
         elif section == "fiber":
-            name = body.strip()
-            if not _NAME_RE.fullmatch(name):
-                raise ParseError(f"invalid fiber class name {name!r}", lineno, body_col)
-            data.fiber = name
-        elif section == "fiber_supported":
-            data.fiber_supported = _split_names(body, lineno, "generator")
+            data.fiber = _name(body, lineno, column, "fiber class")
         elif section == "integrals":
-            if body.count("=") != 1:
-                raise ParseError("an integral must be 'monomial = rational'", lineno, body_col)
-            mono_text, value_text = body.split("=")
-            mono = parse_expression(mono_text, lineno, body_col)
-            value = _constant_of(parse_expression(value_text, lineno, body_col + len(mono_text) + 1), lineno)
-            data.integrals.append((mono, value, lineno))
+            (mono, mono_col), (value, value_col) = _pair(
+                body, "=", column, lineno, "an integral must be 'monomial = rational'"
+            )
+            node = parse_expression(mono, lineno, mono_col)
+            terms = expand(parse_expression(value, lineno, value_col))
+            if set(terms) - {()}:
+                raise ParseError("expected an exact rational constant", lineno, value_col)
+            data.integrals.append((node, terms.get((), Fraction(0)), lineno))
         elif section == "top_degree":
-            value = body.strip()
-            if not _is_digits(value):
-                raise ParseError(f"top_degree must be a nonnegative integer, got {value!r}", lineno, body_col)
-            data.top_degree = int(value)
+            message = f"top_degree must be a nonnegative integer, got {body!r}"
+            data.top_degree = _integer(body, lineno, column, message)
         elif section == "preset":
-            data.preset["name"] = body.strip()
+            data.preset["name"] = body
         elif section in ("genus", "subbundle_rank", "subbundle_degree"):
-            value = body.strip()
-            if not _is_digits(value.removeprefix("-")):
-                raise ParseError(f"{section} must be an integer, got {value!r}", lineno, body_col)
-            data.preset[section] = int(value)
+            data.preset[section] = _integer(body, lineno, column, f"{section} must be an integer, got {body!r}", True)
         elif section in ("chern_U", "chern_L"):
-            data.preset[section] = parse_expression(body, lineno, body_col)
+            data.preset[section] = parse_expression(body, lineno, column)
         else:
-            raise ParseError(f"unknown section {section!r}", lineno, 1)
+            raise ParseError(f"unknown section {section!r}", lineno, section_col)
     if data.top_degree is None:
         raise ParseError("missing required section 'top_degree'", lineno if text.strip() else 1, 1)
     return data

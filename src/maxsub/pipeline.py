@@ -173,7 +173,8 @@ def evaluation_character(preset: Preset) -> ChernCharacter:
 class CountResult:
     """The count with all the intermediates that certify it."""
 
-    __slots__ = ("preset", "count", "integral", "sections", "evaluation", "top_class", "caveats")
+    __slots__ = ("preset", "count", "integral", "sections", "evaluation", "top_class")
+    caveats = GENERALITY_CAVEATS
 
     def __init__(
         self,
@@ -183,7 +184,6 @@ class CountResult:
         sections: ChernCharacter,
         evaluation: ChernCharacter,
         top_class: GradedElement,
-        caveats: tuple = GENERALITY_CAVEATS,
     ):
         self.preset = preset
         self.count = count
@@ -191,7 +191,6 @@ class CountResult:
         self.sections = sections
         self.evaluation = evaluation
         self.top_class = top_class
-        self.caveats = caveats
 
     @property
     def label(self) -> str:

@@ -221,15 +221,15 @@ def test_non_ascii_expression_exits_2(capsys, expression, message):
 
 
 NON_ASCII_RINGS = {
-    "zeros": ("generators: a=2\nzeros: β\ntop_degree: 2\n", "line 2, column 7: unexpected character 'β'"),
-    "degree": ("generators: a=²\ntop_degree: 2\n", "line 1, column 12: invalid degree '²' for generator 'a'"),
+    "zeros": ("generators: a=2\nzeros: β\ntop_degree: 2\n", "line 2, column 8: unexpected character 'β'"),
+    "degree": ("generators: a=²\ntop_degree: 2\n", "line 1, column 15: invalid degree '²' for generator 'a'"),
     "top-degree": (
         "generators: a=2\ntop_degree: ²\n",
-        "line 2, column 12: top_degree must be a nonnegative integer, got '²'",
+        "line 2, column 13: top_degree must be a nonnegative integer, got '²'",
     ),
     "integral": (
         "generators: a=2\nintegrals: a = ³\ntop_degree: 2\n",
-        "line 2, column 15: unexpected character '³'",
+        "line 2, column 16: unexpected character '³'",
     ),
 }
 
@@ -243,3 +243,48 @@ def test_non_ascii_ring_file_exits_2(capsys, tmp_path, case):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+FORMULA_COMMANDS = ["s-invariant", "hirschowitz-smax", "stratum-dim", "quot-dim", "m1", "m2"]
+
+#: golden file in tests/golden -> the command whose complete --help it pins
+HELP_RUNS = {
+    "help-formulas.txt": ["formulas", "--help"],
+    **{f"help-formulas-{name}.txt": ["formulas", name, "--help"] for name in FORMULA_COMMANDS},
+}
+
+
+@pytest.mark.parametrize("golden", HELP_RUNS)
+def test_help_golden(capsys, monkeypatch, golden):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(HELP_RUNS[golden]) == 0
+    out = capsys.readouterr()
+    assert out.out == (GOLDEN / golden).read_text()
+    assert out.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["formulas", "m2", "--n", "٤"], id="arabic-indic-n"),
+        pytest.param(["count", "--preset", "jacobian", "--genus", "٣"], id="arabic-indic-genus"),
+        pytest.param(["check", "--preset", "jacobian", "--genus", "٣"], id="check-arabic-indic-genus"),
+        pytest.param(["formulas", "m2", "--n", "+4"], id="plus-sign"),
+        pytest.param(["formulas", "m2", "--n", "1_0"], id="underscore"),
+        pytest.param(["formulas", "m2", "--n", " 4"], id="space"),
+    ],
+)
+def test_integer_option_is_ascii_exits_2(capsys, argv):
+    # int() reads digits of every script, a '+', '_' separators and spaces; options take none of them
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n")
+
+
+def test_negative_integer_option(capsys):
+    assert run(["formulas", "stratum-dim", "--n", "2", "--n-sub", "1", "--d", "-7", "--g", "2", "--s", "1"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "5\n"
+    assert out.err == ""

@@ -161,3 +161,32 @@ def test_rule_line_numbers_in_errors():
     with pytest.raises(ParseError) as err:
         parse_presentation_text(text)
     assert "line 2" in str(err.value)
+
+
+RING_HEAD = "params: n\ngenerators: a=2, b=2\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, column, char",
+    [
+        pytest.param("params: n, β\ntop_degree: 2\n", 1, 12, "β", id="params"),
+        pytest.param(RING_HEAD + "fiber: b\nfiber_supported: a, b-c\ntop_degree: 2\n", 4, 22, "-", id="fiber_supported"),
+        pytest.param("generators: a=2, β=2\ntop_degree: 2\n", 1, 18, "β", id="generator-name"),
+        pytest.param("generators: a=2, b= 2x\ntop_degree: 2\n", 1, 22, "x", id="generator-degree"),
+        pytest.param(RING_HEAD + "rules: a^2 + ) -> b^2\ntop_degree: 4\n", 3, 14, ")", id="rule-lhs"),
+        pytest.param(RING_HEAD + "rules: a^2 ->  b^2 + ^\ntop_degree: 4\n", 3, 22, "^", id="rule-rhs"),
+        pytest.param(RING_HEAD + "rules: a^2 -> b^2 -> a*b\ntop_degree: 4\n", 3, 19, "-", id="rule-second-arrow"),
+        pytest.param(RING_HEAD + "zeros: a^3, a^4, β\ntop_degree: 4\n", 3, 18, "β", id="zeros"),
+        pytest.param(RING_HEAD + "integrals: a*b =  n\ntop_degree: 4\n", 3, 19, "n", id="integral-value"),
+        pytest.param("generators: a=2\ntop_degree:  2²\n", 2, 15, "²", id="top_degree"),
+        pytest.param("top_degree: 2\ngenus:  -٣\n", 2, 10, "٣", id="genus"),
+        pytest.param(RING_HEAD + "top_degree: 4\nchern_U: 1 + a + $\n", 4, 18, "$", id="chern_U"),
+        pytest.param("generators: a=2\n  wibble: 3\ntop_degree: 2\n", 2, 3, "w", id="indented-unknown-section"),
+    ],
+)
+def test_presentation_error_columns(text, line, column, char):
+    # each error names the line and column of its first offending character
+    with pytest.raises(ParseError) as err:
+        parse_presentation_text(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert text.splitlines()[line - 1][column - 1] == char
