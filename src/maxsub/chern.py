@@ -3,8 +3,9 @@
 The two presentations of a bundle's characteristic data are converted in
 both directions through the Newton power-sum recursion with exact division
 by factorials, so they are mutually inverse at any fixed rank, including
-virtual (negative or symbolic) ranks.  Characters are truncated at half
-the ring's top degree; everything above vanishes for dimensional reasons.
+virtual (negative or symbolic) ranks.  Both run up to half the ring's
+``max_degree``, the largest degree a nonzero element can have (on curve x
+base, the base's top degree plus the fiber's 2); everything above vanishes.
 
 Both kinds of object store only their nonzero components, keyed by ``k``
 in increasing order, and every recursion and product runs over those keys
@@ -95,9 +96,9 @@ def _factorials(keys):
 
 def _graded_product(ring: RingPresentation, a0, a: Components, b0, b: Components) -> Components:
     """Components k >= 1 of (a0 + a_1 + a_2 + ...) * (b0 + b_1 + b_2 + ...) for
-    scalars a0, b0 and a_k, b_k of degree 2k, truncated at half the top
-    degree; only the keys present in ``a`` and ``b`` are visited."""
-    count = ring.top_degree // 2
+    scalars a0, b0 and a_k, b_k of degree 2k, truncated at half the ring's
+    ``max_degree``; only the keys present in ``a`` and ``b`` are visited."""
+    count = ring.max_degree // 2
     out: Components = {}
     for i, x in a.items():
         _accumulate(out, i, x * b0)
@@ -117,7 +118,8 @@ class _SparseGraded:
 
     @property
     def parts(self) -> tuple:
-        """Dense read-only view: components 1..top_degree/2, zeros included."""
+        """Dense read-only view of the base's components 1..top_degree/2,
+        zeros included; a fiber-bearing component above is in :meth:`items`."""
         zero = self.ring.zero()
         return tuple(self._parts.get(k, zero) for k in range(1, self.ring.top_degree // 2 + 1))
 
@@ -199,7 +201,7 @@ class ChernCharacter(_SparseGraded):
         ring = self.ring
         p = {i: self._parts[i] * factorial for i, factorial in _factorials(self._parts)}
         c: Components = {}
-        for k in range(1, ring.top_degree // 2 + 1):
+        for k in range(1, ring.max_degree // 2 + 1):
             acc = _newton_sum(p, c, k, 1)  # c_0 = 1
             if acc is not None and not acc.is_zero:
                 c[k] = acc / k
@@ -255,7 +257,7 @@ class TotalChernClass(_SparseGraded):
         is the given rank."""
         ring = self.ring
         p: Components = {}
-        for k in range(1, ring.top_degree // 2 + 1):
+        for k in range(1, ring.max_degree // 2 + 1):
             acc = _newton_sum(self._parts, p, k, k)  # the last term is +- k c_k
             if acc is not None and not acc.is_zero:
                 p[k] = acc

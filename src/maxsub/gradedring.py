@@ -5,6 +5,12 @@ rules (``monomial -> polynomial``), monomials declared zero, an optional
 curve fiber class with the generators supported on it, and the
 intersection numbers of the top-degree basis monomials.
 
+Elements live on curve x base.  A generator's fiber weight is 2 for the
+fiber class, 1 if fiber-supported, else 0.  A monomial truncates to zero
+when its weight is above 2 or its base degree (degree minus weight) is
+above ``top_degree``, which implies ``f^2 = 0`` and ``xi*f = 0`` for a
+fiber-supported ``xi``.  Rules must keep the weight.
+
 Every element is held in normal form.  When a presentation is loaded the
 rules are oriented by a lex order of the generators, which makes rewriting
 terminate; a rule set with no such order is rejected.  Then every critical
@@ -19,7 +25,7 @@ polynomials first.  All values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul, sub
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -96,8 +102,6 @@ class RingPresentation:
         self._nf_cache: dict = {}
         self._one_scalar = ParamScalar.constant(1, self.params)
         self._validate(fiber, fiber_supported)
-        self.fiber_index = self._index[fiber] if fiber is not None else None
-        self.fiber_supported = tuple(self._index[n] for n in fiber_supported)
         self._check_critical_pairs()
 
     # -- structure ---------------------------------------------------------
@@ -108,6 +112,11 @@ class RingPresentation:
         for n in fiber_supported:
             if n not in self._index:
                 raise PresentationError(f"fiber-supported name {n!r} is not a generator")
+        self.fiber_index = self._index[fiber] if fiber is not None else None
+        self.fiber_supported = tuple(self._index[n] for n in fiber_supported)
+        self._weights = tuple(2 if i == self.fiber_index else int(i in self.fiber_supported) for i in range(self.ngens))
+        self._base_degrees = tuple(map(sub, self.generator_degrees, self._weights))
+        self.max_degree = self.top_degree + 2 * any(self._weights)  # the largest degree that can be nonzero
         if len(set(self.generator_names)) != len(self.generator_names):
             raise PresentationError("duplicate generator names")
         if set(self.generator_names) & set(self.params):
@@ -118,7 +127,7 @@ class RingPresentation:
         if self.top_degree < 0 or self.top_degree % 2:
             raise PresentationError(f"top_degree must be even and nonnegative, got {self.top_degree}")
         for rule in self.rules:
-            lhs_deg = self.degree(rule.lhs)
+            lhs_deg, lhs_weight = self.degree(rule.lhs), self.weight(rule.lhs)
             if not any(rule.lhs):
                 raise PresentationError("the empty monomial cannot be a rule left-hand side")
             for mono, _ in rule.rhs:
@@ -126,6 +135,11 @@ class RingPresentation:
                     raise PresentationError(
                         f"degree-inhomogeneous rule: {self.monomial_str(rule.lhs)} (degree {lhs_deg}) "
                         f"rewrites to a term of degree {self.degree(mono)}"
+                    )
+                if self.weight(mono) != lhs_weight:
+                    raise PresentationError(
+                        f"rule changes the fiber weight: {self.monomial_str(rule.lhs)} (weight {lhs_weight}) "
+                        f"rewrites to a term of weight {self.weight(mono)}"
                     )
         for mono in self.zeros:
             if not any(mono):
@@ -150,6 +164,10 @@ class RingPresentation:
 
     def degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self.generator_degrees))
+
+    def weight(self, mono: Monomial) -> int:
+        """Fiber weight: 2 per fiber class, 1 per fiber-supported generator."""
+        return sum(map(mul, mono, self._weights))
 
     def monomial_str(self, mono: Monomial) -> str:
         return monomial_text(self.generator_names, mono) or "1"
@@ -204,8 +222,9 @@ class RingPresentation:
         return {tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rhs}
 
     def _truncates(self, mono: Monomial) -> bool:
-        """The one truncation rule, shared by products and normal forms."""
-        return self.degree(mono) > self.top_degree
+        """The one truncation rule, shared by products and normal forms:
+        fiber weight above 2, or base degree above the top degree."""
+        return sum(map(mul, mono, self._weights)) > 2 or sum(map(mul, mono, self._base_degrees)) > self.top_degree
 
     def _monomial_nf(self, mono: Monomial) -> dict[Monomial, ParamScalar]:
         cached = self._nf_cache.get(mono)
@@ -242,9 +261,11 @@ class RingPresentation:
 
         Rewriting terminates (:meth:`_orient`) and commutes with monomial
         multiples, so this makes normal forms independent of rule order
-        (Buchberger's criterion, Bergman's diamond lemma).  Rules are
-        homogeneous, so a pair whose lcm :meth:`_truncates` is 0 on both
-        sides.  Presets are user-editable files, so this runs on every load.
+        (Buchberger's criterion, Bergman's diamond lemma).  Rules keep both
+        the degree and the fiber weight, so they take a monomial that
+        :meth:`_truncates` only to ones that truncate too: a pair whose lcm
+        truncates is 0 on both sides.  Presets are user-editable files, so
+        this runs on every load.
         """
         reducers = [(self.monomial_str(rule.lhs), rule.lhs, rule.rhs) for rule in self.rules]
         reducers += [("zero-monomial", mono, ()) for mono in self.zeros]
@@ -446,8 +467,8 @@ class GradedElement:
     def integrate(self) -> ParamScalar:
         """Evaluate against the fundamental class of the base.
 
-        Only the top-degree component contributes.  Fiber-bearing top terms
-        are rejected (push forward along the curve first); a top-degree
+        Only terms of degree top_degree and above contribute.  Fiber-bearing
+        ones are rejected (push forward along the curve first); a top-degree
         normal monomial with no declared intersection number is a loud
         error, never a silent zero.
         """
@@ -475,42 +496,21 @@ class GradedElement:
         """Integrate over the curve fiber: extract the f-linear part, f -> 1.
 
         Degree drops by two componentwise.  Normal-form terms without the
-        fiber class integrate to zero along the fiber and are dropped.
+        fiber class integrate to zero along the fiber and are dropped; f has
+        weight 2, so no surviving term carries it twice.
         """
-        ring = self.ring
-        if ring.fiber_index is None:
+        i = self.ring.fiber_index
+        if i is None:
             raise PresentationError("the presentation declares no fiber class")
-        out: dict[Monomial, ParamScalar] = {}
-        for mono, coeff in self._terms.items():
-            e = mono[ring.fiber_index]
-            if e == 0:
-                continue
-            if e > 1:
-                raise PresentationError(
-                    f"term {ring.monomial_str(mono)} carries the fiber class squared; "
-                    "declare its square zero in the presentation"
-                )
-            reduced = tuple(0 if i == ring.fiber_index else x for i, x in enumerate(mono))
-            out[reduced] = coeff
-        return GradedElement(ring, out)
+        return GradedElement(self.ring, {m[:i] + (0,) + m[i + 1 :]: c for m, c in self._terms.items() if m[i]})
 
     def restrict_to_point(self) -> "GradedElement":
-        """Restrict to a point of the curve: the ring morphism killing the
-        fiber class and every fiber-supported generator."""
+        """Restrict to a point of the curve: the ring morphism keeping the
+        part of fiber weight 0."""
         ring = self.ring
-        if ring.fiber_index is None and not ring.fiber_supported:
-            raise PresentationError(
-                "the presentation declares neither a fiber class nor fiber-supported generators"
-            )
-        killed = set(ring.fiber_supported)
-        if ring.fiber_index is not None:
-            killed.add(ring.fiber_index)
-        out = {
-            mono: coeff
-            for mono, coeff in self._terms.items()
-            if all(mono[i] == 0 for i in killed)
-        }
-        return GradedElement(ring, out)
+        if not any(ring._weights):
+            raise PresentationError("the presentation declares neither a fiber class nor fiber-supported generators")
+        return GradedElement(ring, {m: c for m, c in self._terms.items() if not ring.weight(m)})
 
     # -- printing -------------------------------------------------------------
 

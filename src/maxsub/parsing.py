@@ -407,7 +407,7 @@ def parse_presentation_text(text: str) -> PresentationFileData:
             (lhs, lhs_col), (rhs, rhs_col) = _pair(body, "->", column, lineno, "a rule must contain exactly one '->'")
             data.rules.append((parse_expression(lhs, lineno, lhs_col), parse_expression(rhs, lineno, rhs_col), lineno))
         elif section == "zeros":
-            data.zeros += [(parse_expression(chunk, lineno, col), lineno) for chunk, col in items if chunk]
+            data.zeros += [(parse_expression(chunk, lineno, col), lineno) for chunk, col in items]
         elif section == "fiber":
             data.fiber = _name(body, lineno, column, "fiber class")
         elif section == "integrals":

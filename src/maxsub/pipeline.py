@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
-from math import factorial, gcd
+from math import factorial
 
 from . import PRESET_NAMES, formulas
 from .chern import ChernCharacter, TotalChernClass
@@ -72,8 +72,6 @@ class Preset:
             raise PresetError("subbundle rank must be positive")
         if subbundle_degree != 1:
             raise PresetError("presets normalize the subbundle degree to 1")
-        if gcd(subbundle_rank, subbundle_degree) != 1:
-            raise PresetError("subbundle rank and degree must be coprime for a universal bundle")
         if RANK_PARAMETER not in ring.params:
             raise PresetError(f"the ring must declare the rank parameter {RANK_PARAMETER!r}")
         if ring.fiber_index is None:
@@ -146,12 +144,11 @@ def upstairs_character(preset: Preset) -> ChernCharacter:
 
 def sections_character(preset: Preset) -> ChernCharacter:
     """Character of the sections sheaf: fiber pushforward of the upstairs
-    character (the derived pushforward vanishes for degree reasons, so the
+    character, ch_k from the upstairs ch_{k+1} for every k, the top one
+    included (the derived pushforward vanishes for degree reasons, so the
     fiber integral is the whole answer)."""
     up = upstairs_character(preset)
     rank = up.part(1).pushforward_fiber().constant_coefficient()
-    # ch_k comes from the upstairs ch_{k+1}; the top component would come
-    # from beyond the ring's top degree and is left out
     pushed = {k - 1: p.pushforward_fiber() for k, p in up.items() if k > 1}
     return ChernCharacter(preset.ring, rank, pushed)
 
@@ -331,7 +328,7 @@ def jacobian_ring_text(genus: int) -> str:
 params: n
 generators: theta=2, xi1=2, f=2
 rules: xi1^2 -> -2*theta*f
-zeros: f^2, xi1*f, theta^{g + 1}
+zeros: theta^{g + 1}
 fiber: f
 fiber_supported: xi1
 integrals: theta^{g} = {factorial(g)}
@@ -360,7 +357,7 @@ def jacobian_preset(genus: int) -> Preset:
         generators=(("theta", 2), ("xi1", 2), ("f", 2)),
         params=params,
         rules=[RewriteRule((0, 2, 0), (((1, 0, 1), ParamScalar.constant(-2, params)),))],  # xi1^2 -> -2*theta*f
-        zeros=[(0, 0, 2), (0, 1, 1), (g + 1, 0, 0)],  # f^2, xi1*f, theta^(g+1)
+        zeros=[(g + 1, 0, 0)],  # theta^(g+1)
         fiber="f",
         fiber_supported=("xi1",),
         integrals={(g, 0, 0): Fraction(factorial(g))},  # theta^g = g!

@@ -277,6 +277,19 @@ def theta_power_integral(g):
     return total
 
 
+def reference_weight(ring, mono):
+    """Fiber weight written out from the declarations, apart from the
+    ring's own: 2 per fiber class, 1 per fiber-supported generator."""
+    return sum(e * (2 if i == ring.fiber_index else int(i in ring.fiber_supported)) for i, e in enumerate(mono))
+
+
+def reference_truncates(ring, mono):
+    """The truncation rule: fiber weight above 2, or base degree (degree
+    minus weight) above the top degree."""
+    weight = reference_weight(ring, mono)
+    return weight > 2 or ring.degree(mono) - weight > ring.top_degree
+
+
 def reduce_in_random_order(ring, raw_terms, rng):
     """Reference normalizer: apply truncation, zero-kills and rewrite rules
     one randomly-chosen step at a time until nothing applies."""
@@ -284,7 +297,7 @@ def reduce_in_random_order(ring, raw_terms, rng):
     for _ in range(100_000):
         actions = []
         for mono in terms:
-            if ring.degree(mono) > ring.top_degree:
+            if reference_truncates(ring, mono):
                 actions.append((mono, "truncate", None))
             if any(all(z <= m for z, m in zip(zero, mono)) for zero in ring.zeros):
                 actions.append((mono, "zero", None))
@@ -333,10 +346,10 @@ class UncheckedRing(RingPresentation):
 def exhaustive_confluence_failure(ring):
     """Reference confluence check: the load-time check before critical pairs.
 
-    Normalize every monomial up to the top degree, with cycle detection,
-    then join every monomial that two or more reducers (rules or zero
-    monomials) apply to.  Returns the first failure as text, or None.  It
-    visits every monomial up to the top degree, so keep rings small.
+    Normalize every monomial up to the top degree plus the fiber's 2, with
+    cycle detection, then join every monomial that two or more reducers
+    (rules or zero monomials) apply to.  Returns the first failure as text,
+    or None.  It visits every one of those monomials, so keep rings small.
     """
     in_progress = object()
     one = ParamScalar.constant(1, ring.params)
@@ -363,7 +376,7 @@ def exhaustive_confluence_failure(ring):
             raise _RewriteCycle(mono)
         if cached is not None:
             return cached
-        if ring.degree(mono) > ring.top_degree or any(_divides(z, mono) for z in ring.zeros):
+        if reference_truncates(ring, mono) or any(_divides(z, mono) for z in ring.zeros):
             result = {}
         else:
             rule = next((r for r in ring.rules if _divides(r.lhs, mono)), None)
@@ -375,7 +388,7 @@ def exhaustive_confluence_failure(ring):
         cache[mono] = result
         return result
 
-    monomials = list(ring.monomials_up_to(ring.top_degree))
+    monomials = list(ring.monomials_up_to(ring.top_degree + 2))
     try:
         for mono in monomials:
             monomial_nf(mono)

@@ -226,8 +226,15 @@ def test_sparse_operations_match_dense_reference(ring_name, data):
     assert list(ch_a.dual().parts) == [x if k % 2 == 0 else -x for k, x in enumerate(a, start=1)]
     assert list((ch_a + ch_b).parts) == [x + y for x, y in zip(a, b)]
     assert list((ch_a - ch_b).parts) == [x - y for x, y in zip(a, b)]
-    # only the nonzero components are stored, in increasing k
-    for obj in (c_a.character(rank_a), ch_a.total_class(), tensor, ch_a - ch_b):
+    # only the nonzero components are stored, in increasing k; on curve x
+    # base that includes the fiber-bearing one above the base's top
+    padded_a, padded_b = a + (ring.zero(),), b + (ring.zero(),)
+    for obj, dense in (
+        (c_a.character(rank_a), dense_character(ring, padded_a)),
+        (ch_a.total_class(), dense_total_class(ring, padded_a)),
+        (tensor, dense_graded_product(rank_a, padded_a, rank_b, padded_b)),
+        (ch_a - ch_b, [x - y for x, y in zip(padded_a, padded_b)]),
+    ):
         keys = [k for k, _ in obj.items()]
         assert keys == sorted(keys)
-        assert keys == [k for k, x in enumerate(obj.parts, start=1) if not x.is_zero]
+        assert dict(obj.items()) == {k: x for k, x in enumerate(dense, start=1) if not x.is_zero}

@@ -177,6 +177,7 @@ RING_HEAD = "params: n\ngenerators: a=2, b=2\n"
         pytest.param(RING_HEAD + "rules: a^2 ->  b^2 + ^\ntop_degree: 4\n", 3, 22, "^", id="rule-rhs"),
         pytest.param(RING_HEAD + "rules: a^2 -> b^2 -> a*b\ntop_degree: 4\n", 3, 19, "-", id="rule-second-arrow"),
         pytest.param(RING_HEAD + "zeros: a^3, a^4, β\ntop_degree: 4\n", 3, 18, "β", id="zeros"),
+        pytest.param(RING_HEAD + "zeros: a^3, , b^3\ntop_degree: 4\n", 3, 13, ",", id="zeros-empty-piece"),
         pytest.param(RING_HEAD + "integrals: a*b =  n\ntop_degree: 4\n", 3, 19, "n", id="integral-value"),
         pytest.param("generators: a=2\ntop_degree:  2²\n", 2, 15, "²", id="top_degree"),
         pytest.param("top_degree: 2\ngenus:  -٣\n", 2, 10, "٣", id="genus"),

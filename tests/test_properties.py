@@ -3,17 +3,21 @@ and the geometric compatibilities the pipeline relies on."""
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from maxsub.gradedring import GradedElement
+from maxsub.scalars import ParamScalar
 
 from helpers import (
     base_elements_st,
     elements_st,
     g2_ring,
+    jacobian_preset,
     raw_terms_st,
     reduce_in_random_order,
+    reference_weight,
     scalars_st,
 )
 
@@ -58,20 +62,53 @@ def test_one_is_a_unit(x):
     assert (x - x).is_zero
 
 
+def _grading(mono):
+    """(degree, base degree): the degree minus the fiber weight."""
+    return RING.degree(mono), RING.degree(mono) - reference_weight(RING, mono)
+
+
 @given(elements_st(RING), elements_st(RING))
 def test_degree_homogeneity_of_products(x, y):
-    for d1 in x.degrees():
-        for d2 in y.degrees():
-            part = x.homogeneous_component(d1) * y.homogeneous_component(d2)
-            if d1 + d2 > RING.top_degree:
+    # degree and base degree add; a product of base degree above the top is 0
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            part = GradedElement(RING, {m1: c1}) * GradedElement(RING, {m2: c2})
+            grading = tuple(a + b for a, b in zip(_grading(m1), _grading(m2)))
+            if grading[1] > RING.top_degree:
                 assert part.is_zero
             else:
-                assert set(part.degrees()) <= {d1 + d2}
+                assert {_grading(m) for m, _ in part.items()} <= {grading}
 
 
 @given(elements_st(RING), base_elements_st(RING))
 def test_projection_formula(x, y):
     assert (x * y).pushforward_fiber() == x.pushforward_fiber() * y
+
+
+@pytest.mark.parametrize("x, y", [("-2*theta*Lambda*f", "Lambda"), ("-2*alpha^2*theta^2*f", "alpha")])
+def test_projection_formula_above_the_top_degree(x, y):
+    # x*y has degree top_degree + 2: fiber-bearing, so it survives
+    x, y = RING.parse(x), RING.parse(y)
+    assert (x * y).pushforward_fiber() == x.pushforward_fiber() * y
+    assert not (x * y).pushforward_fiber().is_zero
+
+
+@pytest.mark.parametrize("genus", [None, 3, 5, 8], ids=["g2-rank2", "jacobian-g3", "jacobian-g5", "jacobian-g8"])
+def test_projection_formula_on_the_basis(genus):
+    # pi_*(x*y) = pi_*(x)*y for every basis monomial x and base generator y
+    # gives it for all x and base y: both sides are linear in x and
+    # multiplicative in y
+    ring = RING if genus is None else jacobian_preset(genus).ring
+    one = ParamScalar.constant(1, ring.params)
+    basis = [
+        GradedElement(ring, {mono: one})
+        for mono in ring.monomials_up_to(ring.top_degree + 2)
+        if ring._normalize({mono: one}) == {mono: one}
+    ]
+    units = [tuple(int(j == i) for j in range(ring.ngens)) for i in range(ring.ngens)]
+    base = [ring.generator(name) for name, unit in zip(ring.generator_names, units) if not reference_weight(ring, unit)]
+    failures = [(str(x), str(y)) for x in basis for y in base if (x * y).pushforward_fiber() != x.pushforward_fiber() * y]
+    assert failures == []
 
 
 @given(scalars_st(RING), scalars_st(RING), base_elements_st(RING), base_elements_st(RING))

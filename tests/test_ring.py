@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
@@ -10,6 +11,7 @@ from maxsub.errors import (
     UnknownGeneratorError,
 )
 from maxsub.gradedring import RingPresentation, load_presentation
+from maxsub.pipeline import jacobian_ring_text
 from maxsub.scalars import ParamScalar
 
 from helpers import g2_ring, jacobian_preset, reduce_in_random_order, theta_power_integral
@@ -33,7 +35,7 @@ def test_g2_presentation_shape(R):
     assert R.ngens == 6
     assert R.top_degree == 10
     assert len(R.rules) == 3
-    assert len(R.zeros) == 9
+    assert len(R.zeros) == 5
     assert len(R.integrals) == 2
     assert R.generator_names[R.fiber_index] == "f"
     assert [R.generator_names[i] for i in R.fiber_supported] == ["xi1", "xi2"]
@@ -105,8 +107,35 @@ def test_mul_rules(R):
 
 
 def test_truncation_above_top_degree(R):
-    assert R.parse("alpha^3*theta^2*f").is_zero
+    # curve x base has one dimension more than the base: its top class is
+    # fiber-bearing, nonzero and pushes forward to the base's top class
+    top = R.parse("alpha^3*theta^2*f")
+    assert str(top) == "alpha^3*theta^2*f"
+    assert top.pushforward_fiber() == R.parse("alpha^3*theta^2")
+    # base-only products above the top degree still vanish
     assert (R.parse("alpha^3*theta^2") * R.generator("alpha")).is_zero
+    assert (R.parse("theta*Lambda^2") * R.generator("theta")).is_zero
+    # and so does fiber weight above 2
+    assert (top * R.generator("f")).is_zero
+    assert R.parse("f^2 + xi1*f + xi2*f + xi1^3").is_zero
+
+
+@pytest.mark.parametrize(
+    "text, zeros",
+    [
+        (files("maxsub").joinpath("presets", "g2-rank2.ring").read_text(), "f^2, xi1^3, xi1*f, xi2*f, "),
+        (jacobian_ring_text(3), "f^2, xi1*f, "),
+    ],
+)
+def test_declared_implied_zeros_change_nothing(text, zeros):
+    # files that still declare the zeros the fiber weight implies load to
+    # the same normal forms
+    shipped = load_presentation(text)
+    declared = load_presentation(text.replace("zeros: ", "zeros: " + zeros))
+    assert len(declared.zeros) == len(shipped.zeros) + zeros.count(",")
+    one = ParamScalar.constant(1, shipped.params)
+    for mono in shipped.monomials_up_to(shipped.top_degree + 4):
+        assert declared._normalize({mono: one}) == shipped._normalize({mono: one})
 
 
 def test_mismatched_rings_rejected(R):
@@ -176,6 +205,16 @@ def test_restriction_needs_fiber_data():
 
 
 # -- presentation validation ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rule",
+    ["a^2 -> a*f", "xi^2 -> a^2", "xi*f -> a*f"],
+)
+def test_rule_changing_fiber_weight_rejected(rule):
+    text = f"generators: a=2, xi=2, f=2\nrules: {rule}\nfiber: f\nfiber_supported: xi\ntop_degree: 4\n"
+    with pytest.raises(PresentationError, match="changes the fiber weight"):
+        load_presentation(text)
 
 
 def test_inhomogeneous_rule_rejected():
