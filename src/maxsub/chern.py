@@ -3,9 +3,12 @@
 The two presentations of a bundle's characteristic data are converted in
 both directions through the Newton power-sum recursion with exact division
 by factorials, so they are mutually inverse at any fixed rank, including
-virtual (negative or symbolic) ranks.  Both run up to half the ring's
-``max_degree``, the largest degree a nonzero element can have (on curve x
-base, the base's top degree plus the fiber's 2); everything above vanishes.
+virtual (negative or symbolic) ranks.  Both recursions and the graded
+product run up to half the ring's ``max_degree``, the largest degree a
+nonzero element can have (on curve x base, the base's top degree plus the
+fiber's 2); everything above vanishes.  When every term of their inputs has
+fiber weight 0 they stop at half the base's ``top_degree`` instead: a
+product of weight-0 terms has weight 0, so every component above truncates.
 
 Both kinds of object store only their nonzero components, keyed by ``k``
 in increasing order, and every recursion and product runs over those keys
@@ -94,11 +97,21 @@ def _factorials(keys):
         yield k, factorial
 
 
+def _bound(ring: RingPresentation, *inputs: Components) -> int:
+    """The last component a recursion or product over ``inputs`` can make
+    nonzero: half the base's ``top_degree`` when every term has fiber weight
+    0, else half the ring's ``max_degree``."""
+    weight = ring.weight
+    if any(weight(m) for parts in inputs for x in parts.values() for m, _ in x.items()):
+        return ring.max_degree // 2
+    return ring.top_degree // 2
+
+
 def _graded_product(ring: RingPresentation, a0, a: Components, b0, b: Components) -> Components:
     """Components k >= 1 of (a0 + a_1 + a_2 + ...) * (b0 + b_1 + b_2 + ...) for
-    scalars a0, b0 and a_k, b_k of degree 2k, truncated at half the ring's
-    ``max_degree``; only the keys present in ``a`` and ``b`` are visited."""
-    count = ring.max_degree // 2
+    scalars a0, b0 and a_k, b_k of degree 2k, truncated at :func:`_bound`;
+    only the keys present in ``a`` and ``b`` are visited."""
+    count = _bound(ring, a, b)
     out: Components = {}
     for i, x in a.items():
         _accumulate(out, i, x * b0)
@@ -201,7 +214,7 @@ class ChernCharacter(_SparseGraded):
         ring = self.ring
         p = {i: self._parts[i] * factorial for i, factorial in _factorials(self._parts)}
         c: Components = {}
-        for k in range(1, ring.max_degree // 2 + 1):
+        for k in range(1, _bound(ring, p) + 1):
             acc = _newton_sum(p, c, k, 1)  # c_0 = 1
             if acc is not None and not acc.is_zero:
                 c[k] = acc / k
@@ -257,7 +270,7 @@ class TotalChernClass(_SparseGraded):
         is the given rank."""
         ring = self.ring
         p: Components = {}
-        for k in range(1, ring.max_degree // 2 + 1):
+        for k in range(1, _bound(ring, self._parts) + 1):
             acc = _newton_sum(self._parts, p, k, k)  # the last term is +- k c_k
             if acc is not None and not acc.is_zero:
                 p[k] = acc

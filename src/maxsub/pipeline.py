@@ -6,14 +6,19 @@ the fundamental class of the parameter space and divided by the degree of
 the tensoring cover:
 
 * the "sections" sheaf: the fiberwise spaces of maps from the candidate
-  subbundle twisted back into the big bundle (a pushforward along the
-  curve, computed here by Grothendieck-Riemann-Roch fiber integration);
+  subbundle twisted back into the big bundle, a pushforward along the
+  curve computed by Grothendieck-Riemann-Roch fiber integration.  The
+  integrand is ch(U*) ch(L*) times one Riemann-Roch factor
+  n + (d + n(g-1)) f: since f^2 = 0, that is the twisted big bundle's
+  character n + (d + n(2g-2)) f times the curve's Todd class 1 - (g-1) f;
 * the "evaluation" sheaf: the values of those maps at the points of a
   fixed canonical divisor.
 
-Both presets normalize the subbundle degree to d' = 1 and keep the big
-bundle's rank n as a formal parameter, so counts come out as exact
-polynomials in n.
+The universal characters ch(U) and ch(L) are computed once per count and
+feed both sheaves, and the total Chern class of the difference is kept on
+the result, where the consistency report reuses it.  Both presets normalize
+the subbundle degree to d' = 1 and keep the big bundle's rank n as a formal
+parameter, so counts come out as exact polynomials in n.
 """
 
 from __future__ import annotations
@@ -97,21 +102,18 @@ class Preset:
     def rank_symbol(self) -> ParamScalar:
         return self.ring.parameter(RANK_PARAMETER)
 
-    def induced_degree_at(self, n):
-        """The big bundle's degree d forced by n'd - nd' = n'(n-n')(g-1), for
-        an int or the symbolic rank n."""
-        np = self.subbundle_rank
-        return n * Fraction(self.subbundle_degree, np) + (n - np) * (self.genus - 1)
-
     @property
     def induced_degree(self) -> ParamScalar:
-        """The induced degree d as a polynomial in the rank n."""
-        return self.induced_degree_at(self.rank_symbol)
+        """The big bundle's degree d forced by n'd - nd' = n'(n-n')(g-1), as a
+        polynomial in the rank n."""
+        n, np = self.rank_symbol, self.subbundle_rank
+        return n * Fraction(self.subbundle_degree, np) + (n - np) * (self.genus - 1)
 
     def is_admissible(self, rank: int) -> bool:
         """Whether a concrete rank n satisfies the exact-count hypotheses: n > n'
-        and an integral induced degree d (for g2-rank2, d = 3n/2 - 2: even n >= 4)."""
-        return rank > self.subbundle_rank and self.induced_degree_at(rank).denominator == 1
+        and an integral induced degree d, that is n' divides n d' since
+        (n-n')(g-1) is an integer (for g2-rank2, d = 3n/2 - 2: even n >= 4)."""
+        return rank > self.subbundle_rank and rank * self.subbundle_degree % self.subbundle_rank == 0
 
     @property
     def admissibility_note(self) -> str:
@@ -124,53 +126,54 @@ class Preset:
         return f"m_{self.subbundle_rank}"
 
 
-def upstairs_character(preset: Preset) -> ChernCharacter:
+def _universal_characters(preset: Preset) -> tuple[ChernCharacter, ChernCharacter]:
+    """The characters ch(U) and ch(L) of the two universal bundles."""
+    return preset.chern_u.character(preset.subbundle_rank), preset.chern_l.character(1)
+
+
+def upstairs_character(preset: Preset, characters: tuple[ChernCharacter, ChernCharacter] | None = None) -> ChernCharacter:
     """Character on the curve x parameter space, before fiber integration.
 
-    The product of the duals of the two universal characters, the pullback
-    of the twisted big bundle (rank n, degree d + n(2g-2)), and the curve's
-    Todd factor 1 - (g-1) f.
+    The product of the duals of the two universal characters (``characters``,
+    computed when not given) and one Riemann-Roch factor n + (d + n(g-1)) f:
+    the twisted big bundle (rank n, degree d + n(2g-2)) times the curve's
+    Todd class 1 - (g-1) f, multiplied out with f^2 = 0.
     """
+    ch_u, ch_l = characters or _universal_characters(preset)
     ring = preset.ring
-    g = preset.genus
     n = preset.rank_symbol
     fiber = ring.generator(ring.generator_names[ring.fiber_index])
-    ch_u = preset.chern_u.character(preset.subbundle_rank)
-    ch_l = preset.chern_l.character(1)
-    twisted = ChernCharacter(ring, n, [fiber * (preset.induced_degree + n * (2 * g - 2))])
-    todd = ChernCharacter(ring, 1, [fiber * (-(g - 1))])
-    return ch_u.dual().tensor(ch_l.dual(), twisted, todd)
+    riemann_roch = ChernCharacter(ring, n, [fiber * (preset.induced_degree + n * (preset.genus - 1))])
+    return ch_u.dual().tensor(ch_l.dual(), riemann_roch)
 
 
-def sections_character(preset: Preset) -> ChernCharacter:
+def sections_character(preset: Preset, characters: tuple[ChernCharacter, ChernCharacter] | None = None) -> ChernCharacter:
     """Character of the sections sheaf: fiber pushforward of the upstairs
     character, ch_k from the upstairs ch_{k+1} for every k, the top one
     included (the derived pushforward vanishes for degree reasons, so the
     fiber integral is the whole answer)."""
-    up = upstairs_character(preset)
+    up = upstairs_character(preset, characters)
     rank = up.part(1).pushforward_fiber().constant_coefficient()
     pushed = {k - 1: p.pushforward_fiber() for k, p in up.items() if k > 1}
     return ChernCharacter(preset.ring, rank, pushed)
 
 
-def evaluation_character(preset: Preset) -> ChernCharacter:
+def evaluation_character(preset: Preset, characters: tuple[ChernCharacter, ChernCharacter] | None = None) -> ChernCharacter:
     """Character of the evaluation sheaf at a canonical divisor: (2g-2)
-    points, n directions each, with the universal bundles restricted to a
-    point of the curve."""
+    points, n directions each, with the universal bundles (``characters``,
+    computed when not given) restricted to a point of the curve."""
 
-    def restricted(cls: TotalChernClass, rank) -> ChernCharacter:
-        ch = cls.character(rank)
+    def restricted(ch: ChernCharacter) -> ChernCharacter:
         return ChernCharacter(preset.ring, ch.rank, {k: p.restrict_to_point() for k, p in ch.items()})
 
-    u = restricted(preset.chern_u, preset.subbundle_rank)
-    l = restricted(preset.chern_l, 1)
+    u, l = map(restricted, characters or _universal_characters(preset))
     return u.dual().tensor(l.dual()).scale(preset.rank_symbol * preset.canonical_degree)
 
 
 class CountResult:
     """The count with all the intermediates that certify it."""
 
-    __slots__ = ("preset", "count", "integral", "sections", "evaluation", "top_class")
+    __slots__ = ("preset", "count", "integral", "sections", "evaluation", "difference_class")
     caveats = GENERALITY_CAVEATS
 
     def __init__(
@@ -180,14 +183,19 @@ class CountResult:
         integral: ParamScalar,
         sections: ChernCharacter,
         evaluation: ChernCharacter,
-        top_class: GradedElement,
+        difference_class: TotalChernClass,
     ):
         self.preset = preset
         self.count = count
         self.integral = integral
         self.sections = sections
         self.evaluation = evaluation
-        self.top_class = top_class
+        self.difference_class = difference_class
+
+    @property
+    def top_class(self) -> GradedElement:
+        """The top Chern class of evaluation - sections, the integrand."""
+        return self.difference_class.top()
 
     @property
     def label(self) -> str:
@@ -254,10 +262,11 @@ class CountResult:
 def count_maximal_subbundles(preset: Preset) -> CountResult:
     """Integrate the top Chern class of (evaluation - sections) and divide
     by the covering degree."""
-    sections = sections_character(preset)
-    evaluation = evaluation_character(preset)
-    top = (evaluation - sections).total_class().top()
-    integral = top.integrate()
+    characters = _universal_characters(preset)
+    sections = sections_character(preset, characters)
+    evaluation = evaluation_character(preset, characters)
+    difference = (evaluation - sections).total_class()
+    integral = difference.top().integrate()
     count = integral / preset.covering_degree
     return CountResult(
         preset=preset,
@@ -265,7 +274,7 @@ def count_maximal_subbundles(preset: Preset) -> CountResult:
         integral=integral,
         sections=sections,
         evaluation=evaluation,
-        top_class=top,
+        difference_class=difference,
     )
 
 
@@ -283,11 +292,10 @@ def consistency_report(preset: Preset) -> list[tuple[str, bool, str]]:
     checks.append(("rank identity", ok, f"rank(sections) = rank(evaluation) - {delta}"))
 
     m = preset.ring.top_degree // 2
-    diff = evaluation - sections
-    ok = diff.part(m).is_zero
+    ok = (evaluation - sections).part(m).is_zero
     checks.append(("top character component vanishes", ok, f"ch_{m}(evaluation - sections) = 0"))
 
-    porteous = sections.total_class() * diff.total_class() == evaluation.total_class()
+    porteous = sections.total_class() * result.difference_class == evaluation.total_class()
     checks.append(("Chern class multiplicativity", porteous, "c(sections) * c(difference) = c(evaluation)"))
 
     admissible = [k for k in range(2, 200) if preset.is_admissible(k)][:10]
@@ -313,40 +321,11 @@ def _closed_form(preset: Preset) -> ParamScalar | None:
 # -- built-in presets ----------------------------------------------------------
 
 
-def jacobian_ring_text(genus: int) -> str:
-    """Render the rank-1 preset at the given genus.
-
-    The theta class self-intersects to genus! on the parameter torus; that
-    is classical input recorded in the integrals section, not derived here.
-    """
-    if genus < 2:
-        raise PresetError(f"genus must be at least 2, got {genus}")
-    g = genus
-    return f"""# Rank-1 counting preset at genus {g}: the parameter space is the
-# degree-0 line bundle torus with theta class of self-intersection
-# theta^{g} = {g}! (classical; declared, not derived).
-params: n
-generators: theta=2, xi1=2, f=2
-rules: xi1^2 -> -2*theta*f
-zeros: theta^{g + 1}
-fiber: f
-fiber_supported: xi1
-integrals: theta^{g} = {factorial(g)}
-top_degree: {2 * g}
-
-preset: jacobian
-genus: {g}
-subbundle_rank: 1
-subbundle_degree: 1
-chern_U: 1 + f
-chern_L: 1 + xi1
-"""
-
-
 def jacobian_preset(genus: int) -> Preset:
     """The rank-1 preset at the given genus, built as data: the same ring and
-    classes as ``preset_from_text(jacobian_ring_text(genus))``, but genus!
-    is never printed and parsed back, so a huge genus loads too."""
+    classes as the shipped ``jacobian-g{2..5}.ring`` files, which the tests
+    render for every genus and compare, but genus! is never printed and
+    parsed back, so a huge genus loads too."""
     if genus < 2:
         raise PresetError(f"genus must be at least 2, got {genus}")
     if genus > JACOBIAN_MAX_GENUS:
@@ -401,7 +380,7 @@ def preset_from_text(text: str, name: str = "") -> Preset:
 def load_preset(name: str, genus: int | None = None) -> Preset:
     """Load a built-in preset: ``g2-rank2`` or ``jacobian`` (genus 2 to
     :data:`JACOBIAN_MAX_GENUS`, built by :func:`jacobian_preset`; the shipped
-    ``jacobian-g{2..5}`` files are rendered by :func:`jacobian_ring_text`)."""
+    ``jacobian-g{2..5}`` files are test fixtures of the same preset)."""
     if name == "g2-rank2":
         if genus not in (None, 2):
             raise PresetError("the g2-rank2 preset is specific to genus 2")

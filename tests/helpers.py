@@ -8,7 +8,7 @@ from math import factorial
 from hypothesis import strategies as st
 
 from maxsub import load_preset
-from maxsub.errors import UnknownGeneratorError
+from maxsub.errors import PresetError, UnknownGeneratorError
 from maxsub.gradedring import GradedElement, RingPresentation, _resolve_terms
 from maxsub.parsing import expand, parse_expression
 from maxsub.scalars import ParamScalar
@@ -26,6 +26,37 @@ def jacobian_preset(genus=2):
 
 def g2_ring():
     return g2_preset().ring
+
+
+def jacobian_ring_text(genus: int) -> str:
+    """Render the rank-1 preset at the given genus as a presentation file;
+    the shipped ``jacobian-g{2..5}.ring`` files are its output.
+
+    The theta class self-intersects to genus! on the parameter torus; that
+    is classical input recorded in the integrals section, not derived here.
+    """
+    if genus < 2:
+        raise PresetError(f"genus must be at least 2, got {genus}")
+    g = genus
+    return f"""# Rank-1 counting preset at genus {g}: the parameter space is the
+# degree-0 line bundle torus with theta class of self-intersection
+# theta^{g} = {g}! (classical; declared, not derived).
+params: n
+generators: theta=2, xi1=2, f=2
+rules: xi1^2 -> -2*theta*f
+zeros: theta^{g + 1}
+fiber: f
+fiber_supported: xi1
+integrals: theta^{g} = {factorial(g)}
+top_degree: {2 * g}
+
+preset: jacobian
+genus: {g}
+subbundle_rank: 1
+subbundle_degree: 1
+chern_U: 1 + f
+chern_L: 1 + xi1
+"""
 
 
 # -- hypothesis strategies ---------------------------------------------------

@@ -4,19 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from maxsub import pipeline
+from maxsub.chern import TotalChernClass
 from maxsub.errors import PresetError
+from maxsub.gradedring import GradedElement
 from maxsub.pipeline import (
     consistency_report,
     count_maximal_subbundles,
     evaluation_character,
-    jacobian_ring_text,
     load_preset,
     preset_from_text,
     sections_character,
     upstairs_character,
 )
 
-from helpers import g2_preset, jacobian_preset, theta_power_integral
+from helpers import g2_preset, jacobian_preset, jacobian_ring_text, theta_power_integral
 
 PRESET = g2_preset()
 RING = PRESET.ring
@@ -323,6 +325,52 @@ def test_consistency_report_all_green():
     for name, genus in (("g2-rank2", None), ("jacobian", 2), ("jacobian", 5)):
         for check, ok, detail in consistency_report(load_preset(name, genus=genus)):
             assert ok, f"{check}: {detail}"
+
+
+@pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 3), ("jacobian", 8)])
+def test_no_product_of_base_classes_past_the_top(preset_args, monkeypatch):
+    # weight-0 operands multiply to weight 0, so past top_degree the product
+    # truncates to 0: a recursion over base-only classes must stop before it
+    name, genus = preset_args
+    preset = load_preset(name, genus=genus)
+    ring = preset.ring
+    wasted = []
+    multiply = GradedElement.__mul__
+
+    def base_only(x):
+        return all(ring.weight(m) == 0 for m, _ in x.items())
+
+    def watched(self, other):
+        if isinstance(other, GradedElement) and not self.is_zero and not other.is_zero:
+            if base_only(self) and base_only(other) and max(self.degrees()) + max(other.degrees()) > ring.top_degree:
+                wasted.append((str(self), str(other)))
+        return multiply(self, other)
+
+    monkeypatch.setattr(GradedElement, "__mul__", watched)
+    count_maximal_subbundles(preset)
+    consistency_report(preset)
+    assert wasted == []
+
+
+@pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 3)])
+def test_report_reuses_the_count_difference_class(preset_args, monkeypatch):
+    name, genus = preset_args
+    preset = load_preset(name, genus=genus)
+    result = count_maximal_subbundles(preset)
+    assert result.top_class == result.difference_class.top()
+    assert result.difference_class == (result.evaluation - result.sections).total_class()
+
+    def perturbed(p):
+        # double c_1 of the stored difference class, nothing else
+        out = count_maximal_subbundles(p)
+        parts = dict(out.difference_class.items())
+        parts[1] = parts[1] * 2
+        out.difference_class = TotalChernClass(p.ring, parts)
+        return out
+
+    monkeypatch.setattr(pipeline, "count_maximal_subbundles", perturbed)
+    lines = {check: ok for check, ok, _ in consistency_report(preset)}
+    assert lines["Chern class multiplicativity"] is False
 
 
 # -- result serialization ------------------------------------------------------------

@@ -11,10 +11,9 @@ from maxsub.errors import (
     UnknownGeneratorError,
 )
 from maxsub.gradedring import RingPresentation, load_presentation
-from maxsub.pipeline import jacobian_ring_text
 from maxsub.scalars import ParamScalar
 
-from helpers import g2_ring, jacobian_preset, reduce_in_random_order, theta_power_integral
+from helpers import g2_ring, jacobian_preset, jacobian_ring_text, reduce_in_random_order, theta_power_integral
 
 POINT_RING = "generators:\ntop_degree: 0\nintegrals: 1 = 1\n"
 
