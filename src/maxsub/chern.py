@@ -13,6 +13,10 @@ product of weight-0 terms has weight 0, so every component above truncates.
 Both kinds of object store only their nonzero components, keyed by ``k``
 in increasing order, and every recursion and product runs over those keys
 alone: a line bundle's class ``1 + c_1`` costs one component at any genus.
+Each step of either recursion and each component of a graded product is a
+sum of ring products, computed by one call of
+:meth:`~maxsub.gradedring.RingPresentation.sum_of_products`, which reduces
+each output coefficient once, not by one product and one sum per term.
 The public constructors check that each component is homogeneous of
 degree ``2k`` in the right ring.  Results computed here are homogeneous by
 construction and go through the trusted :func:`_character` and
@@ -21,6 +25,7 @@ construction and go through the trusted :func:`_character` and
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import prod
 from typing import Mapping, Sequence
 
@@ -64,28 +69,21 @@ def _class(ring: RingPresentation, parts: Components) -> "TotalChernClass":
     return c
 
 
-def _accumulate(out: Components, k: int, value: GradedElement):
-    total = out.get(k)
-    out[k] = value if total is None else total + value
-
-
-def _newton_sum(given: Components, known: Components, k: int, last) -> GradedElement | None:
-    """The sum of (-1)^(i-1) g_i x_(k-i) over the nonzero g_i of ``given``
-    with i <= k, where x_j is ``known[j]`` for j >= 1 and ``last`` for j = 0;
-    None when no term is present.  One step of either Newton recursion."""
-    acc = None
+def _newton_sum(
+    ring: RingPresentation, given: Components, known: Components, k: int, last, scale: Rational = 1
+) -> GradedElement | None:
+    """``scale`` times the sum of (-1)^(i-1) g_i x_(k-i) over the nonzero g_i
+    of ``given`` with i <= k, where x_j is ``known[j]`` for j >= 1 and the
+    scalar ``last`` for j = 0; None when no term is present.  One step of
+    either Newton recursion, and one call of the ring's sum of products."""
+    pairs = []
     for i, g in given.items():
         if i > k:
             break
         x = last if i == k else known.get(k - i)
-        if x is None:
-            continue
-        term = g * x
-        if acc is None:
-            acc = term if i % 2 else -term
-        else:
-            acc = acc + term if i % 2 else acc - term
-    return acc
+        if x is not None:
+            pairs.append((scale if i % 2 else -scale, g, x))
+    return ring.sum_of_products(pairs) if pairs else None
 
 
 def _factorials(keys):
@@ -110,18 +108,19 @@ def _bound(ring: RingPresentation, *inputs: Components) -> int:
 def _graded_product(ring: RingPresentation, a0, a: Components, b0, b: Components) -> Components:
     """Components k >= 1 of (a0 + a_1 + a_2 + ...) * (b0 + b_1 + b_2 + ...) for
     scalars a0, b0 and a_k, b_k of degree 2k, truncated at :func:`_bound`;
-    only the keys present in ``a`` and ``b`` are visited."""
+    only the keys present in ``a`` and ``b`` are visited, and each component
+    is one call of the ring's sum of products."""
     count = _bound(ring, a, b)
-    out: Components = {}
+    pairs: dict = {}
     for i, x in a.items():
-        _accumulate(out, i, x * b0)
+        pairs.setdefault(i, []).append((1, x, b0))
         for j, y in b.items():
             if i + j > count:
                 break
-            _accumulate(out, i + j, x * y)
+            pairs.setdefault(i + j, []).append((1, x, y))
     for j, y in b.items():
-        _accumulate(out, j, y * a0)
-    return out
+        pairs.setdefault(j, []).append((1, y, a0))
+    return {k: ring.sum_of_products(terms) for k, terms in pairs.items()}
 
 
 class _SparseGraded:
@@ -177,7 +176,7 @@ class ChernCharacter(_SparseGraded):
         self._check(other)
         parts = dict(self._parts)
         for k, p in other._parts.items():
-            _accumulate(parts, k, p)
+            parts[k] = parts[k] + p if k in parts else p
         return _character(self.ring, self.rank + other.rank, parts)
 
     def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
@@ -215,9 +214,9 @@ class ChernCharacter(_SparseGraded):
         p = {i: self._parts[i] * factorial for i, factorial in _factorials(self._parts)}
         c: Components = {}
         for k in range(1, _bound(ring, p) + 1):
-            acc = _newton_sum(p, c, k, 1)  # c_0 = 1
+            acc = _newton_sum(ring, p, c, k, 1, Fraction(1, k))  # c_0 = 1
             if acc is not None and not acc.is_zero:
-                c[k] = acc / k
+                c[k] = acc
         return _class(ring, c)
 
     def __eq__(self, other):
@@ -271,7 +270,7 @@ class TotalChernClass(_SparseGraded):
         ring = self.ring
         p: Components = {}
         for k in range(1, _bound(ring, self._parts) + 1):
-            acc = _newton_sum(self._parts, p, k, k)  # the last term is +- k c_k
+            acc = _newton_sum(ring, self._parts, p, k, k)  # the last term is +- k c_k
             if acc is not None and not acc.is_zero:
                 p[k] = acc
         parts = {k: p[k] / factorial for k, factorial in _factorials(p)}

@@ -64,11 +64,10 @@ def _cmd_check(args) -> int:
     from .pipeline import consistency_report, load_preset
 
     preset = load_preset(args.preset, genus=args.genus)
-    failures = 0
-    for name, ok, detail in consistency_report(preset):
-        status = "ok" if ok else "FAIL"
-        print(f"{status}: {name} ({detail})")
-        failures += not ok
+    report = consistency_report(preset)
+    lines = (f"{'ok' if ok else 'FAIL'}: {name} ({detail})" for name, ok, detail in report)
+    _print_exact(lines, "\n".join)  # a detail may hold a number too long to print
+    failures = sum(not ok for _, ok, _ in report)
     if failures:
         print(f"error: {failures} check(s) failed for preset {preset.name}", file=sys.stderr)
         return 1

@@ -16,10 +16,15 @@ rules are oriented by a lex order of the generators, which makes rewriting
 terminate; a rule set with no such order is rejected.  Then every critical
 pair (two reducers meeting at the lcm of their left-hand sides) is joined,
 so normal forms do not depend on the order in which rules are applied.
-Normal forms of monomials are cached on first use.  Expressions are reduced
-after every product (:meth:`RingPresentation.evaluate`); only a file's
-rules, zeros and integrals, and ``coefficient``, are expanded as free
-polynomials first.  All values are immutable; operations are pure functions.
+Normal forms of monomials are cached on first use, a truncating one as
+empty.  :meth:`RingPresentation.sum_of_products` is the one-pass normal form
+of a sum of products, which the Chern layer uses for each recursion step and
+graded-product component: each pair of monomials looks up its normal form
+once, and each output coefficient is summed over one denominator and
+reduced once.  Expressions are reduced after every product
+(:meth:`RingPresentation.evaluate`); only a file's rules, zeros and
+integrals, and ``coefficient``, are expanded as free polynomials first.  All
+values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
 )
 from .parsing import BinOp, Name, Neg, Num, Pow, PresentationFileData, expand, names
 from .parsing import parse_expression, parse_presentation_text
-from .scalars import ParamScalar, Rational, as_fraction, as_scalar, monomial_text, power, signed_sum
+from .scalars import ParamScalar, Rational, as_fraction, as_scalar, monomial_text, power, signed_sum, sum_of_products
 
 Monomial = Tuple[int, ...]
 
@@ -255,6 +260,42 @@ class RingPresentation:
                     del out[nmono]
         return out
 
+    def sum_of_products(self, pairs) -> "GradedElement":
+        """The normal form of ``sum w*x*y`` over ``(w, x, y)`` in ``pairs``: a
+        rational weight ``w``, an element ``x`` and an element or scalar ``y``.
+
+        The one-pass form of a fold of ``*`` and ``+``.  Each pair of
+        monomials looks up its normal form once (a truncating monomial is
+        cached as empty, so :meth:`_truncates` runs once per monomial), a
+        scalar ``y`` other than 1 is one more factor of each coefficient of
+        ``x``, which is in normal form already, and the coefficient products
+        are grouped by output monomial and summed by
+        :func:`~maxsub.scalars.sum_of_products`, one reduction per monomial.
+        """
+        cache, nf, one = self._nf_cache, self._monomial_nf, self._one_scalar
+        grouped: dict[Monomial, list] = {}
+        for w, x, y in pairs:
+            if isinstance(y, GradedElement):
+                self._check_ring(x, y)
+                for m1, c1 in x._terms.items():
+                    for m2, c2 in y._terms.items():
+                        mono = tuple(map(add, m1, m2))
+                        out = cache.get(mono)
+                        for nmono, c3 in (nf(mono) if out is None else out).items():
+                            grouped.setdefault(nmono, []).append((w, c1, c2) if c3 is one else (w, c1, c2, c3))
+            else:
+                self._check_ring(x)
+                y = as_scalar(y, self.params)
+                factor = () if y == 1 else (y,)
+                for mono, c1 in x._terms.items():
+                    grouped.setdefault(mono, []).append((w, c1, *factor))
+        params = self.params
+        return GradedElement(self, {m: sum_of_products(params, products) for m, products in grouped.items()})
+
+    def _check_ring(self, *elements: "GradedElement"):
+        if any(x.ring is not self for x in elements):
+            raise ValueError("elements belong to different presentations")
+
     def _check_critical_pairs(self):
         """Join both one-step reductions of every critical pair: two
         reducers, at least one a rule, at the lcm of their left-hand sides.
@@ -384,16 +425,12 @@ class GradedElement:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_ring(self, other: "GradedElement"):
-        if self.ring is not other.ring:
-            raise ValueError("elements belong to different presentations")
-
     def __add__(self, other):
         if not isinstance(other, GradedElement):
             if not isinstance(other, (ParamScalar, int, Fraction)):
                 return NotImplemented
             other = self.ring.scalar(other)
-        self._check_ring(other)
+        self.ring._check_ring(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
             total = terms.get(mono)
@@ -419,7 +456,7 @@ class GradedElement:
 
     def __mul__(self, other):
         if isinstance(other, GradedElement):
-            self._check_ring(other)
+            self.ring._check_ring(other)
             if not self._terms or not other._terms:
                 return self.ring.zero()
             raw: dict[Monomial, ParamScalar] = {}

@@ -264,6 +264,56 @@ def signed_sum(pieces: Iterable[Tuple[bool, str]]) -> str:
     return "".join(out) or "0"
 
 
+def sum_of_products(params: Tuple[str, ...], products: Iterable[tuple]) -> ParamScalar:
+    """``sum w*f1*f2*...`` over ``(w, f1, f2, ...)`` in ``products``: a rational
+    weight ``w`` times nonzero scalars over ``params``.
+
+    The one-pass form of a fold of ``*`` and ``+``: constant factors fold
+    into an integer scale, each product's numerators are multiplied out and
+    summed with the others over the same denominator, the sums meet over the
+    lcm of those denominators, and the result is reduced once.
+    """
+    zero = (0,) * len(params)
+    by_den: dict[int, dict[Exponents, int]] = {}
+    for weight, *factors in products:
+        scale, den, polys = weight.numerator, weight.denominator, []
+        for f in factors:
+            den *= f._den
+            if len(f._num) == 1 and zero in f._num:
+                scale *= f._num[zero]
+            else:
+                polys.append(f._num)
+        acc = by_den.get(den)
+        if acc is None:
+            acc = by_den[den] = {}
+        terms = [(e, c * scale) for e, c in polys[0].items()] if polys else [(zero, scale)]
+        for poly in polys[1:-1]:  # three or more factors that are not constant
+            step: dict[Exponents, int] = {}
+            _multiply_into(step, terms, poly)
+            terms = step.items()
+        if len(polys) > 1:
+            _multiply_into(acc, terms, polys[-1])
+        else:
+            for e, c in terms:
+                acc[e] = acc.get(e, 0) + c
+    den = lcm(*by_den)
+    num: dict[Exponents, int] = {}
+    for d, acc in by_den.items():
+        lift = den // d
+        for e, c in acc.items():
+            num[e] = num.get(e, 0) + c * lift
+    return _make(params, {e: c for e, c in num.items() if c}, den)
+
+
+def _multiply_into(target: dict[Exponents, int], terms, poly: dict[Exponents, int]):
+    """Add the product of the ``(exponents, numerator)`` pairs ``terms`` and
+    the numerator map ``poly`` into ``target``, unreduced."""
+    for e1, c1 in terms:
+        for e2, c2 in poly.items():
+            e = tuple(map(add, e1, e2))
+            target[e] = target.get(e, 0) + c1 * c2
+
+
 def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> ParamScalar:
     """Trusted constructor for arithmetic results: ``num`` maps exponent vectors
     of the right width to nonzero ints, ``den > 0``; it only divides out the gcd."""

@@ -3,6 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maxsub.chern import ChernCharacter, TotalChernClass, _graded_product
+from maxsub.gradedring import GradedElement
+from maxsub.scalars import ParamScalar
 
 from helpers import (
     dense_character,
@@ -200,6 +202,26 @@ def test_graded_product_matches_dense_double_loop(a, b, a0, b0):
         dense.append(term)
     sparse = _graded_product(RING, a0, dict(enumerate(a, start=1)), b0, dict(enumerate(b, start=1)))
     assert [sparse.get(k, RING.zero()) for k in range(1, len(a) + 1)] == dense
+
+
+def test_class_product_rebuilds_no_coefficient(monkeypatch):
+    # both constant terms of c(A) * c(B) are 1, so a linear term goes in as it
+    # is, and every other product is one call of the ring's sum of products
+    a = [RING.parse("alpha + n*theta"), RING.parse("(n - 1/2)*alpha^2"), RING.parse("theta*xi2")]
+    b = [RING.parse("2/3*theta - f"), RING.parse("n^2*alpha*theta")]
+    expected = dense_graded_product(1, a, 1, b + [RING.zero()])
+    calls = []
+    for cls in (ParamScalar, GradedElement):
+
+        def counted(self, other, multiply=cls.__mul__):
+            calls.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+    product = TotalChernClass(RING, a) * TotalChernClass(RING, b)
+    monkeypatch.undo()
+    assert calls == []
+    assert list(product.parts)[:3] == expected
 
 
 # -- sparse storage against the dense references -----------------------------------

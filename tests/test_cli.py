@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -202,6 +203,24 @@ def test_check_command(capsys):
     assert "FAIL" not in out
     assert run(["check", "--preset", "jacobian", "--genus", "4"]) == 0
     capsys.readouterr()
+
+
+def test_check_detail_with_too_many_digits_exits_1(capsys, monkeypatch):
+    # a detail is rendered by the CLI, under the same digit guard as a count
+    from maxsub import pipeline
+
+    report = [("rank identity", True, "rank(sections) = rank(evaluation) - 4"), ("closed form", True, 5**1000)]
+    monkeypatch.setattr(pipeline, "consistency_report", lambda preset: report)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run(["check", "--preset", "g2-rank2"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the exact result has more than 640 digits, too many to print\n"
 
 
 @pytest.mark.parametrize(

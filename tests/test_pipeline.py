@@ -7,7 +7,7 @@ import pytest
 from maxsub import pipeline
 from maxsub.chern import TotalChernClass
 from maxsub.errors import PresetError
-from maxsub.gradedring import GradedElement
+from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.pipeline import (
     consistency_report,
     count_maximal_subbundles,
@@ -330,25 +330,39 @@ def test_consistency_report_all_green():
 @pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 3), ("jacobian", 8)])
 def test_no_product_of_base_classes_past_the_top(preset_args, monkeypatch):
     # weight-0 operands multiply to weight 0, so past top_degree the product
-    # truncates to 0: a recursion over base-only classes must stop before it
+    # truncates to 0: a recursion over base-only classes must stop before it.
+    # The chern layer multiplies through the ring's sum of products, so the
+    # pairs it receives are watched as well as the ring's own product.
     name, genus = preset_args
     preset = load_preset(name, genus=genus)
     ring = preset.ring
-    wasted = []
-    multiply = GradedElement.__mul__
+    wasted, watched_pairs = [], []
+    multiply, sum_of_products = GradedElement.__mul__, RingPresentation.sum_of_products
 
     def base_only(x):
         return all(ring.weight(m) == 0 for m, _ in x.items())
 
-    def watched(self, other):
-        if isinstance(other, GradedElement) and not self.is_zero and not other.is_zero:
-            if base_only(self) and base_only(other) and max(self.degrees()) + max(other.degrees()) > ring.top_degree:
-                wasted.append((str(self), str(other)))
+    def watch(x, y):
+        if isinstance(y, GradedElement) and not x.is_zero and not y.is_zero:
+            watched_pairs.append(None)
+            if base_only(x) and base_only(y) and max(x.degrees()) + max(y.degrees()) > ring.top_degree:
+                wasted.append((str(x), str(y)))
+
+    def watched_mul(self, other):
+        watch(self, other)
         return multiply(self, other)
 
-    monkeypatch.setattr(GradedElement, "__mul__", watched)
+    def watched_sum(self, pairs):
+        pairs = list(pairs)
+        for _, x, y in pairs:
+            watch(x, y)
+        return sum_of_products(self, pairs)
+
+    monkeypatch.setattr(GradedElement, "__mul__", watched_mul)
+    monkeypatch.setattr(RingPresentation, "sum_of_products", watched_sum)
     count_maximal_subbundles(preset)
     consistency_report(preset)
+    assert watched_pairs, "no product of two ring elements was watched"
     assert wasted == []
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from importlib.resources import files
 
 import pytest
@@ -10,7 +11,7 @@ from maxsub.errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from maxsub.gradedring import RingPresentation, load_presentation
+from maxsub.gradedring import GradedElement, RingPresentation, load_presentation
 from maxsub.scalars import ParamScalar
 
 from helpers import g2_ring, jacobian_preset, jacobian_ring_text, reduce_in_random_order, theta_power_integral
@@ -305,3 +306,48 @@ def test_canonical_str(R):
     assert str(R.parse("(alpha + f)^2")) == "alpha^2 + 2*alpha*f"
     assert str(R.zero()) == "0"
     assert str(R.parse("1 + alpha")) == "alpha + 1"
+
+
+# -- the one-pass sum of products ----------------------------------------------
+
+
+def _assert_lowest_terms(element):
+    # == and hash compare the stored form, so every coefficient must be reduced
+    for _, coeff in element.items():
+        assert coeff._num and all(coeff._num.values())
+        assert coeff._den > 0 and gcd(coeff._den, *coeff._num.values()) == 1
+
+
+@pytest.mark.parametrize("genus", [None, 3], ids=["g2-rank2", "jacobian-g3"])
+def test_sum_of_products_on_every_pair_of_basis_monomials(genus):
+    ring = g2_ring() if genus is None else jacobian_preset(genus).ring
+    n = ring.parameter("n")
+    coeffs = [ParamScalar.constant(c, ring.params) for c in (1, Fraction(-2, 3))] + [n, n**2 - Fraction(1, 4)]
+    weights = [1, -1, Fraction(1, 3), Fraction(-5, 2)]
+    one = ring._one_scalar
+    basis = [m for m in ring.monomials_up_to(ring.max_degree) if ring._normalize({m: one}) == {m: one}]
+    elements = [GradedElement(ring, {m: coeffs[i % len(coeffs)]}) for i, m in enumerate(basis)]
+    for i, x in enumerate(elements):
+        pairs = [(weights[(i + j) % len(weights)], x, y) for j, y in enumerate(elements)]
+        pairs += [(w, x, c) for w, c in zip(weights, coeffs)]  # a scalar second factor
+        expected = ring.zero()
+        for w, a, b in pairs:
+            single = ring.sum_of_products([(w, a, b)])
+            assert single == a * b * w
+            _assert_lowest_terms(single)
+            expected = expected + a * b * w
+        got = ring.sum_of_products(pairs)
+        assert got == expected and hash(got) == hash(expected)
+        _assert_lowest_terms(got)
+        # every product cancels against its commuted copy: zero, with no stored coefficient
+        commuted = [(-w, b, a) if isinstance(b, GradedElement) else (-w, a, b) for w, a, b in pairs]
+        cancelled = ring.sum_of_products(pairs + commuted)
+        assert cancelled == ring.zero()
+        assert not cancelled.items()
+    assert ring.sum_of_products([]) == ring.zero()
+
+
+def test_sum_of_products_rejects_another_ring(R):
+    other = jacobian_preset(3).ring
+    with pytest.raises(ValueError):
+        R.sum_of_products([(1, R.generator("alpha"), other.generator("theta"))])
