@@ -7,7 +7,8 @@ and ``==`` and ``hash`` compare the stored form.  Division is only ever by
 an explicit nonzero rational, so values stay inside Q[parameters] and no
 floating point enters anywhere.  The public constructor validates its
 input; arithmetic results are built by ``_make``, which trusts its input
-and only divides out the common factor.
+and only divides out the common factor.  :func:`sum_of_products` builds a
+whole sum of products with one such gcd.
 """
 
 from __future__ import annotations

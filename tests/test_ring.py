@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
 from importlib.resources import files
+from math import gcd
 
 import pytest
 
