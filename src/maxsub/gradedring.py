@@ -21,10 +21,10 @@ empty.  :meth:`RingPresentation.sum_of_products` is the one-pass normal form
 of a sum of products, which the Chern layer uses for each recursion step and
 graded-product component: each pair of monomials looks up its normal form
 once, and each output coefficient is summed over one denominator and
-reduced once.  Expressions are reduced after every product
-(:meth:`RingPresentation.evaluate`); only a file's rules, zeros and
-integrals, and ``coefficient``, are expanded as free polynomials first.  All
-values are immutable; operations are pure functions.
+reduced once.  Expressions go through the one tree walk of ``parsing``:
+reduced after every product (:meth:`RingPresentation.evaluate`), or, for a
+file's rules, zeros and integrals and ``coefficient``, as free polynomials
+in their names.  All values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from .errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from .parsing import BinOp, Name, Neg, Num, Pow, PresentationFileData, expand, names
-from .parsing import parse_expression, parse_presentation_text
+from .parsing import Num, PresentationFileData, expand, names, parse_expression, parse_presentation_text, walk
 from .scalars import ParamScalar, Rational, as_fraction, as_scalar, monomial_text, power, signed_sum, sum_of_products
 
 Monomial = Tuple[int, ...]
@@ -55,29 +54,14 @@ def _divides(divisor: Monomial, mono: Monomial) -> bool:
     return all(d <= m for d, m in zip(divisor, mono))
 
 
-def _resolve_terms(terms, generators: Sequence[str], params: Sequence[str], error) -> dict[Monomial, ParamScalar]:
-    """Group expanded (name, exponent) terms by monomial.
-
-    Generator names index the monomial and parameter names go into the
-    coefficient; any other name raises ``error(name)``.
-    """
-    index = {n: i for i, n in enumerate(generators)}
-    param_index = {p: i for i, p in enumerate(params)}
-    grouped: dict[Monomial, ParamScalar] = {}
-    for key, coeff in terms.items():
-        mono = [0] * len(generators)
-        pexp = [0] * len(params)
-        for name, e in key:
-            if name in index:
-                mono[index[name]] += e
-            elif name in param_index:
-                pexp[param_index[name]] += e
-            else:
-                raise error(name)
-        scalar = ParamScalar(params, {tuple(pexp): coeff})
-        existing = grouped.get(tuple(mono))
-        grouped[tuple(mono)] = scalar if existing is None else existing + scalar
-    return grouped
+def _check_names(generator_names: Sequence[str], params: Sequence[str]):
+    """Each name is one generator or one parameter, so one variable."""
+    if len(set(generator_names)) != len(generator_names):
+        raise PresentationError("duplicate generator names")
+    if len(set(params)) != len(params):
+        raise PresentationError("duplicate parameter names")
+    if set(generator_names) & set(params):
+        raise PresentationError("a name cannot be both a generator and a parameter")
 
 
 class RingPresentation:
@@ -122,10 +106,7 @@ class RingPresentation:
         self._weights = tuple(2 if i == self.fiber_index else int(i in self.fiber_supported) for i in range(self.ngens))
         self._base_degrees = tuple(map(sub, self.generator_degrees, self._weights))
         self.max_degree = self.top_degree + 2 * any(self._weights)  # the largest degree that can be nonzero
-        if len(set(self.generator_names)) != len(self.generator_names):
-            raise PresentationError("duplicate generator names")
-        if set(self.generator_names) & set(self.params):
-            raise PresentationError("a name cannot be both a generator and a parameter")
+        _check_names(self.generator_names, self.params)
         for name, deg in zip(self.generator_names, self.generator_degrees):
             if deg <= 0 or deg % 2:
                 raise PresentationError(f"generator {name!r} must have even positive degree, got {deg}")
@@ -351,31 +332,13 @@ class RingPresentation:
         unknown = [name for name in names(node) if name not in self._index and name not in self.params]
         if unknown:
             raise UnknownGeneratorError(f"unknown name {unknown[0]!r}: not a generator or parameter of this presentation")
-        return self.scalar(out) if isinstance(out := self._evaluate(node), ParamScalar) else out
+        return self.scalar(out) if isinstance(out := walk(node, self._leaf), ParamScalar) else out
 
-    def _evaluate(self, node) -> "GradedElement | ParamScalar":
-        # scalar subtrees stay ParamScalars: a coefficient needs no normal form
+    def _leaf(self, node) -> "GradedElement | ParamScalar":
+        # numbers and parameters stay ParamScalars: a coefficient needs no normal form
         if isinstance(node, Num):
             return ParamScalar.constant(node.value, self.params)
-        if isinstance(node, Name):
-            return self.generator(node.name) if node.name in self._index else self.parameter(node.name)
-        if isinstance(node, Neg):
-            return -self._evaluate(node.operand)
-        if isinstance(node, Pow):
-            return self._evaluate(node.base) ** node.exponent
-        # a left-deep chain of sums and products: a loop costs no recursion
-        chain = []
-        while isinstance(node, BinOp):
-            chain.append(node)
-            node = node.left
-        out = self._evaluate(node)
-        for link in reversed(chain):
-            if link.op != "*":
-                right = self._evaluate(link.right)
-                out = out + right if link.op == "+" else out - right
-            elif not out.is_zero:  # a zero product skips the factors left
-                out = out * self._evaluate(link.right)
-        return out
+        return self.generator(node.name) if node.name in self._index else self.parameter(node.name)
 
     def parse(self, text: str) -> "GradedElement":
         """Parse an expression and reduce it to normal form in this ring."""
@@ -574,26 +537,34 @@ class GradedElement:
 
 
 def _single_monomial(node, generators, where: str, error=PresentationError, unknown=PresentationError) -> Monomial:
-    """The monomial of a bare product of generators; ``where`` names it in errors."""
-    terms = expand(node)
+    """The monomial of a bare product of generators; ``where`` names it in
+    errors.  A bad shape is reported before an unknown name, which is an
+    error even in a term that vanishes."""
+    others = [n for n in dict.fromkeys(names(node)) if n not in generators]
+    terms = expand(node, (*generators, *others), None)
     if len(terms) != 1:
         raise error(f"{where} must be a single monomial")
-    if next(iter(terms.values())) != 1:
+    ((mono, coeff),) = terms.items()
+    if coeff != 1:
         raise error(f"{where} must have coefficient 1")
-    (mono,) = _resolve_terms(terms, generators, (), lambda name: unknown(f"{where} uses unknown generator {name!r}"))
+    if others:
+        raise unknown(f"{where} uses unknown generator {others[0]!r}")
     return mono
 
 
 def presentation_from_data(data: PresentationFileData, name: str = "") -> RingPresentation:
     """Assemble and validate a presentation from parsed file content."""
-    gen_names = [n for n, _ in data.generators]
-    params = tuple(data.params)
+    gen_names, params = tuple(n for n, _ in data.generators), tuple(data.params)
+    _check_names(gen_names, params)  # before any expansion: each name is one variable
 
     def rhs_terms(node, line) -> Tuple[Tuple[Monomial, ParamScalar], ...]:
-        grouped = _resolve_terms(
-            expand(node), gen_names, params, lambda sym: PresentationError(f"rule on line {line} uses unknown name {sym!r}")
-        )
-        return tuple((m, c) for m, c in grouped.items() if c)
+        # an exponent vector splits into a monomial and its coefficient's parameter exponents
+        message = f"rule on line {line} uses unknown name"
+        terms = expand(node, gen_names + params, lambda name: PresentationError(f"{message} {name!r}"))
+        grouped: dict[Monomial, dict] = {}
+        for key, coeff in terms.items():
+            grouped.setdefault(key[: len(gen_names)], {})[key[len(gen_names) :]] = coeff
+        return tuple((mono, ParamScalar(params, pterms)) for mono, pterms in grouped.items())
 
     rules = []
     for lhs_node, rhs_node, line in data.rules:

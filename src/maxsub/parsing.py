@@ -3,26 +3,29 @@
 The expression grammar covers rational literals, parameter and generator
 names, ``+ - *`` and ``^`` with nonnegative integer exponents, and
 parentheses.  ``/`` is allowed only between integer literals, to write
-exact rationals such as ``5/24``.  Names are left unresolved here; a
-ring resolves them in ``RingPresentation.evaluate``.  :func:`expand`
-serves presentation files, where there is no ring yet to reduce in.
+exact rationals such as ``5/24``.  :func:`walk` is the one evaluator of
+expression trees: a ring evaluates in its elements, and :func:`expand`
+evaluates presentation-file expressions, for which there is no ring yet, as
+``ParamScalar`` polynomials in the file's names.  Both reject an unknown
+name first, even in a term that vanishes.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import ParseError
+from .scalars import ParamScalar
 
 # Names and numbers are ASCII only: str.isalpha and str.isdigit also accept
 # letters and digits of other scripts, which the grammar does not have.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DIGITS = frozenset("0123456789")
 _OPS = set("+-*^/()")
-# Parentheses recurse in the parser, expand and ring evaluation; this bound
-# keeps them far from Python's recursion limit, so deep input is a ParseError.
+# Parentheses recurse in the parser and in walk; this bound keeps them far
+# from Python's recursion limit, so deep input is a ParseError.
 MAX_NESTING = 100
 
 
@@ -232,68 +235,47 @@ def names(node) -> Iterator[str]:
             stack.append(node.base)
 
 
-# -- formal expansion ------------------------------------------------------
+# -- evaluation ------------------------------------------------------------
 
-TermKey = tuple[tuple[str, int], ...]
-
-
-def _merge(dst: dict[TermKey, Fraction], key: TermKey, coeff: Fraction):
-    total = dst.get(key, Fraction(0)) + coeff
-    if total:
-        dst[key] = total
-    else:
-        dst.pop(key, None)
-
-
-def _mul_terms(a: dict[TermKey, Fraction], b: dict[TermKey, Fraction]) -> dict[TermKey, Fraction]:
-    out: dict[TermKey, Fraction] = {}
-    for k1, c1 in a.items():
-        e1 = dict(k1)
-        for k2, c2 in b.items():
-            merged = dict(e1)
-            for name, e in k2:
-                merged[name] = merged.get(name, 0) + e
-            key = tuple(sorted(merged.items()))
-            _merge(out, key, c1 * c2)
+def walk(node, leaf):
+    """Evaluate an expression tree: ``leaf(node)`` gives each number or name
+    its value, and ``+ - * ^`` act on the values, which need ``is_zero``
+    too.  A left-deep chain of sums and products runs in a loop, so its
+    length costs no recursion; a zero product skips the factors after it."""
+    if isinstance(node, (Num, Name)):
+        return leaf(node)
+    if isinstance(node, Neg):
+        return -walk(node.operand, leaf)
+    if isinstance(node, Pow):
+        return walk(node.base, leaf) ** node.exponent
+    chain = []
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
+    out = walk(node, leaf)
+    for link in reversed(chain):
+        if link.op != "*":
+            right = walk(link.right, leaf)
+            out = out + right if link.op == "+" else out - right
+        elif not out.is_zero:
+            out = out * walk(link.right, leaf)
     return out
 
 
-def expand(node) -> dict[TermKey, Fraction]:
-    """Distribute an expression tree into monomial terms over its names.
+def expand(node, variables: Sequence[str], unknown) -> dict[tuple[int, ...], Fraction]:
+    """An expression tree as a polynomial in the distinct names ``variables``
+    with rational coefficients, ``{exponent vector: coefficient}``, for
+    presentation files.  Any other name raises ``unknown(name)`` first."""
+    for name in names(node):
+        if name not in variables:
+            raise unknown(name)
 
-    Names stay symbolic; callers resolve them against a presentation.  It
-    truncates nothing, so it serves only presentation files and monomials.
-    """
-    if isinstance(node, Num):
-        return {(): node.value} if node.value else {}
-    if isinstance(node, Name):
-        return {((node.name, 1),): Fraction(1)}
-    if isinstance(node, Neg):
-        return {k: -c for k, c in expand(node.operand).items()}
-    if isinstance(node, BinOp):
-        # Sums and products parse as left-deep chains; walk the chain in a
-        # loop so that its length costs no recursion depth.
-        chain = []
-        while isinstance(node, BinOp):
-            chain.append(node)
-            node = node.left
-        out = expand(node)
-        for link in reversed(chain):
-            right = expand(link.right)
-            if link.op == "*":
-                out = _mul_terms(out, right)
-            else:
-                sign = 1 if link.op == "+" else -1
-                for key, coeff in right.items():
-                    _merge(out, key, sign * coeff)
-        return out
-    if isinstance(node, Pow):
-        result: dict[TermKey, Fraction] = {(): Fraction(1)}
-        base = expand(node.base)
-        for _ in range(node.exponent):
-            result = _mul_terms(result, base)
-        return result
-    raise TypeError(f"not an expression node: {node!r}")
+    def leaf(node):
+        if isinstance(node, Num):
+            return ParamScalar.constant(node.value, variables)
+        return ParamScalar.variable(node.name, variables)
+
+    return dict(walk(node, leaf).items())
 
 
 # -- presentation files ----------------------------------------------------
@@ -415,10 +397,9 @@ def parse_presentation_text(text: str) -> PresentationFileData:
                 body, "=", column, lineno, "an integral must be 'monomial = rational'"
             )
             node = parse_expression(mono, lineno, mono_col)
-            terms = expand(parse_expression(value, lineno, value_col))
-            if set(terms) - {()}:
-                raise ParseError("expected an exact rational constant", lineno, value_col)
-            data.integrals.append((node, terms.get((), Fraction(0)), lineno))
+            error = ParseError("expected an exact rational constant", lineno, value_col)
+            constant = expand(parse_expression(value, lineno, value_col), (), lambda name: error)
+            data.integrals.append((node, constant.get((), Fraction(0)), lineno))
         elif section == "top_degree":
             message = f"top_degree must be a nonnegative integer, got {body!r}"
             data.top_degree = _integer(body, lineno, column, message)

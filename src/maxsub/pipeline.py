@@ -281,9 +281,17 @@ def count_maximal_subbundles(preset: Preset) -> CountResult:
 # -- consistency checks -------------------------------------------------------
 
 
-def consistency_report(preset: Preset) -> list[tuple[str, bool, str]]:
-    """Structural checks a preset must satisfy; used by the CLI and tests."""
-    checks: list[tuple[str, bool, str]] = []
+class _Counts(dict):
+    """Counts by rank, as text only when printed: the CLI's digit guard covers them."""
+
+    def __str__(self):
+        return ", ".join(f"n={k}: {v}" for k, v in self.items())
+
+
+def consistency_report(preset: Preset) -> list[tuple[str, bool, object]]:
+    """Structural checks a preset must satisfy, each with a detail whose
+    ``str`` is its text; used by the CLI and tests."""
+    checks: list[tuple[str, bool, object]] = []
     result = count_maximal_subbundles(preset)
     sections, evaluation = result.sections, result.evaluation
 
@@ -301,8 +309,7 @@ def consistency_report(preset: Preset) -> list[tuple[str, bool, str]]:
     admissible = [k for k in range(2, 200) if preset.is_admissible(k)][:10]
     values = [result.specialize(k) for k in admissible]
     ok = all(v.denominator == 1 and v > 0 for v in values)
-    detail = ", ".join(f"n={k}: {v}" for k, v in zip(admissible[:4], values[:4]))
-    checks.append(("integral positive counts", ok, detail))
+    checks.append(("integral positive counts", ok, _Counts(zip(admissible[:4], values[:4]))))
 
     expected = _closed_form(preset)
     if expected is not None:

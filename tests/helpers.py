@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from maxsub import load_preset
 from maxsub.errors import PresetError, UnknownGeneratorError
-from maxsub.gradedring import GradedElement, RingPresentation, _resolve_terms
+from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.parsing import expand, parse_expression
 from maxsub.scalars import ParamScalar
 
@@ -361,7 +361,11 @@ def expanded_parse(ring, text):
     def unknown(name):
         return UnknownGeneratorError(f"unknown name {name!r}: not a generator or parameter of this presentation")
 
-    terms = _resolve_terms(expand(parse_expression(text)), ring.generator_names, ring.params, unknown)
+    n = ring.ngens
+    terms = {}
+    for key, coeff in expand(parse_expression(text), ring.generator_names + ring.params, unknown).items():
+        scalar = ParamScalar(ring.params, {key[n:]: coeff})
+        terms[key[:n]] = terms[key[:n]] + scalar if key[:n] in terms else scalar
     return GradedElement(ring, ring._normalize(terms))
 
 

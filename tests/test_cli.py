@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -307,3 +308,115 @@ def test_negative_integer_option(capsys):
     out = capsys.readouterr()
     assert out.out == "5\n"
     assert out.err == ""
+
+
+#: case -> (ring file text, exit code, the one error line's message)
+LOAD_ERRORS = {
+    "zero-not-a-monomial": (
+        "generators: x=2, y=2\nzeros: x + y\ntop_degree: 4\n", 1, "zero-monomial on line 2 must be a single monomial"
+    ),
+    "zero-coefficient": ("generators: x=2, y=2\nzeros: 2*x\ntop_degree: 4\n", 1, "zero-monomial on line 2 must have coefficient 1"),
+    "duplicate-integral": (
+        "generators: x=2, y=2\ntop_degree: 4\nintegrals: x*y = 1\nintegrals: x*y = 2\n",
+        1,
+        "duplicate integral for monomial on line 4",
+    ),
+    "duplicate-generator": ("generators: x=2, x=2\ntop_degree: 4\n", 1, "duplicate generator names"),
+    "duplicate-parameter": ("params: n, n\ngenerators: x=2\ntop_degree: 4\n", 1, "duplicate parameter names"),
+    "generator-and-parameter": (
+        "params: x\ngenerators: x=2\ntop_degree: 4\n", 1, "a name cannot be both a generator and a parameter"
+    ),
+    "odd-top-degree": ("generators: x=2\ntop_degree: 3\n", 1, "top_degree must be even and nonnegative, got 3"),
+    "empty-zero": ("generators: x=2\nzeros: 1\ntop_degree: 4\n", 1, "the empty monomial cannot be declared zero"),
+    "empty-rule": ("generators: x=2\nrules: 1 -> 1\ntop_degree: 4\n", 1, "the empty monomial cannot be a rule left-hand side"),
+    "divide-by-name": (
+        "generators: x=2, y=2\nzeros: 1/y\ntop_degree: 4\n",
+        2,
+        "line 2, column 10: '/' must be followed by an integer literal (expected an integer)",
+    ),
+    "divide-by-zero": ("generators: x=2\nzeros: 1/0\ntop_degree: 4\n", 2, "line 2, column 10: zero denominator"),
+    "no-colon": ("generators: x=2\ntop_degree 4\n", 2, "line 2, column 1: expected 'section: content'"),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_ERRORS)
+def test_ring_file_error_is_one_line(capsys, tmp_path, case):
+    text, code, message = LOAD_ERRORS[case]
+    ring = tmp_path / "bad.ring"
+    ring.write_text(text)
+    assert run(["reduce", "--ring", str(ring), "x"]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+RING_HEAD_XY = "params: n\ngenerators: x=2, y=2\ntop_degree: 4\n"
+
+#: line -> (an unknown name in a term that vanishes, the same name in a live term, exit code, message)
+VANISHING_UNKNOWN_NAMES = {
+    "rule": ("rules: x^2 -> y^2 + 0*foo", "rules: x^2 -> foo*y^2", 1, "rule on line 4 uses unknown name 'foo'"),
+    "zero": ("zeros: 0*bar + x^3", "zeros: bar*x^3", 1, "zero-monomial on line 4 uses unknown generator 'bar'"),
+    "integral-monomial": (
+        "integrals: x*y + 0*zzz = 1", "integrals: x*zzz = 1", 1, "integral monomial on line 4 uses unknown generator 'zzz'"
+    ),
+    "integral-value": (
+        "integrals: x*y = 1 + 0*zzz", "integrals: x*y = zzz", 2, "line 4, column 18: expected an exact rational constant"
+    ),
+}
+
+
+@pytest.mark.parametrize("line", VANISHING_UNKNOWN_NAMES)
+def test_unknown_name_in_a_vanishing_file_term_exits(capsys, tmp_path, line):
+    # a file expression checks every name first, as a ring expression does
+    vanishing, live, code, message = VANISHING_UNKNOWN_NAMES[line]
+    for text in (vanishing, live):
+        ring = tmp_path / "bad.ring"
+        ring.write_text(RING_HEAD_XY + text + "\n")
+        assert run(["reduce", "--ring", str(ring), "x"]) == code, text
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n", text
+
+
+@pytest.mark.parametrize(
+    "tail", ["0*(theta+f)^1000", "(theta+f)^1000 - (theta+f)^1000", "(theta+f)^1000*0"], ids=["zero-first", "cancel", "zero-last"]
+)
+def test_hostile_rule_loads_fast(capsys, tmp_path, tail):
+    text = Path(G2_RING).read_text().replace("xi1^2 -> -2*theta*f", f"xi1^2 -> -2*theta*f + {tail}")
+    ring = tmp_path / "hostile.ring"
+    ring.write_text(text)
+    start = time.perf_counter()
+    assert run(["reduce", "--ring", str(ring), "alpha"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == "alpha\n"
+
+
+def test_check_positivity_detail_with_too_many_digits_exits_1(capsys):
+    # the real report: at genus 920 its positivity line holds 5^920, 644 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run(["check", "--preset", "jacobian", "--genus", "920"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the exact result has more than 640 digits, too many to print\n"
+
+
+def test_failed_check_exits_1(capsys, monkeypatch):
+    from maxsub import pipeline
+
+    report = pipeline.consistency_report
+
+    def one_failure(preset):
+        (name, _, detail), *rest = report(preset)
+        return [(name, False, detail), *rest]
+
+    monkeypatch.setattr(pipeline, "consistency_report", one_failure)
+    assert run(["check", "--preset", "g2-rank2"]) == 1
+    out = capsys.readouterr()
+    lines = (GOLDEN / "check-g2-rank2.txt").read_text().splitlines()
+    assert out.out.splitlines() == ["FAIL" + lines[0].removeprefix("ok"), *lines[1:]]
+    assert out.err == "error: 1 check(s) failed for preset g2-rank2\n"

@@ -6,6 +6,7 @@ from maxsub.parsing import (
     MAX_NESTING,
     ParseError,
     expand,
+    names,
     parse_expression,
     parse_presentation_text,
     tokenize,
@@ -13,7 +14,14 @@ from maxsub.parsing import (
 
 
 def terms(text):
-    return expand(parse_expression(text))
+    """The expansion over the expression's own names, keyed by sorted
+    (name, exponent) pairs."""
+    node = parse_expression(text)
+    variables = tuple(dict.fromkeys(names(node)))
+    return {
+        tuple(sorted((v, e) for v, e in zip(variables, expo) if e)): coeff
+        for expo, coeff in expand(node, variables, None).items()
+    }
 
 
 def test_tokenizer_positions():

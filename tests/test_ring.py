@@ -351,3 +351,30 @@ def test_sum_of_products_rejects_another_ring(R):
     other = jacobian_preset(3).ring
     with pytest.raises(ValueError):
         R.sum_of_products([(1, R.generator("alpha"), other.generator("theta"))])
+
+
+def test_sum_of_products_with_a_parametric_rule():
+    # a parameter in a rule's right-hand side makes the normal form of xi2^2 a
+    # third non-constant factor of the products of two n-dependent coefficients
+    text = files("maxsub").joinpath("presets", "g2-rank2.ring").read_text()
+    ring = load_presentation(text.replace("xi2^2 -> alpha^3*f", "xi2^2 -> (n+1)*alpha^3*f"))
+    assert ring.parse("xi2^2") == ring.parse("(n+1)*alpha^3*f")
+    elements = [
+        ring.parse(t)
+        for t in (
+            "(n + 1/2)*xi2 + 2/3*alpha",
+            "(1/3*n^2 - 1/5)*xi2 - n*alpha*f",
+            "(2/7 - n)*xi2 + (n^2 + 1/4)*theta + 3",
+            "n*xi2 + 1/6*xi1",
+        )
+    ]
+    weights = [1, Fraction(-3, 4), Fraction(5, 2), -2]
+    pairs = [(weights[(i + j) % 4], x, y) for i, x in enumerate(elements) for j, y in enumerate(elements)]
+    pairs += [(Fraction(1, 3), x, ring.parameter("n") - Fraction(1, 9)) for x in elements]
+    expected = ring.zero()
+    for w, x, y in pairs:
+        expected = expected + x * y * w
+    got = ring.sum_of_products(pairs)
+    assert any(ring.degree(m) == 8 and not c.is_constant for m, c in got.items())  # alpha^3*f survives
+    assert got == expected and hash(got) == hash(expected)
+    _assert_lowest_terms(got)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maxsub.chern import ChernCharacter
-from maxsub.scalars import ParamScalar
+from maxsub.scalars import ParamScalar, sum_of_products
 
 from helpers import ReferenceScalar, g2_ring
 
@@ -179,3 +180,23 @@ def test_arithmetic_matches_reference(params, data):
     assert (a - a).is_zero and a / q * q == a
     if a.is_constant:
         assert a == a.constant_value() and hash(a) == hash(ra) == hash(a.constant_value())
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_sum_of_products_matches_the_fold(size):
+    params = ("n", "m")
+    n, m = (ParamScalar.variable(p, params) for p in params)
+    pool = [n + Fraction(1, 2), m - n * Fraction(2, 3), ParamScalar.constant(Fraction(-3, 4), params), n * m - Fraction(1, 5)]
+    weights = [1, Fraction(-2, 3), Fraction(7, 5)]
+    products = [(weights[i % 3], *factors) for i, factors in enumerate(product(pool, repeat=size))]
+    expected = ParamScalar(params)
+    for weight, *factors in products:
+        term = ParamScalar.constant(weight, params)
+        for f in factors:
+            term = term * f
+        expected = expected + term
+        assert sum_of_products(params, [(weight, *factors)]) == term
+    got = sum_of_products(params, products)
+    assert got == expected and hash(got) == hash(expected)
+    assert got._den > 0 and gcd(got._den, *got._num.values()) == 1
+    assert sum_of_products(params, products + [(-w, *factors) for w, *factors in products]) == ParamScalar(params)
