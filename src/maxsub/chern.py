@@ -15,8 +15,10 @@ in increasing order, and every recursion and product runs over those keys
 alone: a line bundle's class ``1 + c_1`` costs one component at any genus.
 Each step of either recursion and each component of a graded product is a
 sum of ring products, computed by one call of
-:meth:`~maxsub.gradedring.RingPresentation.sum_of_products`, which reduces
-each output coefficient once, not by one product and one sum per term.
+:meth:`~maxsub.gradedring.RingPresentation.sum_of_products`, which
+multiplies the coefficients' integer numerators as it reads each monomial
+pair and reduces each output coefficient once, not by one product and one
+sum per term.
 The public constructors check that each component is homogeneous of
 degree ``2k`` in the right ring.  Results computed here are homogeneous by
 construction and go through the trusted :func:`_character` and

@@ -20,18 +20,22 @@ Normal forms of monomials are cached on first use, a truncating one as
 empty.  :meth:`RingPresentation.sum_of_products` is the one-pass normal form
 of a sum of products, which the Chern layer uses for each recursion step and
 graded-product component: each pair of monomials looks up its normal form
-once, and each output coefficient is summed over one denominator and
-reduced once.  Expressions go through the one tree walk of ``parsing``:
-reduced after every product (:meth:`RingPresentation.evaluate`), or, for a
-file's rules, zeros and integrals and ``coefficient``, as free polynomials
-in their names.  All values are immutable; operations are pure functions.
+once, the integer numerators of the coefficients are multiplied right there,
+and the sums meet over one lcm per call, each output coefficient reduced
+once.  Expressions go through the one tree walk of ``parsing``: reduced
+after every product (:meth:`RingPresentation.evaluate`), or, for a file's
+rules, zeros and integrals and ``coefficient``, as free polynomials in their
+names.  ``parsing`` is imported only where text is read, so a ring built as
+data never loads it.  All values are immutable; operations are pure
+functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add, mul, sub
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     FiberClassError,
@@ -39,8 +43,10 @@ from .errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from .parsing import Num, PresentationFileData, expand, names, parse_expression, parse_presentation_text, walk
-from .scalars import ParamScalar, Rational, as_fraction, as_scalar, monomial_text, power, signed_sum, sum_of_products
+from .scalars import ParamScalar, Rational, _make, _scaled, _times, as_fraction, as_scalar, monomial_text, power, signed_sum
+
+if TYPE_CHECKING:
+    from .parsing import PresentationFileData
 
 Monomial = Tuple[int, ...]
 
@@ -247,31 +253,78 @@ class RingPresentation:
 
         The one-pass form of a fold of ``*`` and ``+``.  Each pair of
         monomials looks up its normal form once (a truncating monomial is
-        cached as empty, so :meth:`_truncates` runs once per monomial), a
-        scalar ``y`` other than 1 is one more factor of each coefficient of
-        ``x``, which is in normal form already, and the coefficient products
-        are grouped by output monomial and summed by
-        :func:`~maxsub.scalars.sum_of_products`, one reduction per monomial.
+        cached as empty, so :meth:`_truncates` runs once per monomial) and,
+        only if that is not empty, multiplies the integer numerators of
+        ``w*c1*c2`` there, times those of each normal-form coefficient ``c3``
+        other than 1.  A rational ``y`` folds into the weight; any other
+        scalar ``y`` is one more factor of each coefficient of ``x``, which
+        is in normal form already.  The numerators are summed by denominator,
+        output monomial and parameter exponents, lifted over one lcm, and
+        each output coefficient is reduced once.
         """
         cache, nf, one = self._nf_cache, self._monomial_nf, self._one_scalar
-        grouped: dict[Monomial, list] = {}
+        params = self.params
+        zero = (0,) * len(params)
+        by_den: dict[int, dict[Monomial, dict]] = {}
+
+        def add_into(den, mono, num):
+            acc = by_den.get(den)
+            if acc is None:
+                acc = by_den[den] = {}
+            target = acc.get(mono)
+            if target is None:
+                acc[mono] = dict(num)
+            else:
+                for e, c in num.items():
+                    target[e] = target.get(e, 0) + c
+
         for w, x, y in pairs:
+            wn, wd = w.numerator, w.denominator
             if isinstance(y, GradedElement):
                 self._check_ring(x, y)
                 for m1, c1 in x._terms.items():
+                    n1, d1 = _scaled(c1._num, wn), wd * c1._den
                     for m2, c2 in y._terms.items():
                         mono = tuple(map(add, m1, m2))
                         out = cache.get(mono)
-                        for nmono, c3 in (nf(mono) if out is None else out).items():
-                            grouped.setdefault(nmono, []).append((w, c1, c2) if c3 is one else (w, c1, c2, c3))
+                        if out is None:
+                            out = nf(mono)
+                        if not out:
+                            continue
+                        n12, d12 = _times(n1, c2._num, zero), d1 * c2._den
+                        for nmono, c3 in out.items():
+                            if c3 is one:
+                                add_into(d12, nmono, n12)
+                            else:
+                                add_into(d12 * c3._den, nmono, _times(n12, c3._num, zero))
             else:
                 self._check_ring(x)
-                y = as_scalar(y, self.params)
-                factor = () if y == 1 else (y,)
+                if isinstance(y, (int, Fraction)):
+                    wn, wd, y = wn * y.numerator, wd * y.denominator, None
+                else:
+                    y = as_scalar(y, params)
                 for mono, c1 in x._terms.items():
-                    grouped.setdefault(mono, []).append((w, c1, *factor))
-        params = self.params
-        return GradedElement(self, {m: sum_of_products(params, products) for m, products in grouped.items()})
+                    num, den = _scaled(c1._num, wn), wd * c1._den
+                    if y is not None:
+                        num, den = _times(num, y._num, zero), den * y._den
+                    add_into(den, mono, num)
+        den = lcm(*by_den)
+        totals: dict[Monomial, dict] = {}
+        for d, acc in by_den.items():
+            lift = den // d
+            for mono, num in acc.items():
+                target = totals.get(mono)
+                if target is None:
+                    totals[mono] = {e: c * lift for e, c in num.items()} if lift != 1 else num
+                else:
+                    for e, c in num.items():
+                        target[e] = target.get(e, 0) + c * lift
+        terms = {}
+        for mono, num in totals.items():
+            num = {e: c for e, c in num.items() if c}
+            if num:
+                terms[mono] = _make(params, num, den)
+        return _element(self, terms)
 
     def _check_ring(self, *elements: "GradedElement"):
         if any(x.ring is not self for x in elements):
@@ -329,24 +382,38 @@ class RingPresentation:
         """Reduce an expression tree to normal form after every product: the
         same as expanding, then reducing, as truncation plus normal form is a
         ring homomorphism.  Names are checked first, zero products or not."""
+        from .parsing import names, walk  # text only: a count from data never loads the parser
+
         unknown = [name for name in names(node) if name not in self._index and name not in self.params]
         if unknown:
             raise UnknownGeneratorError(f"unknown name {unknown[0]!r}: not a generator or parameter of this presentation")
         return self.scalar(out) if isinstance(out := walk(node, self._leaf), ParamScalar) else out
 
     def _leaf(self, node) -> "GradedElement | ParamScalar":
-        # numbers and parameters stay ParamScalars: a coefficient needs no normal form
-        if isinstance(node, Num):
+        # a leaf is a number or a name, and only a name has ``name``: no import
+        # per leaf.  Numbers and parameters stay ParamScalars: a coefficient
+        # needs no normal form
+        name = getattr(node, "name", None)
+        if name is None:
             return ParamScalar.constant(node.value, self.params)
-        return self.generator(node.name) if node.name in self._index else self.parameter(node.name)
+        return self.generator(name) if name in self._index else self.parameter(name)
 
     def parse(self, text: str) -> "GradedElement":
         """Parse an expression and reduce it to normal form in this ring."""
+        from .parsing import parse_expression
+
         return self.evaluate(parse_expression(text))
 
     def __repr__(self):
         label = self.name or ",".join(self.generator_names) or "point"
         return f"RingPresentation({label}, top_degree={self.top_degree})"
+
+
+def _element(ring: RingPresentation, terms: dict) -> "GradedElement":
+    """Trusted constructor: ``terms`` holds no zero coefficient."""
+    out = object.__new__(GradedElement)
+    out.ring, out._terms = ring, terms
+    return out
 
 
 class GradedElement:
@@ -370,18 +437,14 @@ class GradedElement:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({self.ring.degree(m) for m in self._terms}))
 
-    def homogeneous_component(self, degree: int) -> "GradedElement":
-        return GradedElement(
-            self.ring,
-            {m: c for m, c in self._terms.items() if self.ring.degree(m) == degree},
-        )
-
     def constant_coefficient(self) -> ParamScalar:
         zero_mono = (0,) * self.ring.ngens
         return self._terms.get(zero_mono, ParamScalar(self.ring.params))
 
     def coefficient(self, monomial_text: str) -> ParamScalar:
         """Coefficient of a single basis monomial, given as text."""
+        from .parsing import parse_expression
+
         node = parse_expression(monomial_text)
         mono = _single_monomial(node, self.ring.generator_names, repr(monomial_text), ValueError, UnknownGeneratorError)
         return self._terms.get(mono, ParamScalar(self.ring.params))
@@ -540,6 +603,8 @@ def _single_monomial(node, generators, where: str, error=PresentationError, unkn
     """The monomial of a bare product of generators; ``where`` names it in
     errors.  A bad shape is reported before an unknown name, which is an
     error even in a term that vanishes."""
+    from .parsing import expand, names
+
     others = [n for n in dict.fromkeys(names(node)) if n not in generators]
     terms = expand(node, (*generators, *others), None)
     if len(terms) != 1:
@@ -554,6 +619,8 @@ def _single_monomial(node, generators, where: str, error=PresentationError, unkn
 
 def presentation_from_data(data: PresentationFileData, name: str = "") -> RingPresentation:
     """Assemble and validate a presentation from parsed file content."""
+    from .parsing import expand
+
     gen_names, params = tuple(n for n, _ in data.generators), tuple(data.params)
     _check_names(gen_names, params)  # before any expansion: each name is one variable
 
@@ -596,4 +663,6 @@ def load_presentation(text: str, name: str = "") -> RingPresentation:
     A rule set that no lex order of the generators orients, or that fails
     the critical-pair check, raises :class:`PresentationError`.
     """
+    from .parsing import parse_presentation_text
+
     return presentation_from_data(parse_presentation_text(text), name)

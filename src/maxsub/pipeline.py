@@ -31,7 +31,6 @@ from . import PRESET_NAMES, formulas
 from .chern import ChernCharacter, TotalChernClass
 from .errors import PresetError
 from .gradedring import GradedElement, RewriteRule, RingPresentation, presentation_from_data
-from .parsing import parse_presentation_text
 from .scalars import ParamScalar, monomial_text
 
 RANK_PARAMETER = "n"
@@ -363,6 +362,8 @@ def jacobian_preset(genus: int) -> Preset:
 
 def preset_from_text(text: str, name: str = "") -> Preset:
     """Build a preset from a presentation file carrying a preset header."""
+    from .parsing import parse_presentation_text
+
     data = parse_presentation_text(text)
     header = data.preset
     missing = [k for k in ("name", "genus", "subbundle_rank", "subbundle_degree", "chern_U", "chern_L") if k not in header]

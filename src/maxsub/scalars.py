@@ -7,8 +7,9 @@ and ``==`` and ``hash`` compare the stored form.  Division is only ever by
 an explicit nonzero rational, so values stay inside Q[parameters] and no
 floating point enters anywhere.  The public constructor validates its
 input; arithmetic results are built by ``_make``, which trusts its input
-and only divides out the common factor.  :func:`sum_of_products` builds a
-whole sum of products with one such gcd.
+and only divides out the common factor.  The ring's one-pass sum of
+products (``RingPresentation.sum_of_products``) multiplies the numerators
+itself and calls ``_make`` once per output coefficient.
 """
 
 from __future__ import annotations
@@ -118,22 +119,22 @@ class ParamScalar:
             raise ValueError(f"{self} is not a constant")
         return Fraction(next(iter(self._num.values())), self._den)
 
-    def total_degree(self) -> int:
-        if not self._num:
-            return 0
-        return max(sum(e) for e in self._num)
-
     def evaluate(self, assignment: Mapping[str, Rational]) -> Fraction:
-        """Specialize every parameter to an exact rational."""
+        """Specialize every parameter to an exact rational, in integers: with
+        each value p/q and D the top exponent of its parameter, the sum of
+        c * p^e * q^(D-e) over ``_den * q^D`` makes one ``Fraction``."""
         values = [as_fraction(assignment[p]) for p in self.params]
+        tops = [max(column) for column in zip(*self._num)]  # empty when there are no terms
         total = 0
         for expo, coeff in self._num.items():
-            term = coeff
-            for value, e in zip(values, expo):
-                if e:
-                    term *= value**e
-            total += term
-        return Fraction(total, self._den)
+            for v, e, d in zip(values, expo, tops):
+                if d:
+                    coeff *= v.numerator**e * v.denominator ** (d - e)
+            total += coeff
+        den = self._den
+        for v, d in zip(values, tops):
+            den *= v.denominator**d
+        return Fraction(total, den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -265,56 +266,6 @@ def signed_sum(pieces: Iterable[Tuple[bool, str]]) -> str:
     return "".join(out) or "0"
 
 
-def sum_of_products(params: Tuple[str, ...], products: Iterable[tuple]) -> ParamScalar:
-    """``sum w*f1*f2*...`` over ``(w, f1, f2, ...)`` in ``products``: a rational
-    weight ``w`` times nonzero scalars over ``params``.
-
-    The one-pass form of a fold of ``*`` and ``+``: constant factors fold
-    into an integer scale, each product's numerators are multiplied out and
-    summed with the others over the same denominator, the sums meet over the
-    lcm of those denominators, and the result is reduced once.
-    """
-    zero = (0,) * len(params)
-    by_den: dict[int, dict[Exponents, int]] = {}
-    for weight, *factors in products:
-        scale, den, polys = weight.numerator, weight.denominator, []
-        for f in factors:
-            den *= f._den
-            if len(f._num) == 1 and zero in f._num:
-                scale *= f._num[zero]
-            else:
-                polys.append(f._num)
-        acc = by_den.get(den)
-        if acc is None:
-            acc = by_den[den] = {}
-        terms = [(e, c * scale) for e, c in polys[0].items()] if polys else [(zero, scale)]
-        for poly in polys[1:-1]:  # three or more factors that are not constant
-            step: dict[Exponents, int] = {}
-            _multiply_into(step, terms, poly)
-            terms = step.items()
-        if len(polys) > 1:
-            _multiply_into(acc, terms, polys[-1])
-        else:
-            for e, c in terms:
-                acc[e] = acc.get(e, 0) + c
-    den = lcm(*by_den)
-    num: dict[Exponents, int] = {}
-    for d, acc in by_den.items():
-        lift = den // d
-        for e, c in acc.items():
-            num[e] = num.get(e, 0) + c * lift
-    return _make(params, {e: c for e, c in num.items() if c}, den)
-
-
-def _multiply_into(target: dict[Exponents, int], terms, poly: dict[Exponents, int]):
-    """Add the product of the ``(exponents, numerator)`` pairs ``terms`` and
-    the numerator map ``poly`` into ``target``, unreduced."""
-    for e1, c1 in terms:
-        for e2, c2 in poly.items():
-            e = tuple(map(add, e1, e2))
-            target[e] = target.get(e, 0) + c1 * c2
-
-
 def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> ParamScalar:
     """Trusted constructor for arithmetic results: ``num`` maps exponent vectors
     of the right width to nonzero ints, ``den > 0``; it only divides out the gcd."""
@@ -326,4 +277,26 @@ def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> Param
     out.params = params
     out._num = num
     out._den = den
+    return out
+
+
+# -- numerator maps: the integer layer of the ring's one-pass sum of products --
+
+
+def _scaled(num: dict, k: int) -> dict:
+    """A numerator map times the integer ``k``, unreduced."""
+    return num if k == 1 else {e: c * k for e, c in num.items()}
+
+
+def _times(p: dict, q: dict, zero: tuple) -> dict:
+    """The product of two numerator maps, unreduced; a constant one scales."""
+    if len(q) == 1 and zero in q:
+        return _scaled(p, q[zero])
+    if len(p) == 1 and zero in p:
+        return _scaled(q, p[zero])
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
     return out

@@ -28,6 +28,16 @@ def g2_ring():
     return g2_preset().ring
 
 
+def homogeneous_component(x: GradedElement, degree: int) -> GradedElement:
+    """The terms of ``x`` of the given degree."""
+    return GradedElement(x.ring, {m: c for m, c in x.items() if x.ring.degree(m) == degree})
+
+
+def total_degree(s: ParamScalar) -> int:
+    """The largest total degree of a term of ``s`` in its parameters; 0 for zero."""
+    return max((sum(e) for e, _ in s.items()), default=0)
+
+
 def jacobian_ring_text(genus: int) -> str:
     """Render the rank-1 preset at the given genus as a presentation file;
     the shipped ``jacobian-g{2..5}.ring`` files are its output.
@@ -136,7 +146,7 @@ def sparse_components_st(draw, ring, max_terms=4):
     x = draw(elements_st(ring, max_degree=ring.top_degree, max_terms=max_terms))
     count = ring.top_degree // 2
     keep = draw(st.lists(st.booleans(), min_size=count, max_size=count))
-    return tuple(x.homogeneous_component(2 * k) if kept else ring.zero() for k, kept in enumerate(keep, start=1))
+    return tuple(homogeneous_component(x, 2 * k) if kept else ring.zero() for k, kept in enumerate(keep, start=1))
 
 
 # -- dense references for the chern recursions --------------------------------------

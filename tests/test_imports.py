@@ -36,6 +36,7 @@ print(" ".join(sorted(loaded)))
 COMMANDS = {
     "count": ["count", "--preset", "g2-rank2"],
     "count-record": ["count", "--preset", "g2-rank2", "--format", "record"],
+    "count-jacobian": ["count", "--preset", "jacobian", "--genus", "5"],
     "check": ["check", "--preset", "g2-rank2"],
     "reduce": ["reduce", "--ring", G2_RING, "xi1^2 + 2*theta*f"],
     "integrate": ["integrate", "--ring", G2_RING, "alpha^3*theta^2"],
@@ -81,6 +82,14 @@ def test_ring_commands_load_no_chern_or_pipeline(footprints, command):
     _, loaded = footprints[command]
     assert not _package(loaded) & {"maxsub.chern", "maxsub.pipeline", "maxsub.formulas"}
     assert "maxsub.gradedring" in loaded
+
+
+def test_count_from_data_loads_no_parser(footprints):
+    # the jacobian preset is built as data: no text is read, so parsing.py is never compiled
+    _, loaded = footprints["count-jacobian"]
+    assert "maxsub.pipeline" in loaded
+    assert "maxsub.parsing" not in loaded
+    assert "maxsub.parsing" in footprints["count"][1]  # the g2-rank2 preset is a file
 
 
 def test_no_command_loads_dataclasses_or_inspect(footprints):

@@ -4,6 +4,8 @@ from importlib.resources import files
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from maxsub.errors import (
     FiberClassError,
@@ -14,7 +16,14 @@ from maxsub.errors import (
 from maxsub.gradedring import GradedElement, RingPresentation, load_presentation
 from maxsub.scalars import ParamScalar
 
-from helpers import g2_ring, jacobian_preset, jacobian_ring_text, reduce_in_random_order, theta_power_integral
+from helpers import (
+    g2_ring,
+    homogeneous_component,
+    jacobian_preset,
+    jacobian_ring_text,
+    reduce_in_random_order,
+    theta_power_integral,
+)
 
 POINT_RING = "generators:\ntop_degree: 0\nintegrals: 1 = 1\n"
 
@@ -289,9 +298,9 @@ def test_unknown_names(R):
 def test_homogeneous_components(R):
     x = R.parse("1 + alpha + f + 1/2*alpha^2 + xi2 + alpha*f")
     assert x.degrees() == (0, 2, 4)
-    assert x.homogeneous_component(2) == R.parse("alpha + f")
-    assert x.homogeneous_component(4) == R.parse("1/2*alpha^2 + xi2 + alpha*f")
-    assert x.homogeneous_component(6).is_zero
+    assert homogeneous_component(x, 2) == R.parse("alpha + f")
+    assert homogeneous_component(x, 4) == R.parse("1/2*alpha^2 + xi2 + alpha*f")
+    assert homogeneous_component(x, 6).is_zero
 
 
 def test_coefficient_accessor(R):
@@ -351,6 +360,59 @@ def test_sum_of_products_rejects_another_ring(R):
     other = jacobian_preset(3).ring
     with pytest.raises(ValueError):
         R.sum_of_products([(1, R.generator("alpha"), other.generator("theta"))])
+
+
+def _two_parameter_ring():
+    # g2-rank2 over n and m, with xi2^2 -> (m - 1/2*n)*alpha^3*f: the normal
+    # form of a product of two xi2 terms is a third factor with a denominator
+    text = files("maxsub").joinpath("presets", "g2-rank2.ring").read_text()
+    text = text.replace("params: n", "params: n, m").replace("xi2^2 -> alpha^3*f", "xi2^2 -> (m - 1/2*n)*alpha^3*f")
+    return load_presentation(text)
+
+
+TWO = _two_parameter_ring()
+TWO_ELEMENTS = [
+    TWO.parse(t)
+    for t in (
+        "(n + 1/2)*xi2 + (2/3*m - n)*alpha",
+        "(1/3*n*m - 1/5)*xi2 - m*alpha*f",
+        "(2/7 - n)*xi2 + (n^2 + 1/4*m)*theta + 3",
+        "m*xi2 + 1/6*xi1 + Lambda",
+        "theta^2 - 5/4*alpha^2*theta",
+    )
+]
+# a scalar second factor: an int, a Fraction, and scalars that are not constant
+TWO_SCALARS = [3, Fraction(-3, 4), TWO.parse("n*m - 1/5").constant_coefficient(), TWO.parameter("m")]
+TWO_WEIGHTS = [1, Fraction(-2, 3), Fraction(7, 5), Fraction(5, 4), -2]
+EVERY_PAIR = [
+    (TWO_WEIGHTS[i % len(TWO_WEIGHTS)], x, y)
+    for i, (x, y) in enumerate((x, y) for x in TWO_ELEMENTS for y in TWO_ELEMENTS + TWO_SCALARS)
+]
+
+
+@example(pairs=EVERY_PAIR)
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from(TWO_WEIGHTS), st.sampled_from(TWO_ELEMENTS), st.sampled_from(TWO_ELEMENTS + TWO_SCALARS)),
+        max_size=6,
+    )
+)
+def test_sum_of_products_matches_the_fold_over_two_parameters(pairs):
+    assert TWO.parse("xi2^2") == TWO.parse("(m - 1/2*n)*alpha^3*f")
+    expected = TWO.zero()
+    for w, x, y in pairs:
+        term = x * y * w
+        single = TWO.sum_of_products([(w, x, y)])
+        assert single == term and hash(single) == hash(term)
+        _assert_lowest_terms(single)
+        expected = expected + term
+    got = TWO.sum_of_products(pairs)
+    assert got == expected and hash(got) == hash(expected)
+    _assert_lowest_terms(got)
+    # a full cancellation is the zero element, with no stored coefficient
+    cancelled = TWO.sum_of_products(pairs + [(-w, x, y) for w, x, y in pairs])
+    assert cancelled == TWO.zero()
+    assert not cancelled.items()
 
 
 def test_sum_of_products_with_a_parametric_rule():
