@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maxsub.chern import ChernCharacter
+from maxsub.gradedring import load_presentation
 from maxsub.scalars import ParamScalar
 
 from helpers import ReferenceScalar, g2_ring, total_degree
@@ -179,6 +181,38 @@ def test_arithmetic_matches_reference(params, data):
     assert (a - a).is_zero and a / q * q == a
     if a.is_constant:
         assert a == a.constant_value() and hash(a) == hash(ra) == hash(a.constant_value())
+
+
+# a point ring over n and m: its elements are scalars, so the ring's sum of
+# products is the scalar kernel that multiplies coefficient numerators
+SCALAR_RING = load_presentation("params: n, m\ngenerators:\ntop_degree: 0\nintegrals: 1 = 1\n")
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_sum_of_products_matches_the_fold(size):
+    params = SCALAR_RING.params
+    n, m = (ParamScalar.variable(p, params) for p in params)
+    pool = [n + Fraction(1, 2), m - n * Fraction(2, 3), ParamScalar.constant(Fraction(-3, 4), params), n * m - Fraction(1, 5)]
+    weights = [1, Fraction(-2, 3), Fraction(7, 5)]
+    products = []
+    expected = ParamScalar(params)
+    for i, factors in enumerate(product(pool, repeat=size)):
+        weight = weights[i % 3]
+        term = ParamScalar.constant(weight, params)
+        for f in factors:
+            term = term * f
+        expected = expected + term
+        # the last factor is an element on even i and a bare scalar on odd i
+        head = ParamScalar.constant(1, params)
+        for f in factors[:-1]:
+            head = head * f
+        last = SCALAR_RING.scalar(factors[-1]) if i % 2 == 0 else factors[-1]
+        products.append((weight, SCALAR_RING.scalar(head), last))
+        single = SCALAR_RING.sum_of_products([products[-1]]).constant_coefficient()
+        assert single == term and hash(single) == hash(term)
+    got = SCALAR_RING.sum_of_products(products).constant_coefficient()
+    assert got == expected and hash(got) == hash(expected)
+    assert got._den > 0 and gcd(got._den, *got._num.values()) == 1
 
 
 ASSIGNMENTS = (
