@@ -1,24 +1,28 @@
 """Chern character and total Chern class calculus over a presented ring.
 
 The two presentations of a bundle's characteristic data are converted in
-both directions through the Newton power-sum recursion with exact division
-by factorials, so they are mutually inverse at any fixed rank, including
+both directions through the Newton power-sum recursion, exact in the
+rationals, so they are mutually inverse at any fixed rank, including
 virtual (negative or symbolic) ranks.  Both recursions and the graded
 product run up to half the ring's ``max_degree``, the largest degree a
 nonzero element can have (on curve x base, the base's top degree plus the
 fiber's 2); everything above vanishes.  When every term of their inputs has
 fiber weight 0 they stop at half the base's ``top_degree`` instead: a
 product of weight-0 terms has weight 0, so every component above truncates.
+A recursion also stops once as many steps in a row have vanished as its
+input's largest key: every later step reads only those.
 
 Both kinds of object store only their nonzero components, keyed by ``k``
 in increasing order, and every recursion and product runs over those keys
 alone: a line bundle's class ``1 + c_1`` costs one component at any genus.
-Each step of either recursion and each component of a graded product is a
-sum of ring products, computed by one call of
+Each step of either recursion, each component of a graded product and each
+component of a sum, difference or scaling of characters is one call of
 :meth:`~maxsub.gradedring.RingPresentation.sum_of_products`, which
 multiplies the coefficients' integer numerators as it reads each monomial
-pair and reduces each output coefficient once, not by one product and one
-sum per term.
+pair and reduces each output coefficient once.  Every linear factor rides on
+that call's weights: the factorials and signs of the Newton recursions (no
+power sum p_k = k! ch_k is formed, and nothing is divided by k! after), and
+the signs of a product of duals.
 The public constructors check that each component is homogeneous of
 degree ``2k`` in the right ring.  Results computed here are homogeneous by
 construction and go through the trusted :func:`_character` and
@@ -27,9 +31,7 @@ construction and go through the trusted :func:`_character` and
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import prod
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .gradedring import GradedElement, RingPresentation
 from .scalars import ParamScalar, Rational, as_scalar
@@ -71,30 +73,56 @@ def _class(ring: RingPresentation, parts: Components) -> "TotalChernClass":
     return c
 
 
-def _newton_sum(
-    ring: RingPresentation, given: Components, known: Components, k: int, last, scale: Rational = 1
-) -> GradedElement | None:
-    """``scale`` times the sum of (-1)^(i-1) g_i x_(k-i) over the nonzero g_i
-    of ``given`` with i <= k, where x_j is ``known[j]`` for j >= 1 and the
-    scalar ``last`` for j = 0; None when no term is present.  One step of
-    either Newton recursion, and one call of the ring's sum of products."""
-    pairs = []
-    for i, g in given.items():
-        if i > k:
+class _Ratio(NamedTuple):
+    """A weight of the ring's sum of products, left unreduced: the kernel
+    reads only its integer ``numerator`` and ``denominator``, and reduces
+    each output coefficient once."""
+
+    numerator: int
+    denominator: int
+
+
+def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Components:
+    """Components x_1, x_2, ... of a Newton recursion over the nonzero
+    components g_i of ``given``, with x_0 = 1; each step is one call of the
+    ring's sum of products, whose weights carry every factorial and sign.
+
+    To a class (``given`` a character, x = c): k c_k is the sum of
+    (-1)^(i-1) p_i c_(k-i) over i <= k, with p_i = i! ch_i; the weight of
+    ch_i c_(k-i) is (-1)^(i-1) i!/k.  To a character (``given`` a class,
+    x = ch): p_k = c_1 p_(k-1) - c_2 p_(k-2) + ... +- k c_k with
+    ch_k = p_k / k!; the weight of c_i ch_(k-i) is (-1)^(i-1) (k-i)!/k!,
+    and that of c_k is (-1)^(k-1) k/k!.
+
+    Past M, the largest key of ``given``, step k reads only x_(k-M) ..
+    x_(k-1), so once M steps in a row have vanished every later one does
+    too: the recursion stops there, or at :func:`_bound`.
+    """
+    out: Components = {}
+    last, empty = max(given, default=0), 0
+    factorial = [1]
+    for k in range(1, _bound(ring, given) + 1):
+        if k > last and empty >= last:
             break
-        x = last if i == k else known.get(k - i)
-        if x is not None:
-            pairs.append((scale if i % 2 else -scale, g, x))
-    return ring.sum_of_products(pairs) if pairs else None
-
-
-def _factorials(keys):
-    """``(k, k!)`` for increasing ``keys``, from one running product."""
-    factorial, last = 1, 0
-    for k in keys:
-        factorial *= prod(range(last + 1, k + 1))
-        last = k
-        yield k, factorial
+        factorial.append(factorial[-1] * k)
+        pairs = []
+        for i, g in given.items():
+            if i > k:
+                break
+            x = 1 if i == k else out.get(k - i)
+            if x is not None:
+                sign = 1 if i % 2 else -1
+                if to_character:
+                    weight = _Ratio(sign * (k if i == k else factorial[k - i]), factorial[k])
+                else:
+                    weight = _Ratio(sign * factorial[i], k)
+                pairs.append((weight, g, x))
+        acc = ring.sum_of_products(pairs)
+        if acc.is_zero:
+            empty += 1
+        else:
+            out[k], empty = acc, 0
+    return out
 
 
 def _bound(ring: RingPresentation, *inputs: Components) -> int:
@@ -107,22 +135,35 @@ def _bound(ring: RingPresentation, *inputs: Components) -> int:
     return ring.top_degree // 2
 
 
-def _graded_product(ring: RingPresentation, a0, a: Components, b0, b: Components) -> Components:
+def _graded_product(ring: RingPresentation, a0, a: Components, b0, b: Components, dual: bool = False) -> Components:
     """Components k >= 1 of (a0 + a_1 + a_2 + ...) * (b0 + b_1 + b_2 + ...) for
     scalars a0, b0 and a_k, b_k of degree 2k, truncated at :func:`_bound`;
     only the keys present in ``a`` and ``b`` are visited, and each component
-    is one call of the ring's sum of products."""
+    is one call of the ring's sum of products.  With ``dual`` component k
+    carries the weight (-1)^k, which makes it the product of the duals."""
     count = _bound(ring, a, b)
+    signs = (1, -1) if dual else (1, 1)
     pairs: dict = {}
     for i, x in a.items():
-        pairs.setdefault(i, []).append((1, x, b0))
+        pairs.setdefault(i, []).append((signs[i & 1], x, b0))
         for j, y in b.items():
             if i + j > count:
                 break
-            pairs.setdefault(i + j, []).append((1, x, y))
+            pairs.setdefault(i + j, []).append((signs[(i + j) & 1], x, y))
     for j, y in b.items():
-        pairs.setdefault(j, []).append((1, y, a0))
+        pairs.setdefault(j, []).append((signs[j & 1], y, a0))
     return {k: ring.sum_of_products(terms) for k, terms in pairs.items()}
+
+
+def _combination(ring: RingPresentation, terms) -> Components:
+    """Components of the sum of w * ch * y over ``(w, ch, y)`` in ``terms``,
+    for rational weights w, characters ch and scalars y: one call of the
+    ring's sum of products per component."""
+    pairs: dict = {}
+    for w, ch, y in terms:
+        for k, p in ch._parts.items():
+            pairs.setdefault(k, []).append((w, p, y))
+    return {k: ring.sum_of_products(t) for k, t in pairs.items()}
 
 
 class _SparseGraded:
@@ -176,50 +217,58 @@ class ChernCharacter(_SparseGraded):
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
         self._check(other)
-        parts = dict(self._parts)
-        for k, p in other._parts.items():
-            parts[k] = parts[k] + p if k in parts else p
-        return _character(self.ring, self.rank + other.rank, parts)
+        return _character(self.ring, self.rank + other.rank, _combination(self.ring, ((1, self, 1), (1, other, 1))))
 
     def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
-        return self + (-other)
+        self._check(other)
+        return _character(self.ring, self.rank - other.rank, _combination(self.ring, ((1, self, 1), (-1, other, 1))))
 
     def __neg__(self) -> "ChernCharacter":
-        return _character(self.ring, -self.rank, {k: -p for k, p in self._parts.items()})
+        return _character(self.ring, -self.rank, _combination(self.ring, ((-1, self, 1),)))
 
     def scale(self, value: Rational | ParamScalar) -> "ChernCharacter":
-        parts = {k: p * value for k, p in self._parts.items()}
+        parts = _combination(self.ring, ((1, self, value),))
         return _character(self.ring, as_scalar(self.rank * value, self.ring.params), parts)
+
+    def restrict_to_point(self) -> "ChernCharacter":
+        """Restrict to a point of the curve, component by component: the
+        ring map keeping the part of fiber weight 0."""
+        return _character(self.ring, self.rank, {k: p.restrict_to_point() for k, p in self._parts.items()})
+
+    def pushforward_fiber(self) -> "ChernCharacter":
+        """Integrate along the curve fiber: ch_k from the fiber integral of
+        ch_(k+1), and the rank from that of ch_1.  The Todd class of the
+        curve must already be a factor (Grothendieck-Riemann-Roch)."""
+        parts = self._parts
+        rank = self._get(1).pushforward_fiber().constant_coefficient()
+        return _character(self.ring, rank, {k - 1: p.pushforward_fiber() for k, p in parts.items() if k > 1})
 
     def dual(self) -> "ChernCharacter":
         """Character of the dual bundle: ch_k -> (-1)^k ch_k.  An involution."""
         parts = {k: p if k % 2 == 0 else -p for k, p in self._parts.items()}
         return _character(self.ring, self.rank, parts)
 
-    def tensor(self, *others: "ChernCharacter") -> "ChernCharacter":
-        """Graded product of total characters; the rank multiplies."""
+    def tensor(self, *others: "ChernCharacter", dual: bool = False) -> "ChernCharacter":
+        """Graded product of total characters; the rank multiplies.  With
+        ``dual`` the character of the dual of the product, which is the
+        product of the duals: the signs ride on the last product's weights."""
         result = self
-        for other in others:
+        for index, other in enumerate(others, start=1):
             result._check(other)
-            parts = _graded_product(result.ring, result.rank, result._parts, other.rank, other._parts)
+            signed = dual and index == len(others)
+            parts = _graded_product(result.ring, result.rank, result._parts, other.rank, other._parts, signed)
             result = _character(result.ring, result.rank * other.rank, parts)
         return result
 
     def total_class(self) -> "TotalChernClass":
         """Invert the Newton recursion: k c_k = sum_i (-1)^(i-1) c_(k-i) p_i
-        with the power sums p_i = i! ch_i, over the nonzero p_i only.
+        with the power sums p_i = i! ch_i, over the nonzero ch_i only; the
+        factor i!/k rides on each product's weight (:func:`_newton`).
 
         Multiplicative over sums of characters, which is exactly the
         consistency c(A) * c(B - A) = c(B) behind the degeneracy-locus count.
         """
-        ring = self.ring
-        p = {i: self._parts[i] * factorial for i, factorial in _factorials(self._parts)}
-        c: Components = {}
-        for k in range(1, _bound(ring, p) + 1):
-            acc = _newton_sum(ring, p, c, k, 1, Fraction(1, k))  # c_0 = 1
-            if acc is not None and not acc.is_zero:
-                c[k] = acc
-        return _class(ring, c)
+        return _class(self.ring, _newton(self.ring, self._parts, to_character=False))
 
     def __eq__(self, other):
         if isinstance(other, ChernCharacter):
@@ -267,16 +316,11 @@ class TotalChernClass(_SparseGraded):
 
     def character(self, rank) -> ChernCharacter:
         """Newton recursion: p_k = c_1 p_(k-1) - c_2 p_(k-2) + ... +- k c_k
-        over the nonzero c_i and p_(k-i) only, then ch_k = p_k / k! and ch_0
-        is the given rank."""
+        over the nonzero c_i and p_(k-i) only, with ch_k = p_k / k! and ch_0
+        the given rank; it runs on ch directly, the factorials riding on
+        each product's weight (:func:`_newton`)."""
         ring = self.ring
-        p: Components = {}
-        for k in range(1, _bound(ring, self._parts) + 1):
-            acc = _newton_sum(ring, self._parts, p, k, k)  # the last term is +- k c_k
-            if acc is not None and not acc.is_zero:
-                p[k] = acc
-        parts = {k: p[k] / factorial for k, factorial in _factorials(p)}
-        return _character(ring, as_scalar(rank, ring.params), parts)
+        return _character(ring, as_scalar(rank, ring.params), _newton(ring, self._parts, to_character=True))
 
     def __eq__(self, other):
         if isinstance(other, TotalChernClass):

@@ -20,12 +20,12 @@ Normal forms of monomials are cached on first use, a truncating one as
 empty.  :meth:`RingPresentation.sum_of_products` is the one-pass normal form
 of a sum of products, which the Chern layer uses for each recursion step and
 graded-product component: each pair of monomials looks up its normal form
-once, the integer numerators of the coefficients are multiplied right there,
-and the sums meet over one lcm per call, each output coefficient reduced
-once.  Expressions go through the one tree walk of ``parsing``: reduced
-after every product (:meth:`RingPresentation.evaluate`), or, for a file's
-rules, zeros and integrals and ``coefficient``, as free polynomials in their
-names.  ``parsing`` is imported only where text is read, so a ring built as
+once, the integer numerators of the coefficients are multiplied right there
+and summed over one running common denominator, and each output coefficient
+is reduced once.  Expressions go through the one tree walk of ``parsing``:
+reduced after every product (:meth:`RingPresentation.evaluate`), or, for a
+file's rules, zeros and integrals and ``coefficient``, as free polynomials
+in their names.  ``parsing`` is imported only where text is read, so a ring built as
 data never loads it.  All values are immutable; operations are pure
 functions.
 """
@@ -33,7 +33,7 @@ functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -43,7 +43,7 @@ from .errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from .scalars import ParamScalar, Rational, _make, _scaled, _times, as_fraction, as_scalar, monomial_text, power, signed_sum
+from .scalars import ParamScalar, Rational, _make, _times, as_fraction, as_scalar, monomial_text, power, signed_sum
 
 if TYPE_CHECKING:
     from .parsing import PresentationFileData
@@ -249,7 +249,9 @@ class RingPresentation:
 
     def sum_of_products(self, pairs) -> "GradedElement":
         """The normal form of ``sum w*x*y`` over ``(w, x, y)`` in ``pairs``: a
-        rational weight ``w``, an element ``x`` and an element or scalar ``y``.
+        rational weight ``w`` (an ``int``, a ``Fraction``, or any value with
+        integer ``numerator`` and ``denominator > 0``, reduced or not), an
+        element ``x`` and an element or scalar ``y``.
 
         The one-pass form of a fold of ``*`` and ``+``.  Each pair of
         monomials looks up its normal form once (a truncating monomial is
@@ -258,69 +260,75 @@ class RingPresentation:
         ``w*c1*c2`` there, times those of each normal-form coefficient ``c3``
         other than 1.  A rational ``y`` folds into the weight; any other
         scalar ``y`` is one more factor of each coefficient of ``x``, which
-        is in normal form already.  The numerators are summed by denominator,
-        output monomial and parameter exponents, lifted over one lcm, and
-        each output coefficient is reduced once.
+        is in normal form already.  The numerators are summed in one map,
+        by output monomial and parameter exponents, over one running common
+        denominator: a term whose denominator does not divide it lifts the
+        map once to the lcm.  Each output coefficient is reduced once.
         """
         cache, nf, one = self._nf_cache, self._monomial_nf, self._one_scalar
         params = self.params
         zero = (0,) * len(params)
-        by_den: dict[int, dict[Monomial, dict]] = {}
-
-        def add_into(den, mono, num):
-            acc = by_den.get(den)
-            if acc is None:
-                acc = by_den[den] = {}
-            target = acc.get(mono)
-            if target is None:
-                acc[mono] = dict(num)
-            else:
-                for e, c in num.items():
-                    target[e] = target.get(e, 0) + c
-
+        acc = {}  # output monomial -> {parameter exponents: numerator over den}
+        den = 1
         for w, x, y in pairs:
             wn, wd = w.numerator, w.denominator
             if isinstance(y, GradedElement):
-                self._check_ring(x, y)
-                for m1, c1 in x._terms.items():
-                    n1, d1 = _scaled(c1._num, wn), wd * c1._den
-                    for m2, c2 in y._terms.items():
+                if x.ring is not self or y.ring is not self:
+                    raise ValueError("elements belong to different presentations")
+                yterms = y._terms.items()
+            else:
+                if x.ring is not self:
+                    raise ValueError("elements belong to different presentations")
+                if isinstance(y, (int, Fraction)):
+                    wn, wd, yterms = wn * y.numerator, wd * y.denominator, ((None, one),)
+                else:
+                    yterms = ((None, as_scalar(y, params)),)
+            for m1, c1 in x._terms.items():
+                n1, d1 = c1._num, wd * c1._den
+                for m2, c2 in yterms:
+                    if m2 is None:  # a scalar factor: x is in normal form already
+                        out = ((m1, one),)
+                    else:
                         mono = tuple(map(add, m1, m2))
                         out = cache.get(mono)
                         if out is None:
                             out = nf(mono)
                         if not out:
                             continue
-                        n12, d12 = _times(n1, c2._num, zero), d1 * c2._den
-                        for nmono, c3 in out.items():
-                            if c3 is one:
-                                add_into(d12, nmono, n12)
+                        out = out.items()
+                    # a constant factor joins the integer multiplier, any other multiplies out
+                    n2, d12 = c2._num, d1 * c2._den
+                    k2 = n2.get(zero) if len(n2) == 1 else None
+                    if k2 is None:
+                        n12, k12 = _times(n1, n2, zero), wn
+                    else:
+                        n12, k12 = n1, wn * k2
+                    for nmono, c3 in out:
+                        if c3 is one:
+                            num, k, d = n12, k12, d12
+                        else:
+                            n3, d = c3._num, d12 * c3._den
+                            k3 = n3.get(zero) if len(n3) == 1 else None
+                            if k3 is None:
+                                num, k = _times(n12, n3, zero), k12
                             else:
-                                add_into(d12 * c3._den, nmono, _times(n12, c3._num, zero))
-            else:
-                self._check_ring(x)
-                if isinstance(y, (int, Fraction)):
-                    wn, wd, y = wn * y.numerator, wd * y.denominator, None
-                else:
-                    y = as_scalar(y, params)
-                for mono, c1 in x._terms.items():
-                    num, den = _scaled(c1._num, wn), wd * c1._den
-                    if y is not None:
-                        num, den = _times(num, y._num, zero), den * y._den
-                    add_into(den, mono, num)
-        den = lcm(*by_den)
-        totals: dict[Monomial, dict] = {}
-        for d, acc in by_den.items():
-            lift = den // d
-            for mono, num in acc.items():
-                target = totals.get(mono)
-                if target is None:
-                    totals[mono] = {e: c * lift for e, c in num.items()} if lift != 1 else num
-                else:
-                    for e, c in num.items():
-                        target[e] = target.get(e, 0) + c * lift
+                                num, k = n12, k12 * k3
+                        if d != den:
+                            if den % d:
+                                lift = d // gcd(den, d)
+                                for t in acc.values():
+                                    for e in t:
+                                        t[e] *= lift
+                                den *= lift
+                            k *= den // d
+                        t = acc.get(nmono)
+                        if t is None:
+                            acc[nmono] = {e: c * k for e, c in num.items()}
+                        else:
+                            for e, c in num.items():
+                                t[e] = t.get(e, 0) + c * k
         terms = {}
-        for mono, num in totals.items():
+        for mono, num in acc.items():
             num = {e: c for e, c in num.items() if c}
             if num:
                 terms[mono] = _make(params, num, den)

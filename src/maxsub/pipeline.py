@@ -14,9 +14,11 @@ the tensoring cover:
 * the "evaluation" sheaf: the values of those maps at the points of a
   fixed canonical divisor.
 
-The universal characters ch(U) and ch(L) are computed once per count and
-feed both sheaves, and the total Chern class of the difference is kept on
-the result, where the consistency report reuses it.  Both presets normalize
+One graded product X = ch(U*) ch(L*) is computed per count and feeds both
+sheaves: the sections are the fiber pushforward of X (n + (d + n(g-1)) f),
+and the evaluation is n(2g-2) X restricted to a point, since restriction is
+a ring map.  The total Chern class of the difference is kept on the result,
+where the consistency report reuses it.  Both presets normalize
 the subbundle degree to d' = 1 and keep the big bundle's rank n as a formal
 parameter, so counts come out as exact polynomials in n.
 """
@@ -125,48 +127,47 @@ class Preset:
         return f"m_{self.subbundle_rank}"
 
 
-def _universal_characters(preset: Preset) -> tuple[ChernCharacter, ChernCharacter]:
-    """The characters ch(U) and ch(L) of the two universal bundles."""
-    return preset.chern_u.character(preset.subbundle_rank), preset.chern_l.character(1)
+def _dual_product(preset: Preset) -> ChernCharacter:
+    """X = ch(U*) ch(L*), the one graded product both sheaves are derived
+    from: the universal characters, then one product whose weights carry
+    the duals' signs."""
+    ch_u = preset.chern_u.character(preset.subbundle_rank)
+    return ch_u.tensor(preset.chern_l.character(1), dual=True)
 
 
-def upstairs_character(preset: Preset, characters: tuple[ChernCharacter, ChernCharacter] | None = None) -> ChernCharacter:
+def upstairs_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
     """Character on the curve x parameter space, before fiber integration.
 
-    The product of the duals of the two universal characters (``characters``,
-    computed when not given) and one Riemann-Roch factor n + (d + n(g-1)) f:
-    the twisted big bundle (rank n, degree d + n(2g-2)) times the curve's
-    Todd class 1 - (g-1) f, multiplied out with f^2 = 0.
+    X = ch(U*) ch(L*) (``product``, computed when not given) times one
+    Riemann-Roch factor n + (d + n(g-1)) f: the twisted big bundle (rank n,
+    degree d + n(2g-2)) times the curve's Todd class 1 - (g-1) f, multiplied
+    out with f^2 = 0.
     """
-    ch_u, ch_l = characters or _universal_characters(preset)
+    x = _dual_product(preset) if product is None else product
     ring = preset.ring
     n = preset.rank_symbol
     fiber = ring.generator(ring.generator_names[ring.fiber_index])
-    riemann_roch = ChernCharacter(ring, n, [fiber * (preset.induced_degree + n * (preset.genus - 1))])
-    return ch_u.dual().tensor(ch_l.dual(), riemann_roch)
+    twist = ring.sum_of_products([(1, fiber, preset.induced_degree + n * (preset.genus - 1))])
+    return x.tensor(ChernCharacter(ring, n, [twist]))
 
 
-def sections_character(preset: Preset, characters: tuple[ChernCharacter, ChernCharacter] | None = None) -> ChernCharacter:
+def sections_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
     """Character of the sections sheaf: fiber pushforward of the upstairs
     character, ch_k from the upstairs ch_{k+1} for every k, the top one
     included (the derived pushforward vanishes for degree reasons, so the
     fiber integral is the whole answer)."""
-    up = upstairs_character(preset, characters)
-    rank = up.part(1).pushforward_fiber().constant_coefficient()
-    pushed = {k - 1: p.pushforward_fiber() for k, p in up.items() if k > 1}
-    return ChernCharacter(preset.ring, rank, pushed)
+    return upstairs_character(preset, product).pushforward_fiber()
 
 
-def evaluation_character(preset: Preset, characters: tuple[ChernCharacter, ChernCharacter] | None = None) -> ChernCharacter:
+def evaluation_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
     """Character of the evaluation sheaf at a canonical divisor: (2g-2)
-    points, n directions each, with the universal bundles (``characters``,
-    computed when not given) restricted to a point of the curve."""
-
-    def restricted(ch: ChernCharacter) -> ChernCharacter:
-        return ChernCharacter(preset.ring, ch.rank, {k: p.restrict_to_point() for k, p in ch.items()})
-
-    u, l = map(restricted, characters or _universal_characters(preset))
-    return u.dual().tensor(l.dual()).scale(preset.rank_symbol * preset.canonical_degree)
+    points, n directions each, so n(2g-2) X|pt with X = ch(U*) ch(L*)
+    (``product``, computed when not given) restricted to a point of the
+    curve.  Restriction is a ring map, so X|pt is the product of the
+    restricted duals: a product's weight-0 part comes only from the weight-0
+    parts of its factors, since rules keep the fiber weight."""
+    x = _dual_product(preset) if product is None else product
+    return x.restrict_to_point().scale(preset.rank_symbol * preset.canonical_degree)
 
 
 class CountResult:
@@ -261,9 +262,9 @@ class CountResult:
 def count_maximal_subbundles(preset: Preset) -> CountResult:
     """Integrate the top Chern class of (evaluation - sections) and divide
     by the covering degree."""
-    characters = _universal_characters(preset)
-    sections = sections_character(preset, characters)
-    evaluation = evaluation_character(preset, characters)
+    product = _dual_product(preset)
+    sections = sections_character(preset, product)
+    evaluation = evaluation_character(preset, product)
     difference = (evaluation - sections).total_class()
     integral = difference.top().integrate()
     count = integral / preset.covering_degree

@@ -93,7 +93,7 @@ class ParamScalar:
         expo = tuple(1 if p == name else 0 for p in params)
         if sum(expo) != 1:
             raise ValueError(f"{name!r} is not among the declared parameters {params}")
-        return cls(params, {expo: 1})
+        return _make(params, {expo: 1}, 1)
 
     # -- views ------------------------------------------------------------
 
@@ -283,17 +283,11 @@ def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> Param
 # -- numerator maps: the integer layer of the ring's one-pass sum of products --
 
 
-def _scaled(num: dict, k: int) -> dict:
-    """A numerator map times the integer ``k``, unreduced."""
-    return num if k == 1 else {e: c * k for e, c in num.items()}
-
-
 def _times(p: dict, q: dict, zero: tuple) -> dict:
-    """The product of two numerator maps, unreduced; a constant one scales."""
-    if len(q) == 1 and zero in q:
-        return _scaled(p, q[zero])
-    if len(p) == 1 and zero in p:
-        return _scaled(q, p[zero])
+    """The product of two numerator maps, unreduced; a constant ``p`` scales ``q``."""
+    k = p.get(zero) if len(p) == 1 else None
+    if k is not None:
+        return {e: c * k for e, c in q.items()}
     out: dict = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():

@@ -8,6 +8,7 @@ from math import factorial
 from hypothesis import strategies as st
 
 from maxsub import load_preset
+from maxsub.chern import ChernCharacter
 from maxsub.errors import PresetError, UnknownGeneratorError
 from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.parsing import expand, parse_expression
@@ -192,6 +193,38 @@ def dense_graded_product(a0, a, b0, b):
             term = term + a[i - 1] * b[k - i - 1]
         dense.append(term)
     return dense
+
+
+# -- the count's earlier route ---------------------------------------------------------
+
+
+def three_product_route(preset):
+    """The count's intermediates by the route that makes three graded
+    products: the duals of ch(U) and ch(L) tensored with one Riemann-Roch
+    factor and pushed along the fiber (sections), and the duals of their
+    restrictions to a point tensored and scaled by n(2g-2) (evaluation).
+    The pipeline computes ch(U*) ch(L*) once and derives both from it."""
+    ring = preset.ring
+    n = preset.rank_symbol
+    ch_u, ch_l = preset.chern_u.character(preset.subbundle_rank), preset.chern_l.character(1)
+    fiber = ring.generator(ring.generator_names[ring.fiber_index])
+    riemann_roch = ChernCharacter(ring, n, [fiber * (preset.induced_degree + n * (preset.genus - 1))])
+    upstairs = ch_u.dual().tensor(ch_l.dual(), riemann_roch)
+    rank = upstairs.part(1).pushforward_fiber().constant_coefficient()
+    sections = ChernCharacter(ring, rank, {k - 1: p.pushforward_fiber() for k, p in upstairs.items() if k > 1})
+
+    def restricted(ch):
+        return ChernCharacter(ring, ch.rank, {k: p.restrict_to_point() for k, p in ch.items()})
+
+    evaluation = restricted(ch_u).dual().tensor(restricted(ch_l).dual()).scale(n * preset.canonical_degree)
+    difference = (evaluation - sections).total_class()
+    return {
+        "upstairs": upstairs,
+        "sections": sections,
+        "evaluation": evaluation,
+        "difference_class": difference,
+        "integral": difference.top().integrate(),
+    }
 
 
 # -- reference scalar ------------------------------------------------------------

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maxsub.chern import ChernCharacter, TotalChernClass, _graded_product
-from maxsub.gradedring import GradedElement
+from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.scalars import ParamScalar
 
 from helpers import (
@@ -223,6 +223,29 @@ def test_class_product_rebuilds_no_coefficient(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert list(product.parts)[:3] == expected
+
+
+@pytest.mark.parametrize("total, steps", [("1 + f", 2), ("1 + xi1", 3), ("1 + xi1 + theta*f", 4)])
+def test_recursion_stops_once_its_input_vanishes(total, steps, monkeypatch):
+    # on curve x base a fiber-bearing class runs up to the ring's max degree,
+    # genus + 1 at genus 20; but once as many steps in a row as the input's
+    # largest key have vanished, every later step reads only zeros
+    ring = jacobian_preset(20).ring
+    c = TotalChernClass.from_total_element(ring, ring.parse(total))
+    padded = tuple(c.parts) + (ring.zero(),)
+    calls = []
+    kernel = RingPresentation.sum_of_products
+
+    def counted(self, pairs):
+        calls.append(None)
+        return kernel(self, pairs)
+
+    monkeypatch.setattr(RingPresentation, "sum_of_products", counted)
+    ch = c.character(1)
+    monkeypatch.undo()
+    assert len(calls) == steps
+    assert list(ch.parts) + [ch.part(ring.max_degree // 2)] == dense_character(ring, padded)
+    assert ch.total_class() == c
 
 
 # -- sparse storage against the dense references -----------------------------------

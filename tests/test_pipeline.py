@@ -18,7 +18,14 @@ from maxsub.pipeline import (
     upstairs_character,
 )
 
-from helpers import g2_preset, homogeneous_component, jacobian_preset, jacobian_ring_text, theta_power_integral
+from helpers import (
+    g2_preset,
+    homogeneous_component,
+    jacobian_preset,
+    jacobian_ring_text,
+    theta_power_integral,
+    three_product_route,
+)
 
 PRESET = g2_preset()
 RING = PRESET.ring
@@ -243,6 +250,44 @@ def test_jacobian_g3_top_class_by_inline_newton():
     assert c3 == ring.parse("1/6*n^3*theta^3")
     assert c3.integrate() == n**3 * Fraction(theta_power_integral(3), 6)
     assert c3.integrate() == n**3
+
+
+# -- one product feeds both sheaves -------------------------------------------------
+
+
+@pytest.mark.parametrize("genus", [None, *range(2, 14)], ids=["g2-rank2", *(f"jacobian-g{g}" for g in range(2, 14))])
+def test_shared_product_matches_the_three_product_route(genus):
+    preset = PRESET if genus is None else jacobian_preset(genus)
+    route = three_product_route(preset)
+    result = count_maximal_subbundles(preset)
+    assert upstairs_character(preset) == route["upstairs"]
+    assert result.sections == route["sections"]
+    assert result.evaluation == route["evaluation"]
+    assert result.difference_class == route["difference_class"]
+    assert result.integral == route["integral"]
+    assert result.count == route["integral"] / preset.covering_degree
+
+
+@pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 8)], ids=["g2-rank2", "jacobian-g8"])
+def test_count_multiplies_and_divides_no_element(preset_args, monkeypatch):
+    # every product, sign, factorial and scale of the count is a weight of
+    # the ring's sum of products: no element is multiplied, divided or
+    # negated outside it
+    name, genus = preset_args
+    preset = load_preset(name, genus=genus)
+    expected = count_maximal_subbundles(preset).count
+    calls = []
+    for attr in ("__mul__", "__rmul__", "__truediv__", "__neg__"):
+
+        def counted(self, *args, attr=attr, method=getattr(GradedElement, attr)):
+            calls.append(attr)
+            return method(self, *args)
+
+        monkeypatch.setattr(GradedElement, attr, counted)
+    count = count_maximal_subbundles(preset).count
+    monkeypatch.undo()
+    assert calls == []
+    assert count == expected
 
 
 # -- structural invariants ---------------------------------------------------------

@@ -93,11 +93,12 @@ def test_projection_formula_above_the_top_degree(x, y):
     assert not (x * y).pushforward_fiber().is_zero
 
 
-@pytest.mark.parametrize("genus", [None, 3, 5, 8], ids=["g2-rank2", "jacobian-g3", "jacobian-g5", "jacobian-g8"])
-def test_projection_formula_on_the_basis(genus):
-    # pi_*(x*y) = pi_*(x)*y for every basis monomial x and base generator y
-    # gives it for all x and base y: both sides are linear in x and
-    # multiplicative in y
+BASIS_RINGS = pytest.mark.parametrize("genus", [None, 3, 5, 8], ids=["g2-rank2", "jacobian-g3", "jacobian-g5", "jacobian-g8"])
+
+
+def _ring_and_basis(genus):
+    """The ring of g2-rank2 (genus None) or of the jacobian preset, and its
+    normal-form basis monomials of degree up to ``top_degree + 2``."""
     ring = RING if genus is None else jacobian_preset(genus).ring
     one = ParamScalar.constant(1, ring.params)
     basis = [
@@ -105,9 +106,35 @@ def test_projection_formula_on_the_basis(genus):
         for mono in ring.monomials_up_to(ring.top_degree + 2)
         if ring._normalize({mono: one}) == {mono: one}
     ]
+    return ring, basis
+
+
+@BASIS_RINGS
+def test_projection_formula_on_the_basis(genus):
+    # pi_*(x*y) = pi_*(x)*y for every basis monomial x and base generator y
+    # gives it for all x and base y: both sides are linear in x and
+    # multiplicative in y
+    ring, basis = _ring_and_basis(genus)
     units = [tuple(int(j == i) for j in range(ring.ngens)) for i in range(ring.ngens)]
     base = [ring.generator(name) for name, unit in zip(ring.generator_names, units) if not reference_weight(ring, unit)]
     failures = [(str(x), str(y)) for x in basis for y in base if (x * y).pushforward_fiber() != x.pushforward_fiber() * y]
+    assert failures == []
+
+
+@BASIS_RINGS
+def test_restriction_is_a_ring_map_on_the_basis(genus):
+    # (x*y)|pt = x|pt * y|pt for every pair of basis monomials gives it for
+    # all x and y, as both sides are bilinear.  The count's evaluation sheaf
+    # restricts the one product ch(U*) ch(L*) rather than multiplying the
+    # restricted factors, which is this law
+    _, basis = _ring_and_basis(genus)
+    restricted = [x.restrict_to_point() for x in basis]
+    failures = [
+        (str(x), str(y))
+        for x, x_pt in zip(basis, restricted)
+        for y, y_pt in zip(basis, restricted)
+        if (x * y).restrict_to_point() != x_pt * y_pt
+    ]
     assert failures == []
 
 
