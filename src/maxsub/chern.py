@@ -31,7 +31,7 @@ construction and go through the trusted :func:`_character` and
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .gradedring import GradedElement, RingPresentation
 from .scalars import ParamScalar, Rational, as_scalar
@@ -73,13 +73,15 @@ def _class(ring: RingPresentation, parts: Components) -> "TotalChernClass":
     return c
 
 
-class _Ratio(NamedTuple):
+class _Ratio:
     """A weight of the ring's sum of products, left unreduced: the kernel
     reads only its integer ``numerator`` and ``denominator``, and reduces
     each output coefficient once."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
 
 
 def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Components:
@@ -239,9 +241,8 @@ class ChernCharacter(_SparseGraded):
         """Integrate along the curve fiber: ch_k from the fiber integral of
         ch_(k+1), and the rank from that of ch_1.  The Todd class of the
         curve must already be a factor (Grothendieck-Riemann-Roch)."""
-        parts = self._parts
         rank = self._get(1).pushforward_fiber().constant_coefficient()
-        return _character(self.ring, rank, {k - 1: p.pushforward_fiber() for k, p in parts.items() if k > 1})
+        return _character(self.ring, rank, {k - 1: p.pushforward_fiber() for k, p in self._parts.items() if k > 1})
 
     def dual(self) -> "ChernCharacter":
         """Character of the dual bundle: ch_k -> (-1)^k ch_k.  An involution."""
