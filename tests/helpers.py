@@ -195,7 +195,7 @@ def dense_graded_product(a0, a, b0, b):
     return dense
 
 
-# -- the count's earlier route ---------------------------------------------------------
+# -- a reference route for the count ------------------------------------------------
 
 
 def three_product_route(preset):
