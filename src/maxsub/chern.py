@@ -9,8 +9,6 @@ nonzero element can have (on curve x base, the base's top degree plus the
 fiber's 2); everything above vanishes.  When every term of their inputs has
 fiber weight 0 they stop at half the base's ``top_degree`` instead: a
 product of weight-0 terms has weight 0, so every component above truncates.
-A recursion also stops once as many steps in a row have vanished as its
-input's largest key: every later step reads only those.
 
 Both kinds of object store only their nonzero components, keyed by ``k``
 in increasing order, and every recursion and product runs over those keys
@@ -86,8 +84,9 @@ class _Ratio:
 
 def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Components:
     """Components x_1, x_2, ... of a Newton recursion over the nonzero
-    components g_i of ``given``, with x_0 = 1; each step is one call of the
-    ring's sum of products, whose weights carry every factorial and sign.
+    components g_i of ``given``, with x_0 = 1; each step with a term is one
+    call of the ring's sum of products, whose weights carry every factorial
+    and sign, and a step without one is skipped.
 
     To a class (``given`` a character, x = c): k c_k is the sum of
     (-1)^(i-1) p_i c_(k-i) over i <= k, with p_i = i! ch_i; the weight of
@@ -95,17 +94,10 @@ def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Co
     x = ch): p_k = c_1 p_(k-1) - c_2 p_(k-2) + ... +- k c_k with
     ch_k = p_k / k!; the weight of c_i ch_(k-i) is (-1)^(i-1) (k-i)!/k!,
     and that of c_k is (-1)^(k-1) k/k!.
-
-    Past M, the largest key of ``given``, step k reads only x_(k-M) ..
-    x_(k-1), so once M steps in a row have vanished every later one does
-    too: the recursion stops there, or at :func:`_bound`.
     """
     out: Components = {}
-    last, empty = max(given, default=0), 0
     factorial = [1]
     for k in range(1, _bound(ring, given) + 1):
-        if k > last and empty >= last:
-            break
         factorial.append(factorial[-1] * k)
         pairs = []
         for i, g in given.items():
@@ -119,11 +111,10 @@ def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Co
                 else:
                     weight = _Ratio(sign * factorial[i], k)
                 pairs.append((weight, g, x))
-        acc = ring.sum_of_products(pairs)
-        if acc.is_zero:
-            empty += 1
-        else:
-            out[k], empty = acc, 0
+        if pairs:
+            acc = ring.sum_of_products(pairs)
+            if not acc.is_zero:
+                out[k] = acc
     return out
 
 
@@ -249,15 +240,12 @@ class ChernCharacter(_SparseGraded):
         parts = {k: p if k % 2 == 0 else -p for k, p in self._parts.items()}
         return _character(self.ring, self.rank, parts)
 
-    def tensor(self, *others: "ChernCharacter", dual: bool = False) -> "ChernCharacter":
-        """Graded product of total characters; the rank multiplies.  With
-        ``dual`` the character of the dual of the product, which is the
-        product of the duals: the signs ride on the last product's weights."""
+    def tensor(self, *others: "ChernCharacter") -> "ChernCharacter":
+        """Graded product of total characters; the rank multiplies."""
         result = self
-        for index, other in enumerate(others, start=1):
+        for other in others:
             result._check(other)
-            signed = dual and index == len(others)
-            parts = _graded_product(result.ring, result.rank, result._parts, other.rank, other._parts, signed)
+            parts = _graded_product(result.ring, result.rank, result._parts, other.rank, other._parts)
             result = _character(result.ring, result.rank * other.rank, parts)
         return result
 

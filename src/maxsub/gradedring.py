@@ -273,12 +273,10 @@ class RingPresentation:
         for w, x, y in pairs:
             wn, wd = w.numerator, w.denominator
             if isinstance(y, GradedElement):
-                if x.ring is not self or y.ring is not self:
-                    raise ValueError("elements belong to different presentations")
+                self._check_ring(x, y)
                 yterms = y._terms.items()
             else:
-                if x.ring is not self:
-                    raise ValueError("elements belong to different presentations")
+                self._check_ring(x)
                 if isinstance(y, (int, Fraction)):
                     wn, wd, yterms = wn * y.numerator, wd * y.denominator, ((None, one),)
                 else:

@@ -30,7 +30,7 @@ from importlib import resources
 from math import factorial
 
 from . import PRESET_NAMES, formulas
-from .chern import ChernCharacter, TotalChernClass
+from .chern import ChernCharacter, TotalChernClass, _character, _graded_product
 from .errors import PresetError
 from .gradedring import GradedElement, RewriteRule, RingPresentation, presentation_from_data
 from .scalars import ParamScalar, monomial_text
@@ -131,8 +131,10 @@ def _dual_product(preset: Preset) -> ChernCharacter:
     """X = ch(U*) ch(L*), the one graded product both sheaves are derived
     from: the universal characters, then one product whose weights carry
     the duals' signs."""
-    ch_u = preset.chern_u.character(preset.subbundle_rank)
-    return ch_u.tensor(preset.chern_l.character(1), dual=True)
+    ring = preset.ring
+    ch_u, ch_l = preset.chern_u.character(preset.subbundle_rank), preset.chern_l.character(1)
+    parts = _graded_product(ring, ch_u.rank, ch_u._parts, ch_l.rank, ch_l._parts, dual=True)
+    return _character(ring, ch_u.rank * ch_l.rank, parts)
 
 
 def upstairs_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:

@@ -226,10 +226,10 @@ def test_class_product_rebuilds_no_coefficient(monkeypatch):
 
 
 @pytest.mark.parametrize("total, steps", [("1 + f", 2), ("1 + xi1", 3), ("1 + xi1 + theta*f", 4)])
-def test_recursion_stops_once_its_input_vanishes(total, steps, monkeypatch):
+def test_recursion_calls_the_kernel_only_on_steps_with_terms(total, steps, monkeypatch):
     # on curve x base a fiber-bearing class runs up to the ring's max degree,
-    # genus + 1 at genus 20; but once as many steps in a row as the input's
-    # largest key have vanished, every later step reads only zeros
+    # genus + 1 at genus 20; a step whose every product reads a vanished
+    # component has no term and makes no call of the ring's sum of products
     ring = jacobian_preset(20).ring
     c = TotalChernClass.from_total_element(ring, ring.parse(total))
     padded = tuple(c.parts) + (ring.zero(),)
