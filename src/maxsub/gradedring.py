@@ -333,8 +333,9 @@ class RingPresentation:
         return _element(self, terms)
 
     def _check_ring(self, *elements: "GradedElement"):
-        if any(x.ring is not self for x in elements):
-            raise ValueError("elements belong to different presentations")
+        for x in elements:
+            if x.ring is not self:
+                raise ValueError("elements belong to different presentations")
 
     def _check_critical_pairs(self):
         """Join both one-step reductions of every critical pair: two

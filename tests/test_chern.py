@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maxsub.chern import ChernCharacter, TotalChernClass, _graded_product
+from maxsub.chern import ChernCharacter, TotalChernClass, _character, _graded_product
 from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.scalars import ParamScalar
 
@@ -175,6 +175,9 @@ def test_dual_involution(ch):
 @given(random_character_st(), random_character_st())
 def test_dual_of_tensor(a, b):
     assert a.tensor(b).dual() == a.dual().tensor(b.dual())
+    # the count's one product ch(U*) ch(L*) carries the duals' signs on its weights
+    signed = _graded_product(RING, a.rank, a._parts, b.rank, b._parts, dual=True)
+    assert _character(RING, a.rank * b.rank, signed) == a.dual().tensor(b.dual())
 
 
 @given(random_character_st(), random_character_st())
