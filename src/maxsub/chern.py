@@ -230,8 +230,9 @@ class ChernCharacter(_SparseGraded):
 
     def pushforward_fiber(self) -> "ChernCharacter":
         """Integrate along the curve fiber: ch_k from the fiber integral of
-        ch_(k+1), and the rank from that of ch_1.  The Todd class of the
-        curve must already be a factor (Grothendieck-Riemann-Roch)."""
+        ch_(k+1), and the rank from that of ch_1.  A linear map; it is the
+        character of a pushed-forward sheaf (Grothendieck-Riemann-Roch) when
+        the curve's Todd class is already a factor."""
         rank = self._get(1).pushforward_fiber().constant_coefficient()
         return _character(self.ring, rank, {k - 1: p.pushforward_fiber() for k, p in self._parts.items() if k > 1})
 

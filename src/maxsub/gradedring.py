@@ -389,12 +389,16 @@ class RingPresentation:
         """Reduce an expression tree to normal form after every product: the
         same as expanding, then reducing, as truncation plus normal form is a
         ring homomorphism.  Names are checked first, zero products or not."""
-        from .parsing import names, walk  # text only: a count from data never loads the parser
+        from . import parsing  # text only: a count from data never loads the parser
 
-        unknown = [name for name in names(node) if name not in self._index and name not in self.params]
+        return self._evaluate(node, parsing)
+
+    def _evaluate(self, node, parsing) -> "GradedElement":
+        # ``parsing`` is the module, passed in by the caller's one import
+        unknown = [name for name in parsing.names(node) if name not in self._index and name not in self.params]
         if unknown:
             raise UnknownGeneratorError(f"unknown name {unknown[0]!r}: not a generator or parameter of this presentation")
-        return self.scalar(out) if isinstance(out := walk(node, self._leaf), ParamScalar) else out
+        return self.scalar(out) if isinstance(out := parsing.walk(node, self._leaf), ParamScalar) else out
 
     def _leaf(self, node) -> "GradedElement | ParamScalar":
         # a leaf is a number or a name, and only a name has ``name``: no import
@@ -407,9 +411,9 @@ class RingPresentation:
 
     def parse(self, text: str) -> "GradedElement":
         """Parse an expression and reduce it to normal form in this ring."""
-        from .parsing import parse_expression
+        from . import parsing
 
-        return self.evaluate(parse_expression(text))
+        return self._evaluate(parsing.parse_expression(text), parsing)
 
     def __repr__(self):
         label = self.name or ",".join(self.generator_names) or "point"
@@ -567,20 +571,22 @@ class GradedElement:
 
         Degree drops by two componentwise.  Normal-form terms without the
         fiber class integrate to zero along the fiber and are dropped; f has
-        weight 2, so no surviving term carries it twice.
+        weight 2, so no surviving term carries it twice, and dropping f
+        from a normal monomial leaves one: a reducer dividing the rest would
+        divide the whole.
         """
         i = self.ring.fiber_index
         if i is None:
             raise PresentationError("the presentation declares no fiber class")
-        return GradedElement(self.ring, {m[:i] + (0,) + m[i + 1 :]: c for m, c in self._terms.items() if m[i]})
+        return _element(self.ring, {m[:i] + (0,) + m[i + 1 :]: c for m, c in self._terms.items() if m[i]})
 
     def restrict_to_point(self) -> "GradedElement":
         """Restrict to a point of the curve: the ring morphism keeping the
-        part of fiber weight 0."""
+        part of fiber weight 0, a subset of the normal-form terms."""
         ring = self.ring
         if not any(ring._weights):
             raise PresentationError("the presentation declares neither a fiber class nor fiber-supported generators")
-        return GradedElement(ring, {m: c for m, c in self._terms.items() if not ring.weight(m)})
+        return _element(ring, {m: c for m, c in self._terms.items() if not ring.weight(m)})
 
     # -- printing -------------------------------------------------------------
 

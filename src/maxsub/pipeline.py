@@ -8,19 +8,23 @@ the tensoring cover:
 * the "sections" sheaf: the fiberwise spaces of maps from the candidate
   subbundle twisted back into the big bundle, a pushforward along the
   curve computed by Grothendieck-Riemann-Roch fiber integration.  The
-  integrand is ch(U*) ch(L*) times one Riemann-Roch factor
-  n + (d + n(g-1)) f: since f^2 = 0, that is the twisted big bundle's
-  character n + (d + n(2g-2)) f times the curve's Todd class 1 - (g-1) f;
+  integrand is X = ch(U*) ch(L*) times one Riemann-Roch factor n + t f with
+  t = d + n(g-1): since f^2 = 0, that is the twisted big bundle's character
+  n + (d + n(2g-2)) f times the curve's Todd class 1 - (g-1) f;
 * the "evaluation" sheaf: the values of those maps at the points of a
-  fixed canonical divisor.
+  fixed canonical divisor, n(2g-2) X restricted to a point, since
+  restriction is a ring map.
 
-One graded product X = ch(U*) ch(L*) is computed per count and feeds both
-sheaves: the sections are the fiber pushforward of X (n + (d + n(g-1)) f),
-and the evaluation is n(2g-2) X restricted to a point, since restriction is
-a ring map.  The total Chern class of the difference is kept on the result,
-where the consistency report reuses it.  Both presets normalize
-the subbundle degree to d' = 1 and keep the big bundle's rank n as a formal
-parameter, so counts come out as exact polynomials in n.
+One graded product X is computed per count, and the projection formula
+pi_*(f m) = m for a base class m turns the integrand into a relabelling: a
+fiber-bearing term of X times f truncates, so the sections are
+t X|pt + n pi_*(X), and the difference evaluation - sections is
+s X|pt - n pi_*(X) with s = n(2g-2) - t = n(g-1) - d, one linear
+combination of two views of X.  The count forms neither sheaf's character;
+the result keeps X, the difference and its total Chern class, and derives
+the sheaves from X when asked.  Both presets normalize the subbundle
+degree to d' = 1 and keep the big bundle's rank n as a formal parameter,
+so counts come out as exact polynomials in n.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from importlib import resources
 from math import factorial
 
 from . import PRESET_NAMES, formulas
-from .chern import ChernCharacter, TotalChernClass, _character, _graded_product
+from .chern import ChernCharacter, TotalChernClass, _character, _combination, _graded_product
 from .errors import PresetError
 from .gradedring import GradedElement, RewriteRule, RingPresentation, presentation_from_data
 from .scalars import ParamScalar, monomial_text
@@ -58,9 +62,23 @@ GENERALITY_CAVEATS = (
 
 
 class Preset:
-    """A counting problem: a ring presentation plus the bundle data."""
+    """A counting problem: a ring presentation plus the bundle data.
 
-    __slots__ = ("name", "ring", "genus", "subbundle_rank", "subbundle_degree", "chern_u", "chern_l")
+    ``rank_symbol`` is the rank n as a scalar of the ring, and
+    ``induced_degree`` the big bundle's degree d forced by
+    n'd - nd' = n'(n-n')(g-1), a polynomial in n; both are set once here."""
+
+    __slots__ = (
+        "name",
+        "ring",
+        "genus",
+        "subbundle_rank",
+        "subbundle_degree",
+        "chern_u",
+        "chern_l",
+        "rank_symbol",
+        "induced_degree",
+    )
 
     def __init__(
         self,
@@ -89,6 +107,8 @@ class Preset:
         self.subbundle_degree = subbundle_degree
         self.chern_u = chern_u
         self.chern_l = chern_l
+        n = self.rank_symbol = ring.parameter(RANK_PARAMETER)
+        self.induced_degree = n * Fraction(subbundle_degree, subbundle_rank) + (n - subbundle_rank) * (genus - 1)
 
     @property
     def covering_degree(self) -> int:
@@ -98,17 +118,6 @@ class Preset:
     @property
     def canonical_degree(self) -> int:
         return 2 * self.genus - 2
-
-    @property
-    def rank_symbol(self) -> ParamScalar:
-        return self.ring.parameter(RANK_PARAMETER)
-
-    @property
-    def induced_degree(self) -> ParamScalar:
-        """The big bundle's degree d forced by n'd - nd' = n'(n-n')(g-1), as a
-        polynomial in the rank n."""
-        n, np = self.rank_symbol, self.subbundle_rank
-        return n * Fraction(self.subbundle_degree, np) + (n - np) * (self.genus - 1)
 
     def is_admissible(self, rank: int) -> bool:
         """Whether a concrete rank n satisfies the exact-count hypotheses: n > n'
@@ -137,8 +146,21 @@ def _dual_product(preset: Preset) -> ChernCharacter:
     return _character(ring, ch_u.rank * ch_l.rank, parts)
 
 
+def _pushforward_times(x: ChernCharacter, a: ParamScalar, b: ParamScalar) -> ChernCharacter:
+    """pi_*(X (a + b f)) = a pi_*(X) + b X|pt for X = ``x``: a fiber-bearing
+    term of X times f truncates, and pi_*(f m) = m for a base class m (the
+    projection formula).  One call of the ring's sum of products per
+    component; pi_*(X) takes ch_k from the fiber integral of X's ch_(k+1)
+    and its rank from that of ch_1."""
+    at_point, pushed = x.restrict_to_point(), x.pushforward_fiber()
+    parts = _combination(x.ring, ((1, pushed, a), (1, at_point, b)))
+    return _character(x.ring, a * pushed.rank + b * x.rank, parts)
+
+
 def upstairs_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
-    """Character on the curve x parameter space, before fiber integration.
+    """Character on the curve x parameter space, before fiber integration:
+    the Grothendieck-Riemann-Roch integrand, kept as an oracle (the count
+    pushes it forward without forming it).
 
     X = ch(U*) ch(L*) (``product``, computed when not given) times one
     Riemann-Roch factor n + (d + n(g-1)) f: the twisted big bundle (rank n,
@@ -154,11 +176,16 @@ def upstairs_character(preset: Preset, product: ChernCharacter | None = None) ->
 
 
 def sections_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
-    """Character of the sections sheaf: fiber pushforward of the upstairs
-    character, ch_k from the upstairs ch_{k+1} for every k, the top one
-    included (the derived pushforward vanishes for degree reasons, so the
-    fiber integral is the whole answer)."""
-    return upstairs_character(preset, product).pushforward_fiber()
+    """Character of the sections sheaf: the fiber pushforward of the
+    upstairs character X (n + t f), t = d + n(g-1), with X = ch(U*) ch(L*)
+    (``product``, computed when not given).  By the projection formula that
+    is n pi_*(X) + t X|pt, so the upstairs product is never formed.  ch_k
+    comes from the upstairs ch_{k+1} for every k, the top one included (the
+    derived pushforward vanishes for degree reasons, so the fiber integral
+    is the whole answer)."""
+    x = _dual_product(preset) if product is None else product
+    n = preset.rank_symbol
+    return _pushforward_times(x, n, preset.induced_degree + n * (preset.genus - 1))
 
 
 def evaluation_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
@@ -173,9 +200,12 @@ def evaluation_character(preset: Preset, product: ChernCharacter | None = None) 
 
 
 class CountResult:
-    """The count with all the intermediates that certify it."""
+    """The count with all the intermediates that certify it: the product
+    X = ch(U*) ch(L*), the difference evaluation - sections and its total
+    Chern class.  ``sections`` and ``evaluation`` are derived from X on
+    every access."""
 
-    __slots__ = ("preset", "count", "integral", "sections", "evaluation", "difference_class")
+    __slots__ = ("preset", "count", "integral", "product", "difference", "difference_class")
     caveats = GENERALITY_CAVEATS
 
     def __init__(
@@ -183,16 +213,24 @@ class CountResult:
         preset: Preset,
         count: ParamScalar,
         integral: ParamScalar,
-        sections: ChernCharacter,
-        evaluation: ChernCharacter,
+        product: ChernCharacter,
+        difference: ChernCharacter,
         difference_class: TotalChernClass,
     ):
         self.preset = preset
         self.count = count
         self.integral = integral
-        self.sections = sections
-        self.evaluation = evaluation
+        self.product = product
+        self.difference = difference
         self.difference_class = difference_class
+
+    @property
+    def sections(self) -> ChernCharacter:
+        return sections_character(self.preset, self.product)
+
+    @property
+    def evaluation(self) -> ChernCharacter:
+        return evaluation_character(self.preset, self.product)
 
     @property
     def top_class(self) -> GradedElement:
@@ -248,12 +286,10 @@ class CountResult:
             )
             lines.append(f"induced degree d = {preset.induced_degree}")
             lines.append(f"covering degree = {preset.covering_degree}")
-            lines.append(f"ch_0(sections) = {self.sections.rank}")
-            for k, part in enumerate(self.sections.parts, start=1):
-                lines.append(f"ch_{k}(sections) = {part}")
-            lines.append(f"ch_0(evaluation) = {self.evaluation.rank}")
-            for k, part in enumerate(self.evaluation.parts, start=1):
-                lines.append(f"ch_{k}(evaluation) = {part}")
+            for sheaf, ch in (("sections", self.sections), ("evaluation", self.evaluation)):
+                lines.append(f"ch_0({sheaf}) = {ch.rank}")
+                for k, part in enumerate(ch.parts, start=1):
+                    lines.append(f"ch_{k}({sheaf}) = {part}")
             lines.append(f"c_top = {self.top_class}")
             lines.append(f"integral over base = {self.integral}")
             lines.append(f"admissible ranks: {preset.admissibility_note}")
@@ -263,20 +299,23 @@ class CountResult:
 
 def count_maximal_subbundles(preset: Preset) -> CountResult:
     """Integrate the top Chern class of (evaluation - sections) and divide
-    by the covering degree."""
+    by the covering degree.  The difference is n(2g-2) X|pt minus the
+    sections' pi_*(X (n + t f)), that is pi_*(X (-n + s f)) with
+    s = n(2g-2) - t = n(g-1) - d: one linear combination of X|pt and
+    pi_*(X), and neither sheaf's character is formed."""
     product = _dual_product(preset)
-    sections = sections_character(preset, product)
-    evaluation = evaluation_character(preset, product)
-    difference = (evaluation - sections).total_class()
-    integral = difference.top().integrate()
+    n = preset.rank_symbol
+    difference = _pushforward_times(product, -n, n * (preset.genus - 1) - preset.induced_degree)
+    difference_class = difference.total_class()
+    integral = difference_class.top().integrate()
     count = integral / preset.covering_degree
     return CountResult(
         preset=preset,
         count=count,
         integral=integral,
-        sections=sections,
-        evaluation=evaluation,
-        difference_class=difference,
+        product=product,
+        difference=difference,
+        difference_class=difference_class,
     )
 
 
@@ -302,7 +341,7 @@ def consistency_report(preset: Preset) -> list[tuple[str, bool, object]]:
     checks.append(("rank identity", ok, f"rank(sections) = rank(evaluation) - {delta}"))
 
     m = preset.ring.top_degree // 2
-    ok = (evaluation - sections).part(m).is_zero
+    ok = result.difference.part(m).is_zero
     checks.append(("top character component vanishes", ok, f"ch_{m}(evaluation - sections) = 0"))
 
     porteous = sections.total_class() * result.difference_class == evaluation.total_class()

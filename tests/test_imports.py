@@ -6,6 +6,7 @@ would hide an import that only a fresh process makes.  No timings are
 asserted.
 """
 
+import builtins
 import os
 import subprocess
 import sys
@@ -90,6 +91,24 @@ def test_count_from_data_loads_no_parser(footprints):
     assert "maxsub.pipeline" in loaded
     assert "maxsub.parsing" not in loaded
     assert "maxsub.parsing" in footprints["count"][1]  # the g2-rank2 preset is a file
+
+
+def test_ring_parse_runs_one_import_statement(monkeypatch):
+    # parse reaches the parser through one function-level import, not one
+    # more in the evaluate it shares its walk with
+    ring = maxsub.load_preset("g2-rank2").ring
+    ring.parse("alpha")
+    imports = []
+
+    def counted(name, *args, real=builtins.__import__):
+        imports.append(name)
+        return real(name, *args)
+
+    monkeypatch.setattr(builtins, "__import__", counted)
+    element = ring.parse("alpha*theta + 2")
+    monkeypatch.undo()
+    assert len(imports) == 1
+    assert element == ring.parse("theta*alpha + 2")
 
 
 def test_no_command_loads_dataclasses_or_inspect(footprints):

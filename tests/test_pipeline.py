@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from maxsub import pipeline
-from maxsub.chern import TotalChernClass
+from maxsub.chern import ChernCharacter, TotalChernClass
 from maxsub.errors import PresetError
 from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.pipeline import (
@@ -269,6 +269,25 @@ def test_shared_product_matches_the_three_product_route(genus):
 
 
 @pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 8)], ids=["g2-rank2", "jacobian-g8"])
+def test_count_forms_no_sheaf_character(preset_args, monkeypatch):
+    # the count pushes X (-n + s f) forward by the projection formula: it
+    # forms neither the upstairs integrand nor either sheaf's character
+    name, genus = preset_args
+    preset = load_preset(name, genus=genus)
+    expected = count_maximal_subbundles(preset).count
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the count formed a sheaf character")
+
+    for attr in ("upstairs_character", "sections_character", "evaluation_character"):
+        monkeypatch.setattr(pipeline, attr, forbidden)
+    result = count_maximal_subbundles(preset)
+    assert result.count == expected
+    monkeypatch.undo()
+    assert result.difference == result.evaluation - result.sections
+
+
+@pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 8)], ids=["g2-rank2", "jacobian-g8"])
 def test_count_multiplies_and_divides_no_element(preset_args, monkeypatch):
     # every product, sign, factorial and scale of the count is a weight of
     # the ring's sum of products: no element is multiplied, divided or
@@ -430,6 +449,26 @@ def test_report_reuses_the_count_difference_class(preset_args, monkeypatch):
     monkeypatch.setattr(pipeline, "count_maximal_subbundles", perturbed)
     lines = {check: ok for check, ok, _ in consistency_report(preset)}
     assert lines["Chern class multiplicativity"] is False
+
+
+@pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 3)])
+def test_report_reads_the_count_difference(preset_args, monkeypatch):
+    name, genus = preset_args
+    preset = load_preset(name, genus=genus)
+    m = preset.ring.top_degree // 2
+
+    def perturbed(p):
+        # a nonzero top component on the stored difference, nothing else
+        out = count_maximal_subbundles(p)
+        parts = dict(out.difference.items())
+        parts[m] = p.ring.parse(p.ring.monomial_str(next(iter(p.ring.integrals))))
+        out.difference = ChernCharacter(p.ring, out.difference.rank, parts)
+        return out
+
+    monkeypatch.setattr(pipeline, "count_maximal_subbundles", perturbed)
+    lines = {check: ok for check, ok, _ in consistency_report(preset)}
+    assert lines["top character component vanishes"] is False
+    assert lines["Chern class multiplicativity"] is True
 
 
 # -- result serialization ------------------------------------------------------------

@@ -122,6 +122,19 @@ def test_projection_formula_on_the_basis(genus):
 
 
 @BASIS_RINGS
+def test_fiber_pushforward_inverts_the_fiber_on_the_basis(genus):
+    # pi_*(m*f) = m for every weight-0 basis monomial m: the law that turns
+    # the count's Riemann-Roch factor into a relabelling, pi_*(X*(a + b*f))
+    # = a*pi_*(X) + b*X|pt
+    ring, basis = _ring_and_basis(genus)
+    fiber = ring.generator(ring.generator_names[ring.fiber_index])
+    base = [m for m in basis if not any(reference_weight(ring, mono) for mono, _ in m.items())]
+    assert base
+    failures = [str(m) for m in base if (m * fiber).pushforward_fiber() != m]
+    assert failures == []
+
+
+@BASIS_RINGS
 def test_restriction_is_a_ring_map_on_the_basis(genus):
     # (x*y)|pt = x|pt * y|pt for every pair of basis monomials gives it for
     # all x and y, as both sides are bilinear.  The count's evaluation sheaf
