@@ -6,9 +6,13 @@ rationals, so they are mutually inverse at any fixed rank, including
 virtual (negative or symbolic) ranks.  Both recursions and the graded
 product run up to half the ring's ``max_degree``, the largest degree a
 nonzero element can have (on curve x base, the base's top degree plus the
-fiber's 2); everything above vanishes.  When every term of their inputs has
-fiber weight 0 they stop at half the base's ``top_degree`` instead: a
+fiber's 2); everything above vanishes.  When no component of their inputs
+is fiber-bearing they stop at half the base's ``top_degree`` instead: a
 product of weight-0 terms has weight 0, so every component above truncates.
+A Newton recursion also ends once a step is more than ``max(given)`` past
+its last nonzero output (x_0 = 1 counting as output 0): every product of a
+step reads some x_(k-i) with i <= ``max(given)``, and from there on all of
+them are zero.  So ``1 + f`` or ``1 + xi1`` takes a few steps at any genus.
 
 Both kinds of object store only their nonzero components, keyed by ``k``
 in increasing order, and every recursion and product runs over those keys
@@ -86,7 +90,9 @@ def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Co
     """Components x_1, x_2, ... of a Newton recursion over the nonzero
     components g_i of ``given``, with x_0 = 1; each step with a term is one
     call of the ring's sum of products, whose weights carry every factorial
-    and sign, and a step without one is skipped.
+    and sign, and a step without one is skipped.  The recursion ends once
+    step k is more than max(given) past the last nonzero output: no step
+    from there on has a product.
 
     To a class (``given`` a character, x = c): k c_k is the sum of
     (-1)^(i-1) p_i c_(k-i) over i <= k, with p_i = i! ch_i; the weight of
@@ -97,7 +103,10 @@ def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Co
     """
     out: Components = {}
     factorial = [1]
+    reach, last = max(given, default=0), 0  # last: the last nonzero output, x_0 = 1 counting
     for k in range(1, _bound(ring, given) + 1):
+        if k - last > reach:
+            break  # every x_(k-i) with i <= reach is zero, now and at every later step
         factorial.append(factorial[-1] * k)
         pairs = []
         for i, g in given.items():
@@ -114,16 +123,16 @@ def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Co
         if pairs:
             acc = ring.sum_of_products(pairs)
             if not acc.is_zero:
-                out[k] = acc
+                out[k], last = acc, k
     return out
 
 
 def _bound(ring: RingPresentation, *inputs: Components) -> int:
     """The last component a recursion or product over ``inputs`` can make
-    nonzero: half the base's ``top_degree`` when every term has fiber weight
-    0, else half the ring's ``max_degree``."""
-    weight = ring.weight
-    if any(weight(m) for parts in inputs for x in parts.values() for m, _ in x.items()):
+    nonzero: half the base's ``top_degree`` when no component is
+    fiber-bearing, else half the ring's ``max_degree``.  Each component
+    reads its terms once in its lifetime, not on every call."""
+    if any(x.fiber_bearing for parts in inputs for x in parts.values()):
         return ring.max_degree // 2
     return ring.top_degree // 2
 

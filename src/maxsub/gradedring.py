@@ -16,8 +16,12 @@ rules are oriented by a lex order of the generators, which makes rewriting
 terminate; a rule set with no such order is rejected.  Then every critical
 pair (two reducers meeting at the lcm of their left-hand sides) is joined,
 so normal forms do not depend on the order in which rules are applied.
-Normal forms of monomials are cached on first use, a truncating one as
-empty.  :meth:`RingPresentation.sum_of_products` is the one-pass normal form
+Each zero and each rule's left-hand side is also compiled, on load, to its
+support ``((index, exponent), ...)``, zeros first, so a monomial seen for
+the first time is matched against the reducers in one plain loop.  Normal
+forms of monomials are cached on first use, a truncating one as empty.
+Each element reads once, when first asked, whether a term carries fiber
+weight.  :meth:`RingPresentation.sum_of_products` is the one-pass normal form
 of a sum of products, which the Chern layer uses for each recursion step and
 graded-product component: each pair of monomials looks up its normal form
 once, the integer numerators of the coefficients are multiplied right there
@@ -54,10 +58,6 @@ Monomial = Tuple[int, ...]
 class RewriteRule(NamedTuple):
     lhs: Monomial
     rhs: Tuple[Tuple[Monomial, ParamScalar], ...]
-
-
-def _divides(divisor: Monomial, mono: Monomial) -> bool:
-    return all(d <= m for d, m in zip(divisor, mono))
 
 
 def _check_names(generator_names: Sequence[str], params: Sequence[str]):
@@ -136,6 +136,12 @@ class RingPresentation:
         for mono in self.zeros:
             if not any(mono):
                 raise PresentationError("the empty monomial cannot be declared zero")
+        # each reducer as its support ((index, exponent), ...) and its rule,
+        # None for a zero: zeros first, then the rules in their given order
+        self._reducers = tuple(
+            (tuple((i, e) for i, e in enumerate(lhs) if e), rule)
+            for lhs, rule in [(z, None) for z in self.zeros] + [(r.lhs, r) for r in self.rules]
+        )
         self._orient()  # the integral check below normalizes
         for mono in self.integrals:
             if self.degree(mono) != self.top_degree:
@@ -222,14 +228,19 @@ class RingPresentation:
         cached = self._nf_cache.get(mono)
         if cached is not None:
             return cached
-        if self._truncates(mono) or any(_divides(z, mono) for z in self.zeros):
-            result: dict[Monomial, ParamScalar] = {}
-        else:
-            rule = next((r for r in self.rules if _divides(r.lhs, mono)), None)
-            if rule is None:
-                result = {mono: self._one_scalar}
+        result: dict[Monomial, ParamScalar] = {}
+        if not self._truncates(mono):
+            # the first reducer whose support ``mono`` covers: a zero kills it
+            for support, rule in self._reducers:
+                for i, e in support:
+                    if mono[i] < e:
+                        break
+                else:
+                    if rule is not None:
+                        result = self._normalize(self._rewrite(mono, rule.lhs, rule.rhs))
+                    break
             else:
-                result = self._normalize(self._rewrite(mono, rule.lhs, rule.rhs))
+                result = {mono: self._one_scalar}
         self._nf_cache[mono] = result
         return result
 
@@ -423,18 +434,19 @@ class RingPresentation:
 def _element(ring: RingPresentation, terms: dict) -> "GradedElement":
     """Trusted constructor: ``terms`` holds no zero coefficient."""
     out = object.__new__(GradedElement)
-    out.ring, out._terms = ring, terms
+    out.ring, out._terms, out._fiber_bearing = ring, terms, None
     return out
 
 
 class GradedElement:
     """A ring element in normal form: a finite sum coeff * basis monomial."""
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_fiber_bearing")  # the last is None until first read
 
     def __init__(self, ring: RingPresentation, terms: Mapping[Monomial, ParamScalar]):
         self.ring = ring
         self._terms = {m: c for m, c in terms.items() if c}
+        self._fiber_bearing = None
 
     # -- views ------------------------------------------------------------
 
@@ -444,6 +456,15 @@ class GradedElement:
     @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    @property
+    def fiber_bearing(self) -> bool:
+        """Whether a term has fiber weight; its terms are read once, on the
+        first call, as the element is immutable."""
+        out = self._fiber_bearing
+        if out is None:
+            out = self._fiber_bearing = any(map(self.ring.weight, self._terms))
+        return out
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({self.ring.degree(m) for m in self._terms}))

@@ -421,21 +421,14 @@ class UncheckedRing(RingPresentation):
         pass
 
 
-def exhaustive_confluence_failure(ring):
-    """Reference confluence check: the load-time check before critical pairs.
-
-    Normalize every monomial up to the top degree plus the fiber's 2, with
-    cycle detection, then join every monomial that two or more reducers
-    (rules or zero monomials) apply to.  Returns the first failure as text,
-    or None.  It visits every one of those monomials, so keep rings small.
-    """
+def reference_normalizer(ring):
+    """Reference normal forms, apart from the ring's own: ``(monomial_nf,
+    normalize)`` over a private cache, testing every zero and then every
+    rule by exponent-wise division, with cycle detection.  A monomial that
+    rewrites to itself raises ``_RewriteCycle``."""
     in_progress = object()
     one = ParamScalar.constant(1, ring.params)
     cache = {}
-
-    def rewrite(mono, rule):
-        quotient = tuple(m - l for m, l in zip(mono, rule.lhs))
-        return {tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rule.rhs}
 
     def normalize(raw):
         out = {}
@@ -462,10 +455,22 @@ def exhaustive_confluence_failure(ring):
                 result = {mono: one}
             else:
                 cache[mono] = in_progress
-                result = normalize(rewrite(mono, rule))
+                result = normalize(_rewrite(mono, rule))
         cache[mono] = result
         return result
 
+    return monomial_nf, normalize
+
+
+def exhaustive_confluence_failure(ring):
+    """Reference confluence check: the load-time check before critical pairs.
+
+    Normalize every monomial up to the top degree plus the fiber's 2, with
+    cycle detection, then join every monomial that two or more reducers
+    (rules or zero monomials) apply to.  Returns the first failure as text,
+    or None.  It visits every one of those monomials, so keep rings small.
+    """
+    monomial_nf, normalize = reference_normalizer(ring)
     monomials = list(ring.monomials_up_to(ring.top_degree + 2))
     try:
         for mono in monomials:
@@ -478,7 +483,7 @@ def exhaustive_confluence_failure(ring):
             routes.append(("zero-monomial", {}))
         for rule in ring.rules:
             if _divides(rule.lhs, mono):
-                routes.append((ring.monomial_str(rule.lhs), normalize(rewrite(mono, rule))))
+                routes.append((ring.monomial_str(rule.lhs), normalize(_rewrite(mono, rule))))
         for label, other in routes[1:]:
             if other != routes[0][1]:
                 return (
@@ -486,6 +491,11 @@ def exhaustive_confluence_failure(ring):
                     f"reducing via {routes[0][0]} and via {label} give different normal forms"
                 )
     return None
+
+
+def _rewrite(mono, rule):
+    quotient = tuple(m - l for m, l in zip(mono, rule.lhs))
+    return {tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rule.rhs}
 
 
 class _RewriteCycle(Exception):

@@ -1,9 +1,14 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maxsub import chern
 from maxsub.chern import ChernCharacter, TotalChernClass, _character, _graded_product
 from maxsub.gradedring import GradedElement, RingPresentation
+from maxsub.pipeline import count_maximal_subbundles
 from maxsub.scalars import ParamScalar
 
 from helpers import (
@@ -249,6 +254,66 @@ def test_recursion_calls_the_kernel_only_on_steps_with_terms(total, steps, monke
     assert len(calls) == steps
     assert list(ch.parts) + [ch.part(ring.max_degree // 2)] == dense_character(ring, padded)
     assert ch.total_class() == c
+
+
+@contextmanager
+def _within(seconds):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _unbounded(monkeypatch):
+    # a bound no recursion could walk to: only the provable stop ends it
+    monkeypatch.setattr(chern, "_bound", lambda ring, *inputs: 10**6)
+
+
+STOP_PRESETS = {"jacobian-g20": jacobian_preset(20), "g2-rank2": PRESET}
+
+
+@pytest.mark.parametrize("name", STOP_PRESETS)
+def test_newton_recursions_stop_without_their_bound(name, monkeypatch):
+    # once a step is more than max(given) past the last nonzero output, no
+    # later step has a product: the count's recursions end there on their own
+    preset = STOP_PRESETS[name]
+    difference = count_maximal_subbundles(preset).difference
+
+    def run():
+        characters = [c.character(r) for c, r in ((preset.chern_u, preset.subbundle_rank), (preset.chern_l, 1))]
+        return characters, [ch.total_class() for ch in characters], difference.total_class()
+
+    expected = run()
+    _unbounded(monkeypatch)
+    with _within(5):
+        assert run() == expected
+
+
+@pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "unbounded"])
+def test_newton_recursions_cross_gaps_as_wide_as_their_reach(bounded, monkeypatch):
+    # with only c_3 (or only ch_3) the outputs sit at 3, 6, 9, ...: each gap
+    # is exactly max(given) steps wide, which must not stop the recursion;
+    # theta^2*f makes the fiber-bearing component 21 = 7*3 nonzero too
+    ring = jacobian_preset(20).ring
+    dense = [ring.zero()] * (ring.max_degree // 2)
+    dense[2] = ring.parse("theta^3 + theta^2*f")
+    if not bounded:
+        _unbounded(monkeypatch)
+    with _within(5):
+        ch = TotalChernClass(ring, {3: dense[2]}).character(1)
+        c = ChernCharacter(ring, 1, {3: dense[2]}).total_class()
+    for obj, reference in ((ch, dense_character(ring, dense)), (c, dense_total_class(ring, dense))):
+        want = {k: x for k, x in enumerate(reference, start=1) if not x.is_zero}
+        assert list(want) == list(range(3, 22, 3))
+        assert dict(obj.items()) == want
 
 
 # -- sparse storage against the dense references -----------------------------------

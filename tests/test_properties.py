@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maxsub import load_preset
 from maxsub.gradedring import GradedElement
 from maxsub.scalars import ParamScalar
 
@@ -17,6 +18,7 @@ from helpers import (
     jacobian_preset,
     raw_terms_st,
     reduce_in_random_order,
+    reference_normalizer,
     reference_weight,
     scalars_st,
 )
@@ -148,6 +150,21 @@ def test_restriction_is_a_ring_map_on_the_basis(genus):
         for y, y_pt in zip(basis, restricted)
         if (x * y).restrict_to_point() != x_pt * y_pt
     ]
+    assert failures == []
+
+
+@BASIS_RINGS
+def test_monomial_normal_forms_match_the_exhaustive_reference(genus):
+    # every monomial up to the max degree goes through the miss path of a
+    # freshly loaded ring, from an empty cache, so each is matched against
+    # the ring's compiled reducer supports at least once
+    ring = load_preset("g2-rank2" if genus is None else "jacobian", genus=genus).ring
+    reference, _ = reference_normalizer(ring)
+    failures = []
+    for mono in ring.monomials_up_to(ring.max_degree):
+        ring._nf_cache.clear()
+        if ring._monomial_nf(mono) != reference(mono):
+            failures.append(ring.monomial_str(mono))
     assert failures == []
 
 

@@ -13,10 +13,11 @@ from maxsub.errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from maxsub.gradedring import GradedElement, RingPresentation, load_presentation
+from maxsub.gradedring import GradedElement, RewriteRule, RingPresentation, load_presentation
 from maxsub.scalars import ParamScalar
 
 from helpers import (
+    UncheckedRing,
     g2_ring,
     homogeneous_component,
     jacobian_preset,
@@ -250,6 +251,20 @@ def test_rewrite_cycle_detected():
     with pytest.raises(PresentationError) as err:
         load_presentation(text)
     assert "terminate" in str(err.value)
+
+
+def test_monomial_under_a_zero_and_a_rule_normalizes_to_zero():
+    # x^2*y^2 is divisible by the zero y^2 and by the rule's x^2
+    ring = load_presentation("generators: x=2, y=2\nrules: x^2 -> x*y\nzeros: y^2\ntop_degree: 8\n")
+    one = ParamScalar.constant(1, ring.params)
+    ring._nf_cache.clear()
+    assert ring._monomial_nf((2, 2)) == {}
+    # zeros are tried before rules: on a system the load check rejects, the
+    # rule x^2 -> y^2 first would leave y^3, the zero x*y first leaves 0
+    rule = RewriteRule((2, 0), (((0, 2), one),))
+    unchecked = UncheckedRing((("x", 2), ("y", 2)), rules=[rule], zeros=[(1, 1)], top_degree=6)
+    assert unchecked._monomial_nf((2, 1)) == {}
+    assert unchecked._monomial_nf((2, 0)) == {(0, 2): one}
 
 
 def test_reducible_integral_monomial_rejected():
