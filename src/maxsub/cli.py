@@ -27,12 +27,16 @@ def _load_ring_file(path: str):
     return load_presentation(text, name=Path(path).stem)
 
 
+def _too_many_digits() -> KernelError:
+    limit = sys.get_int_max_str_digits()
+    return KernelError(f"the exact result has more than {limit} digits, too many to print")
+
+
 def _print_exact(value, render=str) -> None:
     try:  # Python caps int-to-text conversion, which keeps printing time bounded
         text = render(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise KernelError(f"the exact result has more than {limit} digits, too many to print") from None
+        raise _too_many_digits() from None
     print(text)
 
 
@@ -89,7 +93,16 @@ def _cmd_formulas(args) -> int:
     from . import formulas
 
     function, _, options = _FORMULAS[args.formula]
-    _print_exact(getattr(formulas, function)(*(getattr(args, option.replace("-", "_")) for option in options)))
+    values = [getattr(args, option.replace("-", "_")) for option in options]
+    if args.formula == "m1":
+        # n^g has more than g*(bits(n) - 1)*log10(2) digits (30102/10^5 is
+        # below log10(2)), and its time grows with them: refuse before
+        # computing what could not be printed
+        n, g = values
+        limit = sys.get_int_max_str_digits()
+        if limit and n > 1 and g * (n.bit_length() - 1) * 30102 // 100000 >= limit:
+            raise _too_many_digits()
+    _print_exact(getattr(formulas, function)(*values))
     return 0
 
 

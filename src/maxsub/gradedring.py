@@ -245,13 +245,15 @@ class RingPresentation:
         return result
 
     def _normalize(self, raw: Mapping[Monomial, ParamScalar]) -> dict[Monomial, ParamScalar]:
+        one = self._one_scalar
         out: dict[Monomial, ParamScalar] = {}
         for mono, coeff in raw.items():
             if not coeff:
                 continue
             for nmono, ncoeff in self._monomial_nf(mono).items():
+                term = coeff if ncoeff is one else coeff * ncoeff  # a normal monomial's own form: no product
                 total = out.get(nmono)
-                total = coeff * ncoeff if total is None else total + coeff * ncoeff
+                total = term if total is None else total + term
                 if total:
                     out[nmono] = total
                 else:
@@ -283,11 +285,13 @@ class RingPresentation:
         den = 1
         for w, x, y in pairs:
             wn, wd = w.numerator, w.denominator
+            if x.ring is not self:
+                raise ValueError("elements belong to different presentations")
             if isinstance(y, GradedElement):
-                self._check_ring(x, y)
+                if y.ring is not self:
+                    raise ValueError("elements belong to different presentations")
                 yterms = y._terms.items()
             else:
-                self._check_ring(x)
                 if isinstance(y, (int, Fraction)):
                     wn, wd, yterms = wn * y.numerator, wd * y.denominator, ((None, one),)
                 else:
@@ -336,12 +340,23 @@ class RingPresentation:
                         else:
                             for e, c in num.items():
                                 t[e] = t.get(e, 0) + c * k
+        # each output coefficient in place, with ``_make``'s invariant: no zero
+        # numerator, and the one gcd divided out of the numerators and ``den``
         terms = {}
         for mono, num in acc.items():
             num = {e: c for e, c in num.items() if c}
             if num:
-                terms[mono] = _make(params, num, den)
-        return _element(self, terms)
+                common = gcd(den, *num.values())
+                coeff = object.__new__(ParamScalar)
+                coeff.params = params
+                if common == 1:
+                    coeff._num, coeff._den = num, den
+                else:
+                    coeff._num, coeff._den = {e: c // common for e, c in num.items()}, den // common
+                terms[mono] = coeff
+        result = object.__new__(GradedElement)
+        result.ring, result._terms, result._fiber_bearing = self, terms, None
+        return result
 
     def _check_ring(self, *elements: "GradedElement"):
         for x in elements:
@@ -570,7 +585,8 @@ class GradedElement:
         ring = self.ring
         if not ring.integrals:
             raise IncompletePresentationError("the presentation declares no integrals")
-        total = ParamScalar(ring.params)
+        num: dict = {}  # integer numerators over one running denominator, as in the kernel
+        den = 1
         for mono, coeff in self._terms.items():
             if ring.degree(mono) < ring.top_degree:
                 continue
@@ -584,8 +600,15 @@ class GradedElement:
                 raise IncompletePresentationError(
                     f"incomplete presentation: no declared integral for {ring.monomial_str(mono)}"
                 )
-            total = total + coeff * value
-        return total
+            d = coeff._den * value.denominator
+            if den % d:
+                lift = d // gcd(den, d)
+                num = {e: c * lift for e, c in num.items()}
+                den *= lift
+            k = value.numerator * (den // d)
+            for e, c in coeff._num.items():
+                num[e] = num.get(e, 0) + c * k
+        return _make(ring.params, {e: c for e, c in num.items() if c}, den)
 
     def pushforward_fiber(self) -> "GradedElement":
         """Integrate over the curve fiber: extract the f-linear part, f -> 1.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
+from itertools import islice
 from math import factorial
 
 from . import PRESET_NAMES, formulas
@@ -347,7 +348,7 @@ def consistency_report(preset: Preset) -> list[tuple[str, bool, object]]:
     porteous = sections.total_class() * result.difference_class == evaluation.total_class()
     checks.append(("Chern class multiplicativity", porteous, "c(sections) * c(difference) = c(evaluation)"))
 
-    admissible = [k for k in range(2, 200) if preset.is_admissible(k)][:10]
+    admissible = list(islice(filter(preset.is_admissible, range(2, 200)), 10))
     values = [result.specialize(k) for k in admissible]
     ok = all(v.denominator == 1 and v > 0 for v in values)
     checks.append(("integral positive counts", ok, _Counts(zip(admissible[:4], values[:4]))))

@@ -7,9 +7,11 @@ and ``==`` and ``hash`` compare the stored form.  Division is only ever by
 an explicit nonzero rational, so values stay inside Q[parameters] and no
 floating point enters anywhere.  The public constructor validates its
 input; arithmetic results are built by ``_make``, which trusts its input
-and only divides out the common factor.  The ring's one-pass sum of
-products (``RingPresentation.sum_of_products``) multiplies the numerators
-itself and calls ``_make`` once per output coefficient.
+and only divides out the common factor.  Products of numerator maps go
+through one loop, ``_times``, which adds one-parameter exponents directly.
+The ring's one-pass sum of products (``RingPresentation.sum_of_products``)
+multiplies the numerators with it and builds each output coefficient in
+place, under ``_make``'s invariant, with one gcd.
 """
 
 from __future__ import annotations
@@ -183,11 +185,7 @@ class ParamScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        num: dict[Exponents, int] = {}
-        for e1, c1 in self._num.items():
-            for e2, c2 in other._num.items():
-                expo = tuple(map(add, e1, e2))
-                num[expo] = num.get(expo, 0) + c1 * c2
+        num = _times(self._num, other._num, (0,) * len(self.params))
         return _make(self.params, {e: c for e, c in num.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
@@ -280,15 +278,23 @@ def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> Param
     return out
 
 
-# -- numerator maps: the integer layer of the ring's one-pass sum of products --
+# -- numerator maps: the integer layer of ``*`` and of the ring's sum of products --
 
 
 def _times(p: dict, q: dict, zero: tuple) -> dict:
-    """The product of two numerator maps, unreduced; a constant ``p`` scales ``q``."""
+    """The product of two numerator maps, unreduced; a constant ``p`` scales
+    ``q``.  One parameter (``zero`` of width 1, as in every preset) adds its
+    exponents directly instead of mapping ``add`` over them."""
     k = p.get(zero) if len(p) == 1 else None
     if k is not None:
         return {e: c * k for e, c in q.items()}
     out: dict = {}
+    if len(zero) == 1:
+        for (e1,), c1 in p.items():
+            for (e2,), c2 in q.items():
+                e = (e1 + e2,)
+                out[e] = out.get(e, 0) + c1 * c2
+        return out
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             e = tuple(map(add, e1, e2))

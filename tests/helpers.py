@@ -1,5 +1,7 @@
 """Shared fixtures-by-function, strategies, and independent oracles."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -351,6 +353,30 @@ def theta_power_integral(g):
     return total
 
 
+def vafa_intriligator_rank2(n, g):
+    """m(n, 2) at genus g by the Vafa-Intriligator residue formula (Holla,
+    Math. Ann. 2004; proved by Marian-Oprea, Duke 2007), in plain
+    ``Fraction``s, independent of the ring kernel:
+
+        m(n, 2) = -(n^(2(g-1))/2) sum over rho1 != rho2 of
+                  (rho1 rho2)^(n/2 + g - 1) ((rho1 - rho2)(rho2 - rho1))^(1 - g)
+
+    over n-th roots of unity, n even.  With rho2 = rho1 zeta the term is
+    (-1)^(g-1) zeta^(n/2 + g - 1) (1 - zeta)^(-2(g-1)), free of rho1, so the
+    sum over rho1 is a factor n.  The rest is computed in Q[Z/n], the
+    algebra of functions on the n-th roots of unity, with h as the
+    coefficients of sum_j h[j] zeta^j: on zeta != 1, 1/(1 - zeta) is
+    -(1/n) sum_j j zeta^j, and the sum of h over zeta != 1 is n h[0] - h(1).
+    No cyclotomic field is needed."""
+    inverse = [Fraction(-j, n) for j in range(n)]  # 1/(1 - zeta) on zeta != 1
+    h = [Fraction(0)] * n
+    h[(n // 2 + g - 1) % n] = Fraction(1)
+    for _ in range(2 * (g - 1)):
+        h = [sum(h[i] * inverse[(k - i) % n] for i in range(n)) for k in range(n)]
+    residue_sum = n * (n * h[0] - sum(h))
+    return -Fraction(n ** (2 * (g - 1)), 2) * (-1) ** (g - 1) * residue_sum
+
+
 def reference_weight(ring, mono):
     """Fiber weight written out from the declarations, apart from the
     ring's own: 2 per fiber class, 1 per fiber-supported generator."""
@@ -516,3 +542,19 @@ def exponential_element(x, top_terms=None):
         power = power * x
         total = total + power / factorial(k)
     return total
+
+
+@contextmanager
+def within(seconds):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,6 +1,3 @@
-import signal
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +19,7 @@ from helpers import (
     jacobian_preset,
     scalars_st,
     sparse_components_st,
+    within,
 )
 
 PRESET = g2_preset()
@@ -256,22 +254,6 @@ def test_recursion_calls_the_kernel_only_on_steps_with_terms(total, steps, monke
     assert ch.total_class() == c
 
 
-@contextmanager
-def _within(seconds):
-    """Raise ``TimeoutError`` in the block once it has run ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _unbounded(monkeypatch):
     # a bound no recursion could walk to: only the provable stop ends it
     monkeypatch.setattr(chern, "_bound", lambda ring, *inputs: 10**6)
@@ -293,7 +275,7 @@ def test_newton_recursions_stop_without_their_bound(name, monkeypatch):
 
     expected = run()
     _unbounded(monkeypatch)
-    with _within(5):
+    with within(5):
         assert run() == expected
 
 
@@ -307,7 +289,7 @@ def test_newton_recursions_cross_gaps_as_wide_as_their_reach(bounded, monkeypatc
     dense[2] = ring.parse("theta^3 + theta^2*f")
     if not bounded:
         _unbounded(monkeypatch)
-    with _within(5):
+    with within(5):
         ch = TotalChernClass(ring, {3: dense[2]}).character(1)
         c = ChernCharacter(ring, 1, {3: dense[2]}).total_class()
     for obj, reference in ((ch, dense_character(ring, dense)), (c, dense_total_class(ring, dense))):

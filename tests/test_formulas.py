@@ -5,11 +5,15 @@ import pytest
 from maxsub.formulas import (
     hirschowitz_smax,
     m1_closed,
+    m2,
     m2_closed,
     quot_dim,
     s_invariant,
     stratum_dim,
 )
+from maxsub.pipeline import count_maximal_subbundles
+
+from helpers import g2_preset, vafa_intriligator_rank2
 
 
 def test_s_invariant():
@@ -92,3 +96,21 @@ def test_m2_closed_integer_for_all_even_ranks():
 
 def test_m2_closed_is_exact_rational():
     assert m2_closed(3).value == Fraction(27 * 11, 48)
+
+
+def test_vafa_intriligator_rank2_matches_m2_and_the_count():
+    # an exact oracle that shares nothing with the ring kernel: the residue
+    # sum at genus 2 against the closed form and the pipeline's polynomial
+    preset = g2_preset()
+    count = count_maximal_subbundles(preset)
+    admissible = [n for n in range(2, 41) if preset.is_admissible(n)]
+    assert admissible == list(range(4, 41, 2))
+    for n in admissible:
+        value = vafa_intriligator_rank2(n, 2)
+        assert value == m2(n) == count.specialize(n), n
+
+
+def test_vafa_intriligator_rank2_genus_3():
+    # beyond the paper's g = 2: the values the Thaddeus-based probe of
+    # ROADMAP item 11 computed independently
+    assert [vafa_intriligator_rank2(n, 3) for n in (4, 6, 8)] == [224, 7155, 89088]

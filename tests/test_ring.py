@@ -372,9 +372,16 @@ def test_sum_of_products_on_every_pair_of_basis_monomials(genus):
 
 
 def test_sum_of_products_rejects_another_ring(R):
+    # either factor of another ring, the second an element or a scalar
     other = jacobian_preset(3).ring
-    with pytest.raises(ValueError):
-        R.sum_of_products([(1, R.generator("alpha"), other.generator("theta"))])
+    for x, y in [
+        (R.generator("alpha"), other.generator("theta")),
+        (other.generator("theta"), R.generator("alpha")),
+        (other.generator("theta"), 2),
+        (other.generator("theta"), R.parameter("n")),
+    ]:
+        with pytest.raises(ValueError, match="different presentations"):
+            R.sum_of_products([(1, x, y)])
 
 
 def _two_parameter_ring():
