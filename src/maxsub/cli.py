@@ -99,7 +99,7 @@ def _cmd_formulas(args) -> int:
         # below log10(2)), and its time grows with them: refuse before
         # computing what could not be printed
         n, g = values
-        limit = sys.get_int_max_str_digits()
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before Python 3.10.7
         if limit and n > 1 and g * (n.bit_length() - 1) * 30102 // 100000 >= limit:
             raise _too_many_digits()
     _print_exact(getattr(formulas, function)(*values))

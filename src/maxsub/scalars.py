@@ -7,11 +7,10 @@ and ``==`` and ``hash`` compare the stored form.  Division is only ever by
 an explicit nonzero rational, so values stay inside Q[parameters] and no
 floating point enters anywhere.  The public constructor validates its
 input; arithmetic results are built by ``_make``, which trusts its input
-and only divides out the common factor.  Products of numerator maps go
-through one loop, ``_times``, which adds one-parameter exponents directly.
-The ring's one-pass sum of products (``RingPresentation.sum_of_products``)
-multiplies the numerators with it and builds each output coefficient in
-place, under ``_make``'s invariant, with one gcd.
+and only divides out the common factor.  The ring's one-pass sum of
+products (``RingPresentation.sum_of_products``) multiplies the numerators
+with ``_times``, which adds one-parameter exponents directly, and builds
+each output coefficient in place, under ``_make``'s invariant, with one gcd.
 """
 
 from __future__ import annotations
@@ -185,7 +184,11 @@ class ParamScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        num = _times(self._num, other._num, (0,) * len(self.params))
+        num: dict[Exponents, int] = {}
+        for e1, c1 in self._num.items():
+            for e2, c2 in other._num.items():
+                expo = tuple(map(add, e1, e2))
+                num[expo] = num.get(expo, 0) + c1 * c2
         return _make(self.params, {e: c for e, c in num.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
@@ -278,7 +281,7 @@ def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> Param
     return out
 
 
-# -- numerator maps: the integer layer of ``*`` and of the ring's sum of products --
+# -- numerator maps: the integer layer of the ring's one-pass sum of products --
 
 
 def _times(p: dict, q: dict, zero: tuple) -> dict:
