@@ -17,7 +17,7 @@ from importlib import resources
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from maxsub.cli import run
+from maxsub.cli import _FORMULAS, run
 
 from helpers import within
 
@@ -30,7 +30,7 @@ FUZZ = settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 
 
 def run_contract(argv):
-    """Run the CLI in-process and check the contract; returns (code, stdout)."""
+    """Run the CLI in-process and check the contract."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with within(BOUND), redirect_stdout(out), redirect_stderr(err):
@@ -46,7 +46,6 @@ def run_contract(argv):
         assert "error: " in err.splitlines()[-1], (argv, err)
     else:
         assert err == "", (argv, err)
-    return code, out
 
 
 # -- argv --------------------------------------------------------------------
@@ -78,14 +77,7 @@ def test_random_argv_keeps_the_contract(argv):
     run_contract(argv)
 
 
-FORMULA_OPTIONS = {
-    "s-invariant": ("n", "d", "n-sub", "d-sub"),
-    "hirschowitz-smax": ("n", "n-sub", "d", "g"),
-    "stratum-dim": ("n", "n-sub", "d", "g", "s"),
-    "quot-dim": ("sub-rank", "sub-deg", "rank", "deg", "g"),
-    "m1": ("n", "g"),
-    "m2": ("n",),
-}
+FORMULA_OPTIONS = {name: options for name, (_, _, options) in _FORMULAS.items()}
 
 
 @st.composite
