@@ -58,7 +58,16 @@ def _checked(ring: RingPresentation, parts, what: str) -> Components:
 
 
 def _nonzero(parts: Components) -> Components:
-    return {k: parts[k] for k in sorted(parts) if not parts[k].is_zero}
+    """The nonzero components, keys increasing; only keys out of order are
+    sorted."""
+    out, last = {}, 0
+    for k, p in parts.items():
+        if k < last:
+            return {k: parts[k] for k in sorted(parts) if parts[k]._terms}
+        last = k
+        if p._terms:
+            out[k] = p
+    return out
 
 
 def _character(ring: RingPresentation, rank: ParamScalar, parts: Components) -> "ChernCharacter":
@@ -78,12 +87,10 @@ def _class(ring: RingPresentation, parts: Components) -> "TotalChernClass":
 class _Ratio:
     """A weight of the ring's sum of products, left unreduced: the kernel
     reads only its integer ``numerator`` and ``denominator``, and reduces
-    each output coefficient once."""
+    each output coefficient once.  :func:`_newton` sets both slots on a bare
+    instance, with no ``__init__`` call per weight."""
 
     __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator, self.denominator = numerator, denominator
 
 
 def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Components:
@@ -103,6 +110,7 @@ def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Co
     """
     out: Components = {}
     factorial = [1]
+    new, sum_of_products = object.__new__, ring.sum_of_products
     reach, last = max(given, default=0), 0  # last: the last nonzero output, x_0 = 1 counting
     for k in range(1, _bound(ring, given) + 1):
         if k - last > reach:
@@ -115,14 +123,15 @@ def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Co
             x = 1 if i == k else out.get(k - i)
             if x is not None:
                 sign = 1 if i % 2 else -1
+                weight = new(_Ratio)
                 if to_character:
-                    weight = _Ratio(sign * (k if i == k else factorial[k - i]), factorial[k])
+                    weight.numerator, weight.denominator = sign * (k if i == k else factorial[k - i]), factorial[k]
                 else:
-                    weight = _Ratio(sign * factorial[i], k)
+                    weight.numerator, weight.denominator = sign * factorial[i], k
                 pairs.append((weight, g, x))
         if pairs:
-            acc = ring.sum_of_products(pairs)
-            if not acc.is_zero:
+            acc = sum_of_products(pairs)
+            if acc._terms:
                 out[k], last = acc, k
     return out
 
@@ -132,8 +141,10 @@ def _bound(ring: RingPresentation, *inputs: Components) -> int:
     nonzero: half the base's ``top_degree`` when no component is
     fiber-bearing, else half the ring's ``max_degree``.  Each component
     reads its terms once in its lifetime, not on every call."""
-    if any(x.fiber_bearing for parts in inputs for x in parts.values()):
-        return ring.max_degree // 2
+    for parts in inputs:
+        for x in parts.values():
+            if x.fiber_bearing:
+                return ring.max_degree // 2
     return ring.top_degree // 2
 
 
@@ -145,16 +156,17 @@ def _graded_product(ring: RingPresentation, a0, a: Components, b0, b: Components
     carries the weight (-1)^k, which makes it the product of the duals."""
     count = _bound(ring, a, b)
     signs = (1, -1) if dual else (1, 1)
-    pairs: dict = {}
+    pairs: dict = {k: [] for k in range(1, count + 1)}
     for i, x in a.items():
-        pairs.setdefault(i, []).append((signs[i & 1], x, b0))
+        pairs[i].append((signs[i & 1], x, b0))
         for j, y in b.items():
             if i + j > count:
                 break
-            pairs.setdefault(i + j, []).append((signs[(i + j) & 1], x, y))
+            pairs[i + j].append((signs[(i + j) & 1], x, y))
     for j, y in b.items():
-        pairs.setdefault(j, []).append((signs[j & 1], y, a0))
-    return {k: ring.sum_of_products(terms) for k, terms in pairs.items()}
+        pairs[j].append((signs[j & 1], y, a0))
+    sum_of_products = ring.sum_of_products
+    return {k: sum_of_products(terms) for k, terms in pairs.items() if terms}
 
 
 def _combination(ring: RingPresentation, terms) -> Components:

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import PRESET_NAMES
-from .errors import KernelError, ParseError
+from .errors import KernelError, ParseError, check_power_digits, too_many_digits
 
 
 def _load_ring_file(path: str):
@@ -27,16 +27,11 @@ def _load_ring_file(path: str):
     return load_presentation(text, name=Path(path).stem)
 
 
-def _too_many_digits() -> KernelError:
-    limit = sys.get_int_max_str_digits()
-    return KernelError(f"the exact result has more than {limit} digits, too many to print")
-
-
 def _print_exact(value, render=str) -> None:
     try:  # Python caps int-to-text conversion, which keeps printing time bounded
         text = render(value)
     except ValueError:
-        raise _too_many_digits() from None
+        raise too_many_digits() from None
     print(text)
 
 
@@ -94,14 +89,8 @@ def _cmd_formulas(args) -> int:
 
     function, _, options = _FORMULAS[args.formula]
     values = [getattr(args, option.replace("-", "_")) for option in options]
-    if args.formula == "m1":
-        # n^g has more than g*(bits(n) - 1)*log10(2) digits (30102/10^5 is
-        # below log10(2)), and its time grows with them: refuse before
-        # computing what could not be printed
-        n, g = values
-        limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before Python 3.10.7
-        if limit and n > 1 and g * (n.bit_length() - 1) * 30102 // 100000 >= limit:
-            raise _too_many_digits()
+    if args.formula == "m1" and values[0] > 1:
+        check_power_digits(*values)  # n^g takes time that grows with its digits
     _print_exact(getattr(formulas, function)(*values))
     return 0
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the kernel and the CLI."""
+"""Exception types shared across the kernel and the CLI, and the one check
+that refuses an exact number too long to print before it is computed."""
+
+import sys
 
 
 class KernelError(Exception):
@@ -36,3 +39,20 @@ class ParseError(Exception):
         self.expected = expected
         hint = f" (expected {expected})" if expected else ""
         super().__init__(f"line {line}, column {column}: {message}{hint}")
+
+
+def too_many_digits() -> KernelError:
+    """The error for an exact result whose digits pass Python's int-to-text
+    limit, which keeps printing time bounded."""
+    return KernelError(f"the exact result has more than {sys.get_int_max_str_digits()} digits, too many to print")
+
+
+def check_power_digits(base: int, exponent: int) -> None:
+    """Refuse ``base**exponent`` before computing it when its digits would
+    pass Python's int-to-text limit: ``|base|^exponent`` has more than
+    ``exponent * (bits(|base|) - 1) * log10(2)`` digits, and 30102/10^5 is
+    below log10(2).  No bound when the limit is 0 (or, before Python 3.10.7,
+    does not exist)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and exponent * (abs(base).bit_length() - 1) * 30102 // 100000 >= limit:
+        raise too_many_digits()

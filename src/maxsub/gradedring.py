@@ -26,7 +26,13 @@ of a sum of products, which the Chern layer uses for each recursion step and
 graded-product component: each pair of monomials looks up its normal form
 once, the integer numerators of the coefficients are multiplied right there
 and summed over one running common denominator, and each output coefficient
-is reduced once.  Expressions go through the one tree walk of ``parsing``:
+is reduced once.  A ring that multiplies the same pairs again, as every count
+on a loaded preset and every consistency report does, finds each in its pair
+table ``_rows`` (``m1 -> {m2: normal form of m1*m2}``, the dicts of the
+normal-form cache) with one lookup and builds no product tuple; the table
+stores a new pair only while it holds fewer than
+:data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form, so it stays small
+where pairs never repeat.  Expressions go through the one tree walk of ``parsing``:
 reduced after every product (:meth:`RingPresentation.evaluate`), or, for a
 file's rules, zeros and integrals and ``coefficient``, as free polynomials
 in their names.  ``parsing`` is imported only where text is read, so a ring built as
@@ -53,6 +59,10 @@ if TYPE_CHECKING:
     from .parsing import PresentationFileData
 
 Monomial = Tuple[int, ...]
+
+#: The kernel's pair table stores a new pair only while it holds fewer than
+#: this many pairs per cached normal form.
+PAIRS_PER_NORMAL_FORM = 4
 
 
 class RewriteRule(NamedTuple):
@@ -95,6 +105,9 @@ class RingPresentation:
         self._index = {n: i for i, n in enumerate(self.generator_names)}
         self.integrals = dict(integrals or {})
         self._nf_cache: dict = {}
+        self._rows: dict = {}  # m1 -> {m2: the normal form of m1*m2}, the kernel's pair table
+        self._stored_pairs = 0
+        self._zero_exponents = (0,) * len(self.params)
         self._one_scalar = ParamScalar.constant(1, self.params)
         self._validate(fiber, fiber_supported)
         self._check_critical_pairs()
@@ -267,20 +280,25 @@ class RingPresentation:
         element ``x`` and an element or scalar ``y``.
 
         The one-pass form of a fold of ``*`` and ``+``.  Each pair of
-        monomials looks up its normal form once (a truncating monomial is
-        cached as empty, so :meth:`_truncates` runs once per monomial) and,
-        only if that is not empty, multiplies the integer numerators of
-        ``w*c1*c2`` there, times those of each normal-form coefficient ``c3``
+        monomials ``m1``, ``m2`` looks up its normal form once: in the row of
+        ``m1`` in the pair table, and on a miss in the normal-form cache by
+        the product tuple (a truncating monomial is cached as empty, so
+        :meth:`_truncates` runs once per monomial), storing the cache's dict
+        in the row while the table holds fewer than
+        :data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form.  Only if
+        that form is not empty are the integer numerators of ``w*c1*c2``
+        multiplied there, times those of each normal-form coefficient ``c3``
         other than 1.  A rational ``y`` folds into the weight; any other
         scalar ``y`` is one more factor of each coefficient of ``x``, which
         is in normal form already.  The numerators are summed in one map,
         by output monomial and parameter exponents, over one running common
         denominator: a term whose denominator does not divide it lifts the
-        map once to the lcm.  Each output coefficient is reduced once.
+        map once to the lcm.  Each output coefficient is reduced once, and
+        its zero numerators are dropped only if one cancelled.
         """
         cache, nf, one = self._nf_cache, self._monomial_nf, self._one_scalar
-        params = self.params
-        zero = (0,) * len(params)
+        rows, empty, stored = self._rows, {}, self._stored_pairs
+        params, zero = self.params, self._zero_exponents
         acc = {}  # output monomial -> {parameter exponents: numerator over den}
         den = 1
         for w, x, y in pairs:
@@ -298,14 +316,22 @@ class RingPresentation:
                     yterms = ((None, as_scalar(y, params)),)
             for m1, c1 in x._terms.items():
                 n1, d1 = c1._num, wd * c1._den
+                row = rows.get(m1, empty)
                 for m2, c2 in yterms:
                     if m2 is None:  # a scalar factor: x is in normal form already
                         out = ((m1, one),)
                     else:
-                        mono = tuple(map(add, m1, m2))
-                        out = cache.get(mono)
+                        out = row.get(m2)
                         if out is None:
-                            out = nf(mono)
+                            mono = tuple(map(add, m1, m2))
+                            out = cache.get(mono)
+                            if out is None:
+                                out = nf(mono)
+                            if stored < PAIRS_PER_NORMAL_FORM * len(cache):
+                                if row is empty:
+                                    row = rows[m1] = {}
+                                row[m2] = out
+                                self._stored_pairs = stored = stored + 1
                         if not out:
                             continue
                         out = out.items()
@@ -336,7 +362,11 @@ class RingPresentation:
                             k *= den // d
                         t = acc.get(nmono)
                         if t is None:
-                            acc[nmono] = {e: c * k for e, c in num.items()}
+                            if len(num) == 1:
+                                (e,) = num
+                                acc[nmono] = {e: num[e] * k}
+                            else:
+                                acc[nmono] = {e: c * k for e, c in num.items()}
                         else:
                             for e, c in num.items():
                                 t[e] = t.get(e, 0) + c * k
@@ -344,16 +374,18 @@ class RingPresentation:
         # numerator, and the one gcd divided out of the numerators and ``den``
         terms = {}
         for mono, num in acc.items():
-            num = {e: c for e, c in num.items() if c}
-            if num:
-                common = gcd(den, *num.values())
-                coeff = object.__new__(ParamScalar)
-                coeff.params = params
-                if common == 1:
-                    coeff._num, coeff._den = num, den
-                else:
-                    coeff._num, coeff._den = {e: c // common for e, c in num.items()}, den // common
-                terms[mono] = coeff
+            if not num or 0 in num.values():  # a zero scalar factor, or a numerator cancelled
+                num = {e: c for e, c in num.items() if c}
+                if not num:
+                    continue
+            common = gcd(den, *num.values())
+            coeff = object.__new__(ParamScalar)
+            coeff.params = params
+            if common == 1:
+                coeff._num, coeff._den = num, den
+            else:
+                coeff._num, coeff._den = {e: c // common for e, c in num.items()}, den // common
+            terms[mono] = coeff
         result = object.__new__(GradedElement)
         result.ring, result._terms, result._fiber_bearing = self, terms, None
         return result
@@ -487,6 +519,11 @@ class GradedElement:
     def constant_coefficient(self) -> ParamScalar:
         zero_mono = (0,) * self.ring.ngens
         return self._terms.get(zero_mono, ParamScalar(self.ring.params))
+
+    def constant_term(self) -> Rational:
+        """The constant term of the constant coefficient; the int 0 when it has none."""
+        coeff = self._terms.get((0,) * self.ring.ngens)
+        return 0 if coeff is None else coeff.constant_term()
 
     def coefficient(self, monomial_text: str) -> ParamScalar:
         """Coefficient of a single basis monomial, given as text."""

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, check_power_digits
 from .scalars import ParamScalar
 
 # Names and numbers are ASCII only: str.isalpha and str.isdigit also accept
@@ -241,13 +241,21 @@ def walk(node, leaf):
     """Evaluate an expression tree: ``leaf(node)`` gives each number or name
     its value, and ``+ - * ^`` act on the values, which need ``is_zero``
     too.  A left-deep chain of sums and products runs in a loop, so its
-    length costs no recursion; a zero product skips the factors after it."""
+    length costs no recursion; a zero product skips the factors after it.
+    A power whose constant term alone could not be printed is refused
+    before it is computed, so the values need ``constant_term`` too."""
     if isinstance(node, (Num, Name)):
         return leaf(node)
     if isinstance(node, Neg):
         return -walk(node.operand, leaf)
     if isinstance(node, Pow):
-        return walk(node.base, leaf) ** node.exponent
+        base = walk(node.base, leaf)
+        # the power's constant term is exactly that of the base raised to the
+        # exponent, so refuse before computing one that could never be printed
+        constant = base.constant_term()
+        if constant:
+            check_power_digits(max(abs(constant.numerator), constant.denominator), node.exponent)
+        return base ** node.exponent
     chain = []
     while isinstance(node, BinOp):
         chain.append(node)

@@ -34,7 +34,7 @@ from importlib import resources
 from itertools import islice
 from math import factorial
 
-from . import PRESET_NAMES, formulas
+from . import PRESET_NAMES
 from .chern import ChernCharacter, TotalChernClass, _character, _combination, _graded_product
 from .errors import PresetError
 from .gradedring import GradedElement, RewriteRule, RingPresentation, presentation_from_data
@@ -360,6 +360,8 @@ def consistency_report(preset: Preset) -> list[tuple[str, bool, object]]:
 
 
 def _closed_form(preset: Preset) -> ParamScalar | None:
+    from . import formulas  # only the report reads a closed form: a count never compiles it
+
     if preset.subbundle_rank == 1:
         return formulas.m1(preset.rank_symbol, preset.genus)
     if preset.subbundle_rank == 2 and preset.genus == 2:

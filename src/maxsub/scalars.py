@@ -120,6 +120,11 @@ class ParamScalar:
             raise ValueError(f"{self} is not a constant")
         return Fraction(next(iter(self._num.values())), self._den)
 
+    def constant_term(self) -> Rational:
+        """The coefficient of the parameter monomial 1; the int 0 when it has none."""
+        c = self._num.get((0,) * len(self.params))
+        return 0 if c is None else Fraction(c, self._den)
+
     def evaluate(self, assignment: Mapping[str, Rational]) -> Fraction:
         """Specialize every parameter to an exact rational, in integers: with
         each value p/q and D the top exponent of its parameter, the sum of

@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
+import pytest
 from hypothesis import strategies as st
 
 from maxsub import load_preset
@@ -15,6 +16,11 @@ from maxsub.errors import PresetError, UnknownGeneratorError
 from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.parsing import expand, parse_expression
 from maxsub.scalars import ParamScalar
+
+
+#: The rings whose normal-form basis the exhaustive tests walk: g2-rank2
+#: (genus None) and the jacobian preset at three genera.
+BASIS_RINGS = pytest.mark.parametrize("genus", [None, 3, 5, 8], ids=["g2-rank2", "jacobian-g3", "jacobian-g5", "jacobian-g8"])
 
 
 @lru_cache(maxsize=None)

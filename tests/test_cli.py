@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from maxsub import gradedring, scalars
 from maxsub.cli import run
 
 G2_RING = str(resources.files("maxsub").joinpath("presets", "g2-rank2.ring"))
@@ -148,6 +149,37 @@ def test_too_many_digits_exits_1(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: the exact result has more than 4300 digits, too many to print\n"
+
+
+@pytest.mark.parametrize("expression", ["3^3000000000", "(3 + alpha)^3000000000", "(3 + n)^3000000000", "(1/3 + theta)^30000"])
+def test_power_with_an_unprintable_constant_term_is_refused_before_it_is_computed(capsys, monkeypatch, expression):
+    # the base's constant term raised to the exponent is an exact coefficient
+    # of the power: no power is taken once that alone passes the digit limit
+    def power(base, exponent, one, real=scalars.power):
+        assert exponent < 1000, "a huge power was computed"
+        return real(base, exponent, one)
+
+    monkeypatch.setattr(gradedring, "power", power)  # both rings' and scalars' __pow__ call it
+    monkeypatch.setattr(scalars, "power", power)
+    assert run(["reduce", "--ring", G2_RING, expression]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the exact result has more than 4300 digits, too many to print\n"
+
+
+def test_printable_powers_pass_the_digit_bound(capsys):
+    # 10^4299 has 4,300 digits, the most that print; with no limit there is no bound
+    assert run(["reduce", "--ring", G2_RING, "10^4299"]) == 0
+    assert capsys.readouterr().out == "1" + "0" * 4299 + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        codes = [run(["reduce", "--ring", G2_RING, "3^30000"]), run(["formulas", "m1", "--n", "3", "--g", "30000"])]
+        expected = 2 * f"{3**30000}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert codes == [0, 0]
+    assert capsys.readouterr().out == expected
 
 
 def test_usage_error_exits_2(capsys):

@@ -93,6 +93,13 @@ def test_count_from_data_loads_no_parser(footprints):
     assert "maxsub.parsing" in footprints["count"][1]  # the g2-rank2 preset is a file
 
 
+def test_only_check_loads_formulas(footprints):
+    # the closed forms are read only by the consistency report
+    for name in ("count", "count-jacobian"):
+        assert "maxsub.formulas" not in footprints[name][1], name
+    assert "maxsub.formulas" in footprints["check"][1]
+
+
 def test_ring_parse_runs_one_import_statement(monkeypatch):
     # parse reaches the parser through one function-level import, not one
     # more in the evaluate it shares its walk with

@@ -12,6 +12,7 @@ from maxsub.gradedring import GradedElement
 from maxsub.scalars import ParamScalar
 
 from helpers import (
+    BASIS_RINGS,
     base_elements_st,
     elements_st,
     g2_ring,
@@ -93,9 +94,6 @@ def test_projection_formula_above_the_top_degree(x, y):
     x, y = RING.parse(x), RING.parse(y)
     assert (x * y).pushforward_fiber() == x.pushforward_fiber() * y
     assert not (x * y).pushforward_fiber().is_zero
-
-
-BASIS_RINGS = pytest.mark.parametrize("genus", [None, 3, 5, 8], ids=["g2-rank2", "jacobian-g3", "jacobian-g5", "jacobian-g8"])
 
 
 def _ring_and_basis(genus):

@@ -13,10 +13,13 @@ from maxsub.errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from maxsub.gradedring import GradedElement, RewriteRule, RingPresentation, load_presentation
+from maxsub import load_preset
+from maxsub.gradedring import PAIRS_PER_NORMAL_FORM, GradedElement, RewriteRule, RingPresentation, load_presentation
+from maxsub.pipeline import consistency_report
 from maxsub.scalars import ParamScalar
 
 from helpers import (
+    BASIS_RINGS,
     UncheckedRing,
     g2_ring,
     homogeneous_component,
@@ -342,33 +345,60 @@ def _assert_lowest_terms(element):
         assert coeff._den > 0 and gcd(coeff._den, *coeff._num.values()) == 1
 
 
-@pytest.mark.parametrize("genus", [None, 3], ids=["g2-rank2", "jacobian-g3"])
+def _assert_pair_table_reads_the_cache(ring):
+    # each stored pair holds the very normal form the cache keeps for m1*m2
+    entries = 0
+    for m1, row in ring._rows.items():
+        for m2, out in row.items():
+            assert out is ring._nf_cache[tuple(a + b for a, b in zip(m1, m2))]
+            entries += 1
+    assert entries == ring._stored_pairs <= PAIRS_PER_NORMAL_FORM * len(ring._nf_cache)
+    return entries
+
+
+@BASIS_RINGS
 def test_sum_of_products_on_every_pair_of_basis_monomials(genus):
-    ring = g2_ring() if genus is None else jacobian_preset(genus).ring
+    # a freshly loaded ring: the first pass fills the kernel's pair table,
+    # the second reads it
+    ring = load_preset("g2-rank2" if genus is None else "jacobian", genus=genus).ring
     n = ring.parameter("n")
     coeffs = [ParamScalar.constant(c, ring.params) for c in (1, Fraction(-2, 3))] + [n, n**2 - Fraction(1, 4)]
     weights = [1, -1, Fraction(1, 3), Fraction(-5, 2)]
     one = ring._one_scalar
     basis = [m for m in ring.monomials_up_to(ring.max_degree) if ring._normalize({m: one}) == {m: one}]
     elements = [GradedElement(ring, {m: coeffs[i % len(coeffs)]}) for i, m in enumerate(basis)]
-    for i, x in enumerate(elements):
-        pairs = [(weights[(i + j) % len(weights)], x, y) for j, y in enumerate(elements)]
-        pairs += [(w, x, c) for w, c in zip(weights, coeffs)]  # a scalar second factor
-        expected = ring.zero()
-        for w, a, b in pairs:
-            single = ring.sum_of_products([(w, a, b)])
-            assert single == a * b * w
-            _assert_lowest_terms(single)
-            expected = expected + a * b * w
-        got = ring.sum_of_products(pairs)
-        assert got == expected and hash(got) == hash(expected)
-        _assert_lowest_terms(got)
-        # every product cancels against its commuted copy: zero, with no stored coefficient
-        commuted = [(-w, b, a) if isinstance(b, GradedElement) else (-w, a, b) for w, a, b in pairs]
-        cancelled = ring.sum_of_products(pairs + commuted)
-        assert cancelled == ring.zero()
-        assert not cancelled.items()
+    for _ in ("fresh", "warm"):
+        for i, x in enumerate(elements):
+            pairs = [(weights[(i + j) % len(weights)], x, y) for j, y in enumerate(elements)]
+            pairs += [(w, x, c) for w, c in zip(weights, coeffs)]  # a scalar second factor
+            expected = ring.zero()
+            for w, a, b in pairs:
+                single = ring.sum_of_products([(w, a, b)])
+                assert single == a * b * w
+                _assert_lowest_terms(single)
+                expected = expected + a * b * w
+            got = ring.sum_of_products(pairs)
+            assert got == expected and hash(got) == hash(expected)
+            _assert_lowest_terms(got)
+            # every product cancels against its commuted copy: zero, with no stored coefficient
+            commuted = [(-w, b, a) if isinstance(b, GradedElement) else (-w, a, b) for w, a, b in pairs]
+            cancelled = ring.sum_of_products(pairs + commuted)
+            assert cancelled == ring.zero()
+            assert not cancelled.items()
+        assert _assert_pair_table_reads_the_cache(ring)
     assert ring.sum_of_products([]) == ring.zero()
+
+
+def test_pair_table_stays_bounded_where_pairs_do_not_repeat():
+    # the jacobian report at g = 60 meets more new monomial pairs than the
+    # table may hold: it fills up to its bound and stops storing, and the
+    # report read through the full table equals that of a fresh ring
+    preset = load_preset("jacobian", genus=60)
+    first = consistency_report(preset)
+    entries = _assert_pair_table_reads_the_cache(preset.ring)
+    assert entries > PAIRS_PER_NORMAL_FORM * (len(preset.ring._nf_cache) - 1)
+    assert consistency_report(preset) == first == consistency_report(load_preset("jacobian", genus=60))
+    assert _assert_pair_table_reads_the_cache(preset.ring) == entries
 
 
 def test_sum_of_products_rejects_another_ring(R):
