@@ -293,8 +293,9 @@ class RingPresentation:
         is in normal form already.  The numerators are summed in one map,
         by output monomial and parameter exponents, over one running common
         denominator: a term whose denominator does not divide it lifts the
-        map once to the lcm.  Each output coefficient is reduced once, and
-        its zero numerators are dropped only if one cancelled.
+        map once to the lcm.  Each output coefficient is reduced once; its
+        numerators are filtered only where one cancelled or a scalar factor
+        was zero.
         """
         cache, nf, one = self._nf_cache, self._monomial_nf, self._one_scalar
         rows, empty, stored = self._rows, {}, self._stored_pairs
