@@ -47,7 +47,6 @@ _HOME = {
     "s_invariant": "formulas",
     "sections_character": "pipeline",
     "stratum_dim": "formulas",
-    "upstairs_character": "pipeline",
 }
 
 __all__ = list(_HOME)

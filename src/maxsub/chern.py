@@ -18,7 +18,7 @@ Both kinds of object store only their nonzero components, keyed by ``k``
 in increasing order, and every recursion and product runs over those keys
 alone: a line bundle's class ``1 + c_1`` costs one component at any genus.
 Each step of either recursion, each component of a graded product and each
-component of a sum, difference or scaling of characters is one call of
+component of a linear combination of characters is one call of
 :meth:`~maxsub.gradedring.RingPresentation.sum_of_products`, which
 multiplies the coefficients' integer numerators as it reads each monomial
 pair and reduces each output coefficient once.  Every linear factor rides on
@@ -225,21 +225,6 @@ class ChernCharacter(_SparseGraded):
             raise IndexError("use .rank for ch_0")
         return self._get(k)
 
-    def _check(self, other: "ChernCharacter"):
-        if self.ring is not other.ring:
-            raise ValueError("characters belong to different presentations")
-
-    def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
-        self._check(other)
-        return _character(self.ring, self.rank + other.rank, _combination(self.ring, ((1, self, 1), (1, other, 1))))
-
-    def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
-        self._check(other)
-        return _character(self.ring, self.rank - other.rank, _combination(self.ring, ((1, self, 1), (-1, other, 1))))
-
-    def __neg__(self) -> "ChernCharacter":
-        return _character(self.ring, -self.rank, _combination(self.ring, ((-1, self, 1),)))
-
     def scale(self, value: Rational | ParamScalar) -> "ChernCharacter":
         parts = _combination(self.ring, ((1, self, value),))
         return _character(self.ring, as_scalar(self.rank * value, self.ring.params), parts)
@@ -266,7 +251,8 @@ class ChernCharacter(_SparseGraded):
         """Graded product of total characters; the rank multiplies."""
         result = self
         for other in others:
-            result._check(other)
+            if result.ring is not other.ring:
+                raise ValueError("characters belong to different presentations")
             parts = _graded_product(result.ring, result.rank, result._parts, other.rank, other._parts)
             result = _character(result.ring, result.rank * other.rank, parts)
         return result

@@ -32,11 +32,11 @@ table ``_rows`` (``m1 -> {m2: normal form of m1*m2}``, the dicts of the
 normal-form cache) with one lookup and builds no product tuple; the table
 stores a new pair only while it holds fewer than
 :data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form, so it stays small
-where pairs never repeat.  Expressions go through the one tree walk of ``parsing``:
-reduced after every product (:meth:`RingPresentation.evaluate`), or, for a
-file's rules, zeros and integrals and ``coefficient``, as free polynomials
-in their names.  ``parsing`` is imported only where text is read, so a ring built as
-data never loads it.  All values are immutable; operations are pure
+where pairs never repeat.  Expressions go through the one tree walk of
+``parsing``: reduced after every product (:meth:`RingPresentation.evaluate`),
+or, for a file's rules, zeros and integrals, as free polynomials in their
+names.  ``parsing`` is imported only where text is read, so a ring built
+as data never loads it.  All values are immutable; operations are pure
 functions.
 """
 
@@ -526,14 +526,6 @@ class GradedElement:
         coeff = self._terms.get((0,) * self.ring.ngens)
         return 0 if coeff is None else coeff.constant_term()
 
-    def coefficient(self, monomial_text: str) -> ParamScalar:
-        """Coefficient of a single basis monomial, given as text."""
-        from .parsing import parse_expression
-
-        node = parse_expression(monomial_text)
-        mono = _single_monomial(node, self.ring.generator_names, repr(monomial_text), ValueError, UnknownGeneratorError)
-        return self._terms.get(mono, ParamScalar(self.ring.params))
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -694,7 +686,7 @@ class GradedElement:
 # -- loading -----------------------------------------------------------------
 
 
-def _single_monomial(node, generators, where: str, error=PresentationError, unknown=PresentationError) -> Monomial:
+def _single_monomial(node, generators, where: str) -> Monomial:
     """The monomial of a bare product of generators; ``where`` names it in
     errors.  A bad shape is reported before an unknown name, which is an
     error even in a term that vanishes."""
@@ -703,12 +695,12 @@ def _single_monomial(node, generators, where: str, error=PresentationError, unkn
     others = [n for n in dict.fromkeys(names(node)) if n not in generators]
     terms = expand(node, (*generators, *others), None)
     if len(terms) != 1:
-        raise error(f"{where} must be a single monomial")
+        raise PresentationError(f"{where} must be a single monomial")
     ((mono, coeff),) = terms.items()
     if coeff != 1:
-        raise error(f"{where} must have coefficient 1")
+        raise PresentationError(f"{where} must have coefficient 1")
     if others:
-        raise unknown(f"{where} uses unknown generator {others[0]!r}")
+        raise PresentationError(f"{where} uses unknown generator {others[0]!r}")
     return mono
 
 

@@ -158,24 +158,6 @@ def _pushforward_times(x: ChernCharacter, a: ParamScalar, b: ParamScalar) -> Che
     return _character(x.ring, a * pushed.rank + b * x.rank, parts)
 
 
-def upstairs_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
-    """Character on the curve x parameter space, before fiber integration:
-    the Grothendieck-Riemann-Roch integrand, kept as an oracle (the count
-    pushes it forward without forming it).
-
-    X = ch(U*) ch(L*) (``product``, computed when not given) times one
-    Riemann-Roch factor n + (d + n(g-1)) f: the twisted big bundle (rank n,
-    degree d + n(2g-2)) times the curve's Todd class 1 - (g-1) f, multiplied
-    out with f^2 = 0.
-    """
-    x = _dual_product(preset) if product is None else product
-    ring = preset.ring
-    n = preset.rank_symbol
-    fiber = ring.generator(ring.generator_names[ring.fiber_index])
-    twist = ring.sum_of_products([(1, fiber, preset.induced_degree + n * (preset.genus - 1))])
-    return x.tensor(ChernCharacter(ring, n, [twist]))
-
-
 def sections_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
     """Character of the sections sheaf: the fiber pushforward of the
     upstairs character X (n + t f), t = d + n(g-1), with X = ch(U*) ch(L*)
@@ -374,9 +356,9 @@ def _closed_form(preset: Preset) -> ParamScalar | None:
 
 def jacobian_preset(genus: int) -> Preset:
     """The rank-1 preset at the given genus, built as data: the same ring and
-    classes as the shipped ``jacobian-g{2..5}.ring`` files, which the tests
-    render for every genus and compare, but genus! is never printed and
-    parsed back, so a huge genus loads too."""
+    classes as the presentation file the tests render for every genus and
+    compare, but genus! is never printed and parsed back, so a huge genus
+    loads too."""
     if genus < 2:
         raise PresetError(f"genus must be at least 2, got {genus}")
     if genus > JACOBIAN_MAX_GENUS:
@@ -432,8 +414,7 @@ def preset_from_text(text: str, name: str = "") -> Preset:
 
 def load_preset(name: str, genus: int | None = None) -> Preset:
     """Load a built-in preset: ``g2-rank2`` or ``jacobian`` (genus 2 to
-    :data:`JACOBIAN_MAX_GENUS`, built by :func:`jacobian_preset`; the shipped
-    ``jacobian-g{2..5}`` files are test fixtures of the same preset)."""
+    :data:`JACOBIAN_MAX_GENUS`, built by :func:`jacobian_preset`)."""
     if name == "g2-rank2":
         if genus not in (None, 2):
             raise PresetError("the g2-rank2 preset is specific to genus 2")

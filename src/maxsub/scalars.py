@@ -7,10 +7,11 @@ and ``==`` and ``hash`` compare the stored form.  Division is only ever by
 an explicit nonzero rational, so values stay inside Q[parameters] and no
 floating point enters anywhere.  The public constructor validates its
 input; arithmetic results are built by ``_make``, which trusts its input
-and only divides out the common factor.  The ring's one-pass sum of
-products (``RingPresentation.sum_of_products``) multiplies the numerators
-with ``_times``, which adds one-parameter exponents directly, and builds
-each output coefficient in place, under ``_make``'s invariant, with one gcd.
+and only divides out the common factor.  Every product of numerators,
+``*`` here and the ring's one-pass sum of products
+(``RingPresentation.sum_of_products``), is ``_times``, which adds
+one-parameter exponents directly; the sum of products builds each output
+coefficient in place, under ``_make``'s invariant, with one gcd.
 """
 
 from __future__ import annotations
@@ -189,11 +190,7 @@ class ParamScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        num: dict[Exponents, int] = {}
-        for e1, c1 in self._num.items():
-            for e2, c2 in other._num.items():
-                expo = tuple(map(add, e1, e2))
-                num[expo] = num.get(expo, 0) + c1 * c2
+        num = _times(self._num, other._num, (0,) * len(self.params))
         return _make(self.params, {e: c for e, c in num.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
@@ -286,7 +283,7 @@ def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> Param
     return out
 
 
-# -- numerator maps: the integer layer of the ring's one-pass sum of products --
+# -- numerator maps: the integer layer of every scalar product --
 
 
 def _times(p: dict, q: dict, zero: tuple) -> dict:

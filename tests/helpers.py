@@ -6,17 +6,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from maxsub import load_preset
+from maxsub import load_preset, pipeline
 from maxsub.chern import ChernCharacter
 from maxsub.errors import PresetError, UnknownGeneratorError
 from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.parsing import expand, parse_expression
 from maxsub.scalars import ParamScalar
 
+
+#: The rank-1 preset rendered as files at genus 2 to 5 (``jacobian-g{g}.ring``).
+PRESET_FILES = Path(__file__).parent / "presets"
 
 #: The rings whose normal-form basis the exhaustive tests walk: g2-rank2
 #: (genus None) and the jacobian preset at three genera.
@@ -49,7 +53,7 @@ def total_degree(s: ParamScalar) -> int:
 
 def jacobian_ring_text(genus: int) -> str:
     """Render the rank-1 preset at the given genus as a presentation file;
-    the shipped ``jacobian-g{2..5}.ring`` files are its output.
+    the files ``jacobian-g{2..5}.ring`` in :data:`PRESET_FILES` are its output.
 
     The theta class self-intersects to genus! on the parameter torus; that
     is classical input recorded in the integrals section, not derived here.
@@ -206,6 +210,25 @@ def dense_graded_product(a0, a, b0, b):
 # -- a reference route for the count ------------------------------------------------
 
 
+def character_difference(a, b):
+    """The character a - b, component by component by element subtraction."""
+    keys = a._parts.keys() | b._parts.keys()
+    return ChernCharacter(a.ring, a.rank - b.rank, {k: a.part(k) - b.part(k) for k in keys})
+
+
+def upstairs_character(preset):
+    """Character on the curve x parameter space, before fiber integration:
+    the Grothendieck-Riemann-Roch integrand that the count pushes forward
+    without forming it.  X = ch(U*) ch(L*) times one Riemann-Roch factor
+    n + (d + n(g-1)) f: the twisted big bundle (rank n, degree d + n(2g-2))
+    times the curve's Todd class 1 - (g-1) f, multiplied out with f^2 = 0."""
+    ring = preset.ring
+    n = preset.rank_symbol
+    fiber = ring.generator(ring.generator_names[ring.fiber_index])
+    twist = fiber * (preset.induced_degree + n * (preset.genus - 1))
+    return pipeline._dual_product(preset).tensor(ChernCharacter(ring, n, [twist]))
+
+
 def three_product_route(preset):
     """The count's intermediates by the route that makes three graded
     products: the duals of ch(U) and ch(L) tensored with one Riemann-Roch
@@ -225,7 +248,7 @@ def three_product_route(preset):
         return ChernCharacter(ring, ch.rank, {k: p.restrict_to_point() for k, p in ch.items()})
 
     evaluation = restricted(ch_u).dual().tensor(restricted(ch_l).dual()).scale(n * preset.canonical_degree)
-    difference = (evaluation - sections).total_class()
+    difference = character_difference(evaluation, sections).total_class()
     return {
         "upstairs": upstairs,
         "sections": sections,

@@ -9,6 +9,7 @@ from maxsub.pipeline import count_maximal_subbundles
 from maxsub.scalars import ParamScalar
 
 from helpers import (
+    character_difference,
     dense_character,
     dense_graded_product,
     dense_total_class,
@@ -113,14 +114,6 @@ def test_tensor_unit_and_ranks():
     assert u.tensor(PRESET.chern_l.character(1), big).rank == 2 * n
 
 
-def test_subtraction_and_negation():
-    u = PRESET.chern_u.character(2)
-    diff = u - u
-    assert diff.rank == 0
-    assert all(p.is_zero for p in diff.parts)
-    assert (-u).rank == -2
-
-
 def test_inhomogeneous_component_rejected():
     with pytest.raises(ValueError):
         ChernCharacter(RING, 1, [RING.parse("alpha + alpha^2")])
@@ -167,7 +160,8 @@ def test_roundtrip_character_to_class(ch):
 
 @given(random_character_st(), random_character_st())
 def test_class_multiplicativity(a, b):
-    assert (a + b).total_class() == a.total_class() * b.total_class()
+    # c(A) c(B - A) = c(B), the consistency behind the degeneracy-locus count
+    assert a.total_class() * character_difference(b, a).total_class() == b.total_class()
 
 
 @given(random_character_st())
@@ -320,8 +314,7 @@ def test_sparse_operations_match_dense_reference(ring_name, data):
     assert tensor.rank == ch_a.rank * ch_b.rank
     assert list(tensor.parts) == dense_graded_product(rank_a, a, rank_b, b)
     assert list(ch_a.dual().parts) == [x if k % 2 == 0 else -x for k, x in enumerate(a, start=1)]
-    assert list((ch_a + ch_b).parts) == [x + y for x, y in zip(a, b)]
-    assert list((ch_a - ch_b).parts) == [x - y for x, y in zip(a, b)]
+    assert list(ch_a.scale(rank_b).parts) == [x * rank_b for x in a]
     # only the nonzero components are stored, in increasing k; on curve x
     # base that includes the fiber-bearing one above the base's top
     padded_a, padded_b = a + (ring.zero(),), b + (ring.zero(),)
@@ -329,7 +322,7 @@ def test_sparse_operations_match_dense_reference(ring_name, data):
         (c_a.character(rank_a), dense_character(ring, padded_a)),
         (ch_a.total_class(), dense_total_class(ring, padded_a)),
         (tensor, dense_graded_product(rank_a, padded_a, rank_b, padded_b)),
-        (ch_a - ch_b, [x - y for x, y in zip(padded_a, padded_b)]),
+        (ch_a.scale(rank_b), [x * rank_b for x in padded_a]),
     ):
         keys = [k for k, _ in obj.items()]
         assert keys == sorted(keys)

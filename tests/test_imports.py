@@ -157,7 +157,6 @@ PUBLIC_NAMES = [
     "s_invariant",
     "sections_character",
     "stratum_dim",
-    "upstairs_character",
 ]
 
 

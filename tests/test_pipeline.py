@@ -1,6 +1,10 @@
 import json
+import re
 import time
 from fractions import Fraction
+from importlib import resources
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -15,16 +19,19 @@ from maxsub.pipeline import (
     load_preset,
     preset_from_text,
     sections_character,
-    upstairs_character,
 )
 
 from helpers import (
+    PRESET_FILES,
+    character_difference,
     g2_preset,
     homogeneous_component,
     jacobian_preset,
     jacobian_ring_text,
     theta_power_integral,
     three_product_route,
+    upstairs_character,
+    within,
 )
 
 PRESET = g2_preset()
@@ -52,11 +59,8 @@ def test_jacobian_preset_metadata():
 
 
 def test_shipped_jacobian_files_match_generator():
-    from importlib import resources
-
     for g in (2, 3, 4, 5):
-        shipped = resources.files("maxsub").joinpath("presets", f"jacobian-g{g}.ring").read_text()
-        assert shipped == jacobian_ring_text(g)
+        assert (PRESET_FILES / f"jacobian-g{g}.ring").read_text() == jacobian_ring_text(g)
 
 
 def _ring_data(ring):
@@ -83,12 +87,14 @@ def test_jacobian_preset_built_as_data_matches_rendered_text(genus):
 
 def test_jacobian_count_at_genus_1000_is_fast():
     # on a 2-CPU machine, the dense O(g^2) Newton recursions took about 17 s and
-    # the sparse ones take about 50 ms; the bound catches a return to the former
-    start = time.perf_counter()
-    preset = load_preset("jacobian", genus=1000)
-    count = count_maximal_subbundles(preset).count
-    elapsed = time.perf_counter() - start
-    assert count == preset.rank_symbol**1000
+    # the sparse ones take about 50 ms; the bound catches a return to the former,
+    # and ``within`` stops a kernel that never finishes
+    with within(10):
+        start = time.perf_counter()
+        preset = load_preset("jacobian", genus=1000)
+        count = count_maximal_subbundles(preset).count
+        elapsed = time.perf_counter() - start
+        assert count == preset.rank_symbol**1000
     assert elapsed < 3.0
 
 
@@ -157,7 +163,7 @@ def test_evaluation_character_displayed():
 
 
 def test_difference_character_displayed():
-    diff = evaluation_character(PRESET) - sections_character(PRESET)
+    diff = count_maximal_subbundles(PRESET).difference
     assert diff.rank == 4
     assert diff.part(1) == RING.parse("(1/2*n - 2)*alpha + 2*n*theta")
     assert diff.part(2) == RING.parse("-1/4*n*alpha^2 - n*Lambda - n*alpha*theta")
@@ -240,7 +246,7 @@ def test_jacobian_g3_top_class_by_inline_newton():
     preset = jacobian_preset(3)
     ring = preset.ring
     n = preset.rank_symbol
-    diff = evaluation_character(preset) - sections_character(preset)
+    diff = character_difference(evaluation_character(preset), sections_character(preset))
     p1 = diff.part(1)
     assert p1 == ring.parse("n*theta")
     assert diff.part(2).is_zero and diff.part(3).is_zero
@@ -279,12 +285,12 @@ def test_count_forms_no_sheaf_character(preset_args, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the count formed a sheaf character")
 
-    for attr in ("upstairs_character", "sections_character", "evaluation_character"):
+    for attr in ("sections_character", "evaluation_character"):
         monkeypatch.setattr(pipeline, attr, forbidden)
     result = count_maximal_subbundles(preset)
     assert result.count == expected
     monkeypatch.undo()
-    assert result.difference == result.evaluation - result.sections
+    assert result.difference == character_difference(result.evaluation, result.sections)
 
 
 @pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 8)], ids=["g2-rank2", "jacobian-g8"])
@@ -326,7 +332,7 @@ def test_rank_identity(preset_args):
 def test_top_character_component_vanishes(preset_args):
     name, genus = preset_args
     preset = load_preset(name, genus=genus)
-    diff = evaluation_character(preset) - sections_character(preset)
+    diff = character_difference(evaluation_character(preset), sections_character(preset))
     assert diff.part(preset.ring.top_degree // 2).is_zero
 
 
@@ -336,7 +342,7 @@ def test_porteous_consistency(preset_args):
     preset = load_preset(name, genus=genus)
     e = sections_character(preset)
     f = evaluation_character(preset)
-    assert e.total_class() * (f - e).total_class() == f.total_class()
+    assert e.total_class() * character_difference(f, e).total_class() == f.total_class()
 
 
 def test_integrality_over_admissible_ranks():
@@ -436,7 +442,7 @@ def test_report_reuses_the_count_difference_class(preset_args, monkeypatch):
     preset = load_preset(name, genus=genus)
     result = count_maximal_subbundles(preset)
     assert result.top_class == result.difference_class.top()
-    assert result.difference_class == (result.evaluation - result.sections).total_class()
+    assert result.difference_class == character_difference(result.evaluation, result.sections).total_class()
 
     def perturbed(p):
         # double c_1 of the stored difference class, nothing else
@@ -494,3 +500,47 @@ def test_summary_text():
     verbose = result.summary(verbose=True)
     assert "integral over base = (1/3)*n^5 + (2/3)*n^3" in verbose
     assert verbose.endswith("m_2 = (1/48)*n^5 + (1/24)*n^3")
+
+
+# -- presentation choices and the README --------------------------------------------
+
+
+def test_count_does_not_depend_on_generator_order_or_names():
+    # the declaration order sets the lex order that orients the rules, and so
+    # every normal form; each generator is also renamed by its new position
+    text = resources.files("maxsub").joinpath("presets", "g2-rank2.ring").read_text()
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    (declared,) = [line for line in lines if line.startswith("generators:")]
+    generators = [item.split("=") for item in declared.removeprefix("generators: ").split(", ")]
+    names = re.compile(r"\b(" + "|".join(name for name, _ in generators) + r")\b")
+    for order in permutations(generators):
+        rename = {name: f"v{k}" for k, (name, _) in enumerate(order)}
+        body = [
+            "generators: " + ", ".join(f"{rename[name]}={degree}" for name, degree in order)
+            if line is declared
+            else names.sub(lambda m: rename[m.group()], line)
+            for line in lines
+        ]
+        result = count_maximal_subbundles(preset_from_text("\n".join(body) + "\n"))
+        assert str(result.count) == "(1/48)*n^5 + (1/24)*n^3", order
+
+
+def test_readme_quickstart():
+    # every commented line's value prints, by str or repr, as its comment up
+    # to the first two spaces
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart")[1].split("```python\n")[1].split("```")[0]
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if not comment:
+            exec(code, namespace)
+            continue
+        target, _, expression = code.strip().rpartition(" = ")
+        value = eval(expression, namespace)
+        if target:
+            namespace[target] = value
+        assert comment.split("  ")[0] in (str(value), repr(value)), line
+        checked += 1
+    assert checked == 6

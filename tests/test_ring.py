@@ -321,13 +321,6 @@ def test_homogeneous_components(R):
     assert homogeneous_component(x, 6).is_zero
 
 
-def test_coefficient_accessor(R):
-    x = R.parse("3*alpha*theta - 1/2*theta^2")
-    assert x.coefficient("alpha*theta") == 3
-    assert x.coefficient("theta^2") == Fraction(-1, 2)
-    assert x.coefficient("alpha^2") == 0
-
-
 def test_canonical_str(R):
     assert str(R.parse("xi1*xi2")) == "Lambda*f"
     assert str(R.parse("(alpha + f)^2")) == "alpha^2 + 2*alpha*f"
