@@ -35,7 +35,6 @@ _HOME = {
     "TotalChernClass": "chern",
     "UnknownGeneratorError": "errors",
     "count_maximal_subbundles": "pipeline",
-    "evaluation_character": "pipeline",
     "hirschowitz_smax": "formulas",
     "load_preset": "pipeline",
     "load_presentation": "gradedring",
@@ -45,7 +44,6 @@ _HOME = {
     "preset_from_text": "pipeline",
     "quot_dim": "formulas",
     "s_invariant": "formulas",
-    "sections_character": "pipeline",
     "stratum_dim": "formulas",
 }
 

@@ -17,9 +17,8 @@ them are zero.  So ``1 + f`` or ``1 + xi1`` takes a few steps at any genus.
 Both kinds of object store only their nonzero components, keyed by ``k``
 in increasing order, and every recursion and product runs over those keys
 alone: a line bundle's class ``1 + c_1`` costs one component at any genus.
-Each step of either recursion, each component of a graded product and each
-component of a linear combination of characters is one call of
-:meth:`~maxsub.gradedring.RingPresentation.sum_of_products`, which
+Each step of either recursion and each component of a graded product is
+one call of :meth:`~maxsub.gradedring.RingPresentation.sum_of_products`, which
 multiplies the coefficients' integer numerators as it reads each monomial
 pair and reduces each output coefficient once.  Every linear factor rides on
 that call's weights: the factorials and signs of the Newton recursions (no
@@ -36,7 +35,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .gradedring import GradedElement, RingPresentation
-from .scalars import ParamScalar, Rational, as_scalar
+from .scalars import ParamScalar, as_scalar
 
 Components = dict  # {k: nonzero GradedElement of degree 2k}, keys increasing
 
@@ -169,17 +168,6 @@ def _graded_product(ring: RingPresentation, a0, a: Components, b0, b: Components
     return {k: sum_of_products(terms) for k, terms in pairs.items() if terms}
 
 
-def _combination(ring: RingPresentation, terms) -> Components:
-    """Components of the sum of w * ch * y over ``(w, ch, y)`` in ``terms``,
-    for rational weights w, characters ch and scalars y: one call of the
-    ring's sum of products per component."""
-    pairs: dict = {}
-    for w, ch, y in terms:
-        for k, p in ch._parts.items():
-            pairs.setdefault(k, []).append((w, p, y))
-    return {k: ring.sum_of_products(t) for k, t in pairs.items()}
-
-
 class _SparseGraded:
     """Shared views of the nonzero components ``_parts``."""
 
@@ -215,32 +203,11 @@ class ChernCharacter(_SparseGraded):
         self.rank = as_scalar(rank, ring.params)
         self._parts = _checked(ring, parts, "character")
 
-    @classmethod
-    def constant(cls, ring: RingPresentation, rank) -> "ChernCharacter":
-        return _character(ring, as_scalar(rank, ring.params), {})
-
     def part(self, k: int) -> GradedElement:
         """Component ch_k for k >= 1 (the rank is ch_0)."""
         if k < 1:
             raise IndexError("use .rank for ch_0")
         return self._get(k)
-
-    def scale(self, value: Rational | ParamScalar) -> "ChernCharacter":
-        parts = _combination(self.ring, ((1, self, value),))
-        return _character(self.ring, as_scalar(self.rank * value, self.ring.params), parts)
-
-    def restrict_to_point(self) -> "ChernCharacter":
-        """Restrict to a point of the curve, component by component: the
-        ring map keeping the part of fiber weight 0."""
-        return _character(self.ring, self.rank, {k: p.restrict_to_point() for k, p in self._parts.items()})
-
-    def pushforward_fiber(self) -> "ChernCharacter":
-        """Integrate along the curve fiber: ch_k from the fiber integral of
-        ch_(k+1), and the rank from that of ch_1.  A linear map; it is the
-        character of a pushed-forward sheaf (Grothendieck-Riemann-Roch) when
-        the curve's Todd class is already a factor."""
-        rank = self._get(1).pushforward_fiber().constant_coefficient()
-        return _character(self.ring, rank, {k - 1: p.pushforward_fiber() for k, p in self._parts.items() if k > 1})
 
     def dual(self) -> "ChernCharacter":
         """Character of the dual bundle: ch_k -> (-1)^k ch_k.  An involution."""

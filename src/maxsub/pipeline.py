@@ -17,14 +17,14 @@ the tensoring cover:
 
 One graded product X is computed per count, and the projection formula
 pi_*(f m) = m for a base class m turns the integrand into a relabelling: a
-fiber-bearing term of X times f truncates, so the sections are
-t X|pt + n pi_*(X), and the difference evaluation - sections is
-s X|pt - n pi_*(X) with s = n(2g-2) - t = n(g-1) - d, one linear
-combination of two views of X.  The count forms neither sheaf's character;
-the result keeps X, the difference and its total Chern class, and derives
-the sheaves from X when asked.  Both presets normalize the subbundle
-degree to d' = 1 and keep the big bundle's rank n as a formal parameter,
-so counts come out as exact polynomials in n.
+fiber-bearing term of X times f truncates, so pi_*(X (a + b f)) is
+a pi_*(X) + b X|pt.  That one map gives the sections at (a, b) = (n, t),
+the evaluation at (0, n(2g-2)) and the difference evaluation - sections at
+(-n, s) with s = n(2g-2) - t = n(g-1) - d.  The count forms neither
+sheaf's character; the result keeps X, the difference and its total Chern
+class, and derives the sheaves from X when asked.  Both presets normalize
+the subbundle degree to d' = 1 and keep the big bundle's rank n as a
+formal parameter, so counts come out as exact polynomials in n.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import islice
 from math import factorial
 
 from . import PRESET_NAMES
-from .chern import ChernCharacter, TotalChernClass, _character, _combination, _graded_product
+from .chern import ChernCharacter, TotalChernClass, _character, _graded_product
 from .errors import PresetError
 from .gradedring import GradedElement, RewriteRule, RingPresentation, presentation_from_data
 from .scalars import ParamScalar, monomial_text
@@ -147,39 +147,25 @@ def _dual_product(preset: Preset) -> ChernCharacter:
     return _character(ring, ch_u.rank * ch_l.rank, parts)
 
 
-def _pushforward_times(x: ChernCharacter, a: ParamScalar, b: ParamScalar) -> ChernCharacter:
-    """pi_*(X (a + b f)) = a pi_*(X) + b X|pt for X = ``x``: a fiber-bearing
-    term of X times f truncates, and pi_*(f m) = m for a base class m (the
-    projection formula).  One call of the ring's sum of products per
-    component; pi_*(X) takes ch_k from the fiber integral of X's ch_(k+1)
-    and its rank from that of ch_1."""
-    at_point, pushed = x.restrict_to_point(), x.pushforward_fiber()
-    parts = _combination(x.ring, ((1, pushed, a), (1, at_point, b)))
-    return _character(x.ring, a * pushed.rank + b * x.rank, parts)
-
-
-def sections_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
-    """Character of the sections sheaf: the fiber pushforward of the
-    upstairs character X (n + t f), t = d + n(g-1), with X = ch(U*) ch(L*)
-    (``product``, computed when not given).  By the projection formula that
-    is n pi_*(X) + t X|pt, so the upstairs product is never formed.  ch_k
-    comes from the upstairs ch_{k+1} for every k, the top one included (the
-    derived pushforward vanishes for degree reasons, so the fiber integral
-    is the whole answer)."""
-    x = _dual_product(preset) if product is None else product
-    n = preset.rank_symbol
-    return _pushforward_times(x, n, preset.induced_degree + n * (preset.genus - 1))
-
-
-def evaluation_character(preset: Preset, product: ChernCharacter | None = None) -> ChernCharacter:
-    """Character of the evaluation sheaf at a canonical divisor: (2g-2)
-    points, n directions each, so n(2g-2) X|pt with X = ch(U*) ch(L*)
-    (``product``, computed when not given) restricted to a point of the
-    curve.  Restriction is a ring map, so X|pt is the product of the
-    restricted duals: a product's weight-0 part comes only from the weight-0
-    parts of its factors, since rules keep the fiber weight."""
-    x = _dual_product(preset) if product is None else product
-    return x.restrict_to_point().scale(preset.rank_symbol * preset.canonical_degree)
+def _pushforward_times(x: ChernCharacter, a: ParamScalar | int, b: ParamScalar) -> ChernCharacter:
+    """pi_*(X (a + b f)) = a pi_*(X) + b X|pt for X = ``x``, the one map
+    from X to every sheaf of the count: a fiber-bearing term of X times f
+    truncates, and pi_*(f m) = m for a base class m (the projection
+    formula).  One pass over X's components: ch_k adds its fiber integral,
+    weighted a, to output k-1 (to the rank when k = 1), and its point
+    restriction, weighted b, to output k; each output component is one call
+    of the ring's sum of products."""
+    ring = x.ring
+    rank, pairs = b * x.rank, {}
+    for k, part in x._parts.items():
+        pushed = part.pushforward_fiber()
+        if k == 1:
+            rank += a * pushed.constant_coefficient()
+        else:
+            pairs.setdefault(k - 1, []).append((1, pushed, a))
+        pairs.setdefault(k, []).append((1, part.restrict_to_point(), b))
+    sum_of_products = ring.sum_of_products
+    return _character(ring, rank, {k: sum_of_products(terms) for k, terms in pairs.items()})
 
 
 class CountResult:
@@ -209,11 +195,17 @@ class CountResult:
 
     @property
     def sections(self) -> ChernCharacter:
-        return sections_character(self.preset, self.product)
+        """pi_*(X (n + t f)) with t = d + n(g-1): the fiber pushforward of X
+        times the twisted big bundle's character and the curve's Todd class.
+        ch_k comes from the upstairs ch_(k+1) for every k, the top one
+        included: the derived pushforward vanishes for degree reasons."""
+        n = self.preset.rank_symbol
+        return _pushforward_times(self.product, n, self.preset.induced_degree + n * (self.preset.genus - 1))
 
     @property
     def evaluation(self) -> ChernCharacter:
-        return evaluation_character(self.preset, self.product)
+        """pi_*(X n(2g-2) f) = n(2g-2) X|pt: (2g-2) points, n directions each."""
+        return _pushforward_times(self.product, 0, self.preset.rank_symbol * self.preset.canonical_degree)
 
     @property
     def top_class(self) -> GradedElement:
@@ -387,7 +379,7 @@ def jacobian_preset(genus: int) -> Preset:
     )
 
 
-def preset_from_text(text: str, name: str = "") -> Preset:
+def preset_from_text(text: str) -> Preset:
     """Build a preset from a presentation file carrying a preset header."""
     from .parsing import parse_presentation_text
 
@@ -396,7 +388,7 @@ def preset_from_text(text: str, name: str = "") -> Preset:
     missing = [k for k in ("name", "genus", "subbundle_rank", "subbundle_degree", "chern_U", "chern_L") if k not in header]
     if missing:
         raise PresetError(f"presentation lacks preset header fields: {', '.join(missing)}")
-    ring = presentation_from_data(data, name or header["name"])
+    ring = presentation_from_data(data, header["name"])
 
     def total_class(node) -> TotalChernClass:
         return TotalChernClass.from_total_element(ring, ring.evaluate(node))

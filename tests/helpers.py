@@ -247,7 +247,9 @@ def three_product_route(preset):
     def restricted(ch):
         return ChernCharacter(ring, ch.rank, {k: p.restrict_to_point() for k, p in ch.items()})
 
-    evaluation = restricted(ch_u).dual().tensor(restricted(ch_l).dual()).scale(n * preset.canonical_degree)
+    at_point = restricted(ch_u).dual().tensor(restricted(ch_l).dual())
+    points = n * preset.canonical_degree
+    evaluation = ChernCharacter(ring, at_point.rank * points, {k: p * points for k, p in at_point.items()})
     difference = character_difference(evaluation, sections).total_class()
     return {
         "upstairs": upstairs,

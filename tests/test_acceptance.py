@@ -8,12 +8,7 @@ from fractions import Fraction
 
 from maxsub.cli import run
 from maxsub.formulas import m1_closed, m2_closed
-from maxsub.pipeline import (
-    count_maximal_subbundles,
-    evaluation_character,
-    load_preset,
-    sections_character,
-)
+from maxsub.pipeline import count_maximal_subbundles, load_preset
 
 import test_chern
 import test_properties
@@ -57,7 +52,7 @@ def test_criterion_2_symbolic_intermediates():
     assert up.part(4) == RING.parse("(5/24*n - 1/6)*alpha^3*f - 1/12*n*alpha^3*xi1")
     assert up.part(5) == RING.parse("-1/12*n*alpha^3*theta*f")
     # 4. the sections sheaf character
-    e = sections_character(PRESET)
+    e = count_maximal_subbundles(PRESET).sections
     assert e.rank == 4 * N - 4
     assert e.part(1) == RING.parse("-(5/2*n - 2)*alpha - 2*n*theta")
     assert e.part(2) == RING.parse("1/4*n*alpha^2 + n*Lambda + n*alpha*theta")
@@ -65,7 +60,7 @@ def test_criterion_2_symbolic_intermediates():
     assert e.part(4) == RING.parse("-1/12*n*alpha^3*theta")
     assert e.part(5).is_zero
     # 5. the evaluation sheaf character
-    f = evaluation_character(PRESET)
+    f = count_maximal_subbundles(PRESET).evaluation
     assert f.rank == 4 * N
     assert f.part(1) == RING.parse("-2*n*alpha")
     assert f.part(3) == RING.parse("1/6*n*alpha^3")
@@ -123,9 +118,8 @@ def test_criterion_5_property_suites():
 
 def test_criterion_6_rank_identity():
     for name, genus in (("g2-rank2", None), ("jacobian", 2), ("jacobian", 3), ("jacobian", 5)):
-        preset = load_preset(name, genus=genus)
-        e = sections_character(preset)
-        f = evaluation_character(preset)
+        result = count_maximal_subbundles(load_preset(name, genus=genus))
+        preset, e, f = result.preset, result.sections, result.evaluation
         assert e.rank == f.rank - preset.subbundle_rank**2 * (preset.genus - 1)
 
 

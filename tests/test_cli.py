@@ -116,6 +116,14 @@ def test_parse_error_exits_2(capsys):
     assert "line 1" in out.err
 
 
+def test_parse_error_on_a_later_line_exits_2(capsys):
+    # the tokenizer counts lines and restarts the column after a newline
+    assert run(["reduce", "--ring", G2_RING, "alpha +\n  $"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: line 2, column 3: unexpected character '$'\n"
+
+
 @pytest.mark.parametrize("command", ["reduce", "integrate"])
 def test_deep_nesting_exits_2(capsys, command):
     deep = "(" * 5000 + "alpha" + ")" * 5000
@@ -230,6 +238,10 @@ def test_formulas_commands(capsys):
 def test_formulas_domain_error(capsys):
     assert run(["formulas", "stratum-dim", "--n", "4", "--n-sub", "2", "--d", "4", "--g", "2", "--s", "3"]) == 1
     assert "empty stratum" in capsys.readouterr().err
+    assert run(["formulas", "hirschowitz-smax", "--n", "4", "--n-sub", "2", "--d", "4", "--g", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: genus must be at least 2, got 1\n"
 
 
 def test_check_command(capsys):

@@ -145,7 +145,6 @@ PUBLIC_NAMES = [
     "TotalChernClass",
     "UnknownGeneratorError",
     "count_maximal_subbundles",
-    "evaluation_character",
     "hirschowitz_smax",
     "load_preset",
     "load_presentation",
@@ -155,7 +154,6 @@ PUBLIC_NAMES = [
     "preset_from_text",
     "quot_dim",
     "s_invariant",
-    "sections_character",
     "stratum_dim",
 ]
 

@@ -15,10 +15,8 @@ from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.pipeline import (
     consistency_report,
     count_maximal_subbundles,
-    evaluation_character,
     load_preset,
     preset_from_text,
-    sections_character,
 )
 
 from helpers import (
@@ -129,6 +127,36 @@ def test_non_normalized_subbundle_degree_rejected():
         preset_from_text(text)
 
 
+G2_TEXT = resources.files("maxsub").joinpath("presets", "g2-rank2.ring").read_text()
+FIBERLESS_TEXT = """params: n
+generators: x=2
+integrals: x = 1
+top_degree: 2
+preset: fiberless
+genus: 2
+subbundle_rank: 1
+subbundle_degree: 1
+chern_U: 1 + x
+chern_L: 1 + x
+"""
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (G2_TEXT.replace("genus: 2", "genus: 1"), "genus must be at least 2, got 1"),
+        (G2_TEXT.replace("subbundle_rank: 2", "subbundle_rank: 0"), "subbundle rank must be positive"),
+        (G2_TEXT.replace("params: n", "params: m"), "the ring must declare the rank parameter 'n'"),
+        (FIBERLESS_TEXT, "the ring must declare a fiber class"),
+    ],
+    ids=["genus", "subbundle-rank", "rank-parameter", "fiber"],
+)
+def test_preset_checks(text, message):
+    with pytest.raises(PresetError) as info:
+        preset_from_text(text)
+    assert str(info.value) == message
+
+
 # -- the genus-2 rank-2 ledger -------------------------------------------------
 
 
@@ -143,7 +171,7 @@ def test_upstairs_character_brackets():
 
 
 def test_sections_character_displayed():
-    ch = sections_character(PRESET)
+    ch = count_maximal_subbundles(PRESET).sections
     assert ch.rank == 4 * N - 4
     assert ch.part(1) == RING.parse("-(5/2*n - 2)*alpha - 2*n*theta")
     assert ch.part(2) == RING.parse("1/4*n*alpha^2 + n*Lambda + n*alpha*theta")
@@ -153,7 +181,7 @@ def test_sections_character_displayed():
 
 
 def test_evaluation_character_displayed():
-    ch = evaluation_character(PRESET)
+    ch = count_maximal_subbundles(PRESET).evaluation
     assert ch.rank == 4 * N
     assert ch.part(1) == RING.parse("-2*n*alpha")
     assert ch.part(2).is_zero
@@ -224,11 +252,12 @@ def test_jacobian_g2_sections_and_evaluation():
     preset = jacobian_preset(2)
     ring = preset.ring
     n = preset.rank_symbol
-    e = sections_character(preset)
+    result = count_maximal_subbundles(preset)
+    e = result.sections
     assert e.rank == 2 * n - 1
     assert e.part(1) == ring.parse("-n*theta")
     assert e.part(2).is_zero
-    f = evaluation_character(preset)
+    f = result.evaluation
     assert f.rank == 2 * n
     assert all(p.is_zero for p in f.parts)
 
@@ -246,7 +275,8 @@ def test_jacobian_g3_top_class_by_inline_newton():
     preset = jacobian_preset(3)
     ring = preset.ring
     n = preset.rank_symbol
-    diff = character_difference(evaluation_character(preset), sections_character(preset))
+    result = count_maximal_subbundles(preset)
+    diff = character_difference(result.evaluation, result.sections)
     p1 = diff.part(1)
     assert p1 == ring.parse("n*theta")
     assert diff.part(2).is_zero and diff.part(3).is_zero
@@ -285,8 +315,8 @@ def test_count_forms_no_sheaf_character(preset_args, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the count formed a sheaf character")
 
-    for attr in ("sections_character", "evaluation_character"):
-        monkeypatch.setattr(pipeline, attr, forbidden)
+    for attr in ("sections", "evaluation"):
+        monkeypatch.setattr(pipeline.CountResult, attr, property(forbidden))
     result = count_maximal_subbundles(preset)
     assert result.count == expected
     monkeypatch.undo()
@@ -321,9 +351,8 @@ def test_count_multiplies_and_divides_no_element(preset_args, monkeypatch):
 @pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 2), ("jacobian", 3)])
 def test_rank_identity(preset_args):
     name, genus = preset_args
-    preset = load_preset(name, genus=genus)
-    e = sections_character(preset)
-    f = evaluation_character(preset)
+    result = count_maximal_subbundles(load_preset(name, genus=genus))
+    preset, e, f = result.preset, result.sections, result.evaluation
     delta = preset.subbundle_rank**2 * (preset.genus - 1)
     assert e.rank == f.rank - delta
 
@@ -331,17 +360,16 @@ def test_rank_identity(preset_args):
 @pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 2), ("jacobian", 4)])
 def test_top_character_component_vanishes(preset_args):
     name, genus = preset_args
-    preset = load_preset(name, genus=genus)
-    diff = character_difference(evaluation_character(preset), sections_character(preset))
-    assert diff.part(preset.ring.top_degree // 2).is_zero
+    result = count_maximal_subbundles(load_preset(name, genus=genus))
+    diff = character_difference(result.evaluation, result.sections)
+    assert diff.part(result.preset.ring.top_degree // 2).is_zero
 
 
 @pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 3)])
 def test_porteous_consistency(preset_args):
     name, genus = preset_args
-    preset = load_preset(name, genus=genus)
-    e = sections_character(preset)
-    f = evaluation_character(preset)
+    result = count_maximal_subbundles(load_preset(name, genus=genus))
+    e, f = result.sections, result.evaluation
     assert e.total_class() * character_difference(f, e).total_class() == f.total_class()
 
 
@@ -508,8 +536,7 @@ def test_summary_text():
 def test_count_does_not_depend_on_generator_order_or_names():
     # the declaration order sets the lex order that orients the rules, and so
     # every normal form; each generator is also renamed by its new position
-    text = resources.files("maxsub").joinpath("presets", "g2-rank2.ring").read_text()
-    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    lines = [line for line in G2_TEXT.splitlines() if line and not line.startswith("#")]
     (declared,) = [line for line in lines if line.startswith("generators:")]
     generators = [item.split("=") for item in declared.removeprefix("generators: ").split(", ")]
     names = re.compile(r"\b(" + "|".join(name for name, _ in generators) + r")\b")

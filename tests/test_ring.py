@@ -119,6 +119,15 @@ def test_mul_rules(R):
     assert R.parse("alpha^3") * R.parse("theta^2") == R.parse("alpha^3*theta^2")
 
 
+def test_mul_drops_a_cancelled_coefficient(R):
+    # alpha*(-theta) and theta*alpha meet on one monomial and cancel there
+    x, y = R.parse("alpha + theta"), R.parse("alpha - theta")
+    product = x * y
+    assert product == R.parse("alpha^2 - theta^2")
+    assert product == R.sum_of_products([(1, x, y)])
+    assert len(product._terms) == 2 and all(product._terms.values())
+
+
 def test_truncation_above_top_degree(R):
     # curve x base has one dimension more than the base: its top class is
     # fiber-bearing, nonzero and pushes forward to the base's top class

@@ -137,6 +137,16 @@ def test_equality_against_rationals():
     assert n() != 1
 
 
+def test_equality_across_parameter_lists():
+    # a constant is the same number over any parameter list; a polynomial is not
+    over_n, over_m = ParamScalar.constant(Fraction(3, 2), ("n",)), ParamScalar.constant(Fraction(3, 2), ("m",))
+    assert over_n == over_m and hash(over_n) == hash(over_m)
+    assert ParamScalar.constant(1, ("n",)) != ParamScalar.constant(2, ("m",))
+    assert n() != ParamScalar.variable("m", ("m",))
+    assert n() != ParamScalar.constant(1, ("m",))
+    assert ParamScalar.constant(1, ("m",)) != n()
+
+
 # -- against the Fraction-dict reference ---------------------------------------
 
 PARAM_LISTS = (("n",), ("n", "m"))
