@@ -43,7 +43,7 @@ functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -521,11 +521,6 @@ class GradedElement:
         zero_mono = (0,) * self.ring.ngens
         return self._terms.get(zero_mono, ParamScalar(self.ring.params))
 
-    def constant_term(self) -> Rational:
-        """The constant term of the constant coefficient; the int 0 when it has none."""
-        coeff = self._terms.get((0,) * self.ring.ngens)
-        return 0 if coeff is None else coeff.constant_term()
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -592,7 +587,29 @@ class GradedElement:
         return GradedElement(self.ring, {m: c / divisor for m, c in self._terms.items()})
 
     def __pow__(self, exponent: int):
-        return power(self, exponent, self.ring.one())
+        """``self^k`` with ``self = c + y``, ``c`` the constant coefficient.
+        Every monomial of ``y`` has degree at least ``d``, so ``y^j`` is 0
+        once ``j*d`` passes ``max_degree``.  When ``c`` is not 0 and that
+        leaves no more terms than square and multiply takes products, the
+        power is the binomial sum of ``C(k, j)*c^(k-j)*y^j`` in one pass, as
+        the ring is commutative; any other power is squared and multiplied."""
+        ring = self.ring
+        c = self._terms.get((0,) * ring.ngens)
+        if c is not None and isinstance(exponent, int) and exponent >= 0:
+            y = _element(ring, {m: t for m, t in self._terms.items() if any(m)})
+            d = min(map(ring.degree, y._terms), default=ring.max_degree + 1)
+            top = min(exponent, ring.max_degree // d)
+            if top <= 2 * exponent.bit_length():
+                powers = [ring.one(), y][: top + 1]  # y^j up to the first zero or j = top
+                while len(powers) <= top and not (y_j := powers[-1] * y).is_zero:
+                    powers.append(y_j)
+                pairs, scale = [], c ** (exponent - len(powers) + 1)
+                for j in reversed(range(len(powers))):
+                    pairs.append((comb(exponent, j), powers[j], scale))
+                    if j:
+                        scale = scale * c
+                return ring.sum_of_products(pairs)
+        return power(self, exponent, ring.one())
 
     def __eq__(self, other):
         if isinstance(other, GradedElement):

@@ -242,19 +242,23 @@ def walk(node, leaf):
     its value, and ``+ - * ^`` act on the values, which need ``is_zero``
     too.  A left-deep chain of sums and products runs in a loop, so its
     length costs no recursion; a zero product skips the factors after it.
-    A power whose constant term alone could not be printed is refused
-    before it is computed, so the values need ``constant_term`` too."""
+    A power is refused before it is computed when a coefficient it must
+    hold could not be printed, so a value that is not a ``ParamScalar``
+    needs ``constant_coefficient`` too."""
     if isinstance(node, (Num, Name)):
         return leaf(node)
     if isinstance(node, Neg):
         return -walk(node.operand, leaf)
     if isinstance(node, Pow):
         base = walk(node.base, leaf)
-        # the power's constant term is exactly that of the base raised to the
-        # exponent, so refuse before computing one that could never be printed
-        constant = base.constant_term()
-        if constant:
-            check_power_digits(max(abs(constant.numerator), constant.denominator), node.exponent)
+        # the constant term and the lex-leading coefficient of the base's
+        # constant coefficient, raised to the exponent, are exact coefficients
+        # of the power, as Q[params] is a domain: refuse before computing one
+        # that could never be printed
+        scalar = base if isinstance(base, ParamScalar) else base.constant_coefficient()
+        for value in (scalar.constant_term(), scalar.leading_coefficient()):
+            if value:
+                check_power_digits(max(abs(value.numerator), value.denominator), node.exponent)
         return base ** node.exponent
     chain = []
     while isinstance(node, BinOp):

@@ -126,6 +126,10 @@ class ParamScalar:
         c = self._num.get((0,) * len(self.params))
         return 0 if c is None else Fraction(c, self._den)
 
+    def leading_coefficient(self) -> Rational:
+        """The coefficient of the lex-largest parameter monomial; the int 0 when it has none."""
+        return Fraction(self._num[max(self._num)], self._den) if self._num else 0
+
     def evaluate(self, assignment: Mapping[str, Rational]) -> Fraction:
         """Specialize every parameter to an exact rational, in integers: with
         each value p/q and D the top exponent of its parameter, the sum of

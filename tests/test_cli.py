@@ -162,10 +162,17 @@ def test_too_many_digits_exits_1(capsys, argv):
     assert out.err == "error: the exact result has more than 4300 digits, too many to print\n"
 
 
-@pytest.mark.parametrize("expression", ["3^3000000000", "(3 + alpha)^3000000000", "(3 + n)^3000000000", "(1/3 + theta)^30000"])
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "3^3000000000", "(3 + alpha)^3000000000", "(3 + n)^3000000000", "(1/3 + theta)^30000",
+        "(3*n)^3000000000", "(3*n + alpha)^3000000000",
+    ],
+)
 def test_power_with_an_unprintable_constant_term_is_refused_before_it_is_computed(capsys, monkeypatch, expression):
-    # the base's constant term raised to the exponent is an exact coefficient
-    # of the power: no power is taken once that alone passes the digit limit
+    # the constant term and the lex-leading coefficient of the base's constant
+    # coefficient, raised to the exponent, are exact coefficients of the
+    # power: no power is taken once one of them passes the digit limit
     def power(base, exponent, one, real=scalars.power):
         assert exponent < 1000, "a huge power was computed"
         return real(base, exponent, one)
@@ -436,6 +443,19 @@ def test_hostile_rule_loads_fast(capsys, tmp_path, tail):
     assert run(["reduce", "--ring", str(ring), "alpha"]) == 0
     assert time.perf_counter() - start < 2
     assert capsys.readouterr().out == "alpha\n"
+
+
+def test_unprintable_power_in_a_file_term_is_refused(capsys, tmp_path):
+    # file expressions go through the same check, even where a later term cancels
+    power = "(3*n)^3000000000*theta"
+    text = Path(G2_RING).read_text().replace("xi1^2 -> -2*theta*f", f"xi1^2 -> -2*theta*f + {power} - {power}")
+    ring = tmp_path / "hostile.ring"
+    ring.write_text(text)
+    with within(10):
+        assert run(["reduce", "--ring", str(ring), "alpha"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the exact result has more than 4300 digits, too many to print\n"
 
 
 def test_check_positivity_detail_with_too_many_digits_exits_1(capsys):

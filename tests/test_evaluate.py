@@ -8,14 +8,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from maxsub import gradedring
 from maxsub.cli import run
 from maxsub.errors import UnknownGeneratorError
+from maxsub.gradedring import load_presentation
 from maxsub.parsing import Name
 
 from helpers import expanded_parse, g2_ring, jacobian_preset
 
 G2_RING = str(resources.files("maxsub").joinpath("presets", "g2-rank2.ring"))
 RINGS = {"g2-rank2": g2_ring, "jacobian-g3": lambda: jacobian_preset(3).ring}
+# a top degree so high that no power up to 40 truncates, so powers with a
+# constant coefficient there are squared and multiplied
+HIGH_RING = """params: n
+generators: theta=2, xi1=2, f=2
+rules: xi1^2 -> -2*theta*f
+fiber: f
+fiber_supported: xi1
+top_degree: 1000000
+"""
+# the rings of the ring-arith benchmark, and one where powers take the other route
+POWER_RINGS = {
+    **RINGS,
+    "jacobian-g12": lambda: jacobian_preset(12).ring,
+    "top-degree-1000000": lambda: load_presentation(HIGH_RING),
+}
 
 
 def rationals_st():
@@ -70,17 +87,37 @@ def test_parse_matches_expand_then_reduce_examples(ring_name, text):
     assert ring.parse(text) == expanded_parse(ring, text)
 
 
-@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@pytest.mark.parametrize("ring_name", sorted(POWER_RINGS))
 def test_power_matches_repeated_multiplication(ring_name):
-    ring = RINGS[ring_name]()
-    for text in ("theta", "1 + theta", "xi1 + f", "n*theta - 2*xi1 + 1/3", "0", "1"):
+    ring = POWER_RINGS[ring_name]()
+    bases = (
+        "theta", "1 + theta", "xi1 + f", "n*theta - 2*xi1 + 1/3", "0", "1", "1/3", "2*n",
+        "-3/2 + xi1 + theta*f", "n + theta", "n^2 - 2*n + xi1 + theta*f",
+    )
+    for text in bases:
         base = ring.parse(text)
         expected = ring.one()
-        for k in range(21):
+        for k in range(41):
             assert base**k == expected, (text, k)
             expected = expected * base
     with pytest.raises(ValueError):
         ring.one() ** -1
+
+
+def test_power_route(monkeypatch):
+    # a base with a nonzero constant whose nilpotent part vanishes soon is
+    # expanded by the binomial theorem; any other is squared and multiplied.
+    # The ring-arith oracle also calls ``**``, so it cannot tell the routes apart
+    squared = []
+    real = gradedring.power
+    monkeypatch.setattr(gradedring, "power", lambda x, k, one: squared.append(k) or real(x, k, one))
+    g2, high = g2_ring(), load_presentation("generators: a=2\ntop_degree: 1000000\n")
+    assert g2.parse("(1 + alpha)^20") == expanded_parse(g2, "(1 + alpha)^20")
+    assert squared == []
+    assert g2.parse("(alpha + theta)^20") == expanded_parse(g2, "(alpha + theta)^20")
+    assert str(high.parse("a^500000")) == "a^500000"
+    assert high.parse("(1 + a)^40") == expanded_parse(high, "(1 + a)^40")
+    assert squared == [20, 500000, 40]
 
 
 @pytest.mark.parametrize("text", ["0*foo", "foo - foo", "foo^0", "theta^7*foo", "theta^6*alpha*(foo + 1)"])
