@@ -23,8 +23,7 @@ def _load_ring_file(path: str):
 
     from .gradedring import load_presentation
 
-    text = Path(path).read_text()
-    return load_presentation(text, name=Path(path).stem)
+    return load_presentation(Path(path).read_text())
 
 
 def _print_exact(value, render=str) -> None:

@@ -33,10 +33,10 @@ normal-form cache) with one lookup and builds no product tuple; the table
 stores a new pair only while it holds fewer than
 :data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form, so it stays small
 where pairs never repeat.  Expressions go through the one tree walk of
-``parsing``: reduced after every product (:meth:`RingPresentation.evaluate`),
-or, for a file's rules, zeros and integrals, as free polynomials in their
-names.  ``parsing`` is imported only where text is read, so a ring built
-as data never loads it.  All values are immutable; operations are pure
+``parsing``, reduced after every product (:meth:`RingPresentation.evaluate`);
+a file's rule right-hand sides too, in the relation-free ring of its
+generators.  ``parsing`` is imported only where text is read, so a ring
+built as data never loads it.  All values are immutable; operations are pure
 functions.
 """
 
@@ -70,14 +70,8 @@ class RewriteRule(NamedTuple):
     rhs: Tuple[Tuple[Monomial, ParamScalar], ...]
 
 
-def _check_names(generator_names: Sequence[str], params: Sequence[str]):
-    """Each name is one generator or one parameter, so one variable."""
-    if len(set(generator_names)) != len(generator_names):
-        raise PresentationError("duplicate generator names")
-    if len(set(params)) != len(params):
-        raise PresentationError("duplicate parameter names")
-    if set(generator_names) & set(params):
-        raise PresentationError("a name cannot be both a generator and a parameter")
+def _unknown_name(name: str) -> UnknownGeneratorError:
+    return UnknownGeneratorError(f"unknown name {name!r}: not a generator or parameter of this presentation")
 
 
 class RingPresentation:
@@ -93,7 +87,6 @@ class RingPresentation:
         fiber_supported: Sequence[str] = (),
         integrals: Mapping[Monomial, Fraction] | None = None,
         top_degree: int = 0,
-        name: str = "",
     ):
         self.generator_names = tuple(n for n, _ in generators)
         self.generator_degrees = tuple(d for _, d in generators)
@@ -101,7 +94,6 @@ class RingPresentation:
         self.rules = tuple(rules)
         self.zeros = tuple(zeros)
         self.top_degree = top_degree
-        self.name = name
         self._index = {n: i for i, n in enumerate(self.generator_names)}
         self.integrals = dict(integrals or {})
         self._nf_cache: dict = {}
@@ -115,6 +107,13 @@ class RingPresentation:
     # -- structure ---------------------------------------------------------
 
     def _validate(self, fiber: Optional[str], fiber_supported: Sequence[str]):
+        # each name is one generator or one parameter, so one variable
+        if len(set(self.generator_names)) != self.ngens:
+            raise PresentationError("duplicate generator names")
+        if len(set(self.params)) != len(self.params):
+            raise PresentationError("duplicate parameter names")
+        if set(self.generator_names) & set(self.params):
+            raise PresentationError("a name cannot be both a generator and a parameter")
         if fiber is not None and fiber not in self._index:
             raise PresentationError(f"fiber class {fiber!r} is not a generator")
         for n in fiber_supported:
@@ -125,7 +124,6 @@ class RingPresentation:
         self._weights = tuple(2 if i == self.fiber_index else int(i in self.fiber_supported) for i in range(self.ngens))
         self._base_degrees = tuple(map(sub, self.generator_degrees, self._weights))
         self.max_degree = self.top_degree + 2 * any(self._weights)  # the largest degree that can be nonzero
-        _check_names(self.generator_names, self.params)
         for name, deg in zip(self.generator_names, self.generator_degrees):
             if deg <= 0 or deg % 2:
                 raise PresentationError(f"generator {name!r} must have even positive degree, got {deg}")
@@ -161,6 +159,10 @@ class RingPresentation:
                 raise PresentationError(
                     f"integral monomial {self.monomial_str(mono)} has degree {self.degree(mono)}, "
                     f"not the top degree {self.top_degree}"
+                )
+            if self.weight(mono):
+                raise PresentationError(
+                    f"integral monomial {self.monomial_str(mono)} has fiber weight {self.weight(mono)}, not 0"
                 )
             nf = self._monomial_nf(mono)
             if list(nf) != [mono] or nf[mono] != 1:
@@ -452,11 +454,12 @@ class RingPresentation:
 
         return self._evaluate(node, parsing)
 
-    def _evaluate(self, node, parsing) -> "GradedElement":
-        # ``parsing`` is the module, passed in by the caller's one import
-        unknown = [name for name in parsing.names(node) if name not in self._index and name not in self.params]
-        if unknown:
-            raise UnknownGeneratorError(f"unknown name {unknown[0]!r}: not a generator or parameter of this presentation")
+    def _evaluate(self, node, parsing, unknown=_unknown_name) -> "GradedElement":
+        # ``parsing`` is the module, passed in by the caller's one import;
+        # ``unknown(name)`` is the error for a name that is neither kind
+        for name in parsing.names(node):
+            if name not in self._index and name not in self.params:
+                raise unknown(name)
         return self.scalar(out) if isinstance(out := parsing.walk(node, self._leaf), ParamScalar) else out
 
     def _leaf(self, node) -> "GradedElement | ParamScalar":
@@ -475,7 +478,7 @@ class RingPresentation:
         return self._evaluate(parsing.parse_expression(text), parsing)
 
     def __repr__(self):
-        label = self.name or ",".join(self.generator_names) or "point"
+        label = ",".join(self.generator_names) or "point"
         return f"RingPresentation({label}, top_degree={self.top_degree})"
 
 
@@ -624,10 +627,10 @@ class GradedElement:
     def integrate(self) -> ParamScalar:
         """Evaluate against the fundamental class of the base.
 
-        Only terms of degree top_degree and above contribute.  Fiber-bearing
-        ones are rejected (push forward along the curve first); a top-degree
-        normal monomial with no declared intersection number is a loud
-        error, never a silent zero.
+        Only terms of degree top_degree and above contribute.  Ones of
+        nonzero fiber weight are rejected (push forward along the curve
+        first); a top-degree normal monomial with no declared intersection
+        number is a loud error, never a silent zero.
         """
         ring = self.ring
         if not ring.integrals:
@@ -637,10 +640,11 @@ class GradedElement:
         for mono, coeff in self._terms.items():
             if ring.degree(mono) < ring.top_degree:
                 continue
-            if ring.fiber_index is not None and mono[ring.fiber_index] > 0:
+            if ring.weight(mono):
+                has_f = ring.fiber_index is not None and mono[ring.fiber_index]
                 raise FiberClassError(
                     f"integrate after pushforward: top-degree term {ring.monomial_str(mono)} "
-                    "contains the fiber class"
+                    + ("contains the fiber class" if has_f else "carries fiber weight")
                 )
             value = ring.integrals.get(mono)
             if value is None:
@@ -705,42 +709,34 @@ class GradedElement:
 
 def _single_monomial(node, generators, where: str) -> Monomial:
     """The monomial of a bare product of generators; ``where`` names it in
-    errors.  A bad shape is reported before an unknown name, which is an
-    error even in a term that vanishes."""
-    from .parsing import expand, names
+    errors.  An unknown name is reported first, even in a term that vanishes."""
+    from .parsing import expand
 
-    others = [n for n in dict.fromkeys(names(node)) if n not in generators]
-    terms = expand(node, (*generators, *others), None)
+    terms = expand(node, generators, lambda name: PresentationError(f"{where} uses unknown generator {name!r}"))
     if len(terms) != 1:
         raise PresentationError(f"{where} must be a single monomial")
     ((mono, coeff),) = terms.items()
     if coeff != 1:
         raise PresentationError(f"{where} must have coefficient 1")
-    if others:
-        raise PresentationError(f"{where} uses unknown generator {others[0]!r}")
     return mono
 
 
-def presentation_from_data(data: PresentationFileData, name: str = "") -> RingPresentation:
-    """Assemble and validate a presentation from parsed file content."""
-    from .parsing import expand
+def presentation_from_data(data: PresentationFileData) -> RingPresentation:
+    """Assemble and validate a presentation from parsed file content.  Each
+    rule's right-hand side is read like any expression, in the relation-free
+    ring: names first, each product truncated as it is formed, so a term that
+    is zero there is dropped."""
+    from . import parsing
 
-    gen_names, params = tuple(n for n, _ in data.generators), tuple(data.params)
-    _check_names(gen_names, params)  # before any expansion: each name is one variable
-
-    def rhs_terms(node, line) -> Tuple[Tuple[Monomial, ParamScalar], ...]:
-        # an exponent vector splits into a monomial and its coefficient's parameter exponents
-        message = f"rule on line {line} uses unknown name"
-        terms = expand(node, gen_names + params, lambda name: PresentationError(f"{message} {name!r}"))
-        grouped: dict[Monomial, dict] = {}
-        for key, coeff in terms.items():
-            grouped.setdefault(key[: len(gen_names)], {})[key[len(gen_names) :]] = coeff
-        return tuple((mono, ParamScalar(params, pterms)) for mono, pterms in grouped.items())
-
+    fields = dict(fiber=data.fiber, fiber_supported=data.fiber_supported, top_degree=data.top_degree)
+    free = RingPresentation(data.generators, data.params, **fields)
+    gen_names = free.generator_names
     rules = []
     for lhs_node, rhs_node, line in data.rules:
         lhs = _single_monomial(lhs_node, gen_names, f"rule left-hand side on line {line}")
-        rules.append(RewriteRule(lhs, rhs_terms(rhs_node, line)))
+        message = f"rule on line {line} uses unknown name"
+        rhs = free._evaluate(rhs_node, parsing, lambda name: PresentationError(f"{message} {name!r}"))
+        rules.append(RewriteRule(lhs, tuple(rhs.items())))
     zeros = [_single_monomial(node, gen_names, f"zero-monomial on line {line}") for node, line in data.zeros]
     integrals = {}
     for node, value, line in data.integrals:
@@ -748,20 +744,10 @@ def presentation_from_data(data: PresentationFileData, name: str = "") -> RingPr
         if mono in integrals:
             raise PresentationError(f"duplicate integral for monomial on line {line}")
         integrals[mono] = value
-    return RingPresentation(
-        generators=data.generators,
-        params=params,
-        rules=rules,
-        zeros=zeros,
-        fiber=data.fiber,
-        fiber_supported=data.fiber_supported,
-        integrals=integrals,
-        top_degree=data.top_degree,
-        name=name or data.preset.get("name", ""),
-    )
+    return RingPresentation(data.generators, data.params, rules, zeros, integrals=integrals, **fields)
 
 
-def load_presentation(text: str, name: str = "") -> RingPresentation:
+def load_presentation(text: str) -> RingPresentation:
     """Parse and validate a presentation file; see the README for the grammar.
 
     A rule set that no lex order of the generators orients, or that fails
@@ -769,4 +755,4 @@ def load_presentation(text: str, name: str = "") -> RingPresentation:
     """
     from .parsing import parse_presentation_text
 
-    return presentation_from_data(parse_presentation_text(text), name)
+    return presentation_from_data(parse_presentation_text(text))

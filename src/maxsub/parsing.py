@@ -4,10 +4,11 @@ The expression grammar covers rational literals, parameter and generator
 names, ``+ - *`` and ``^`` with nonnegative integer exponents, and
 parentheses.  ``/`` is allowed only between integer literals, to write
 exact rationals such as ``5/24``.  :func:`walk` is the one evaluator of
-expression trees: a ring evaluates in its elements, and :func:`expand`
-evaluates presentation-file expressions, for which there is no ring yet, as
-``ParamScalar`` polynomials in the file's names.  Both reject an unknown
-name first, even in a term that vanishes.
+expression trees: a ring evaluates in its elements, a file's rule
+right-hand sides included, and :func:`expand` evaluates a file's monomials
+and integral values, which must not truncate, as ``ParamScalar``
+polynomials in the file's names.  Both reject an unknown name first, even
+in a term that vanishes.
 """
 
 from __future__ import annotations

@@ -366,7 +366,6 @@ def jacobian_preset(genus: int) -> Preset:
         fiber_supported=("xi1",),
         integrals={(g, 0, 0): Fraction(factorial(g))},  # theta^g = g!
         top_degree=2 * g,
-        name="jacobian",
     )
     return Preset(
         name="jacobian",
@@ -388,7 +387,7 @@ def preset_from_text(text: str) -> Preset:
     missing = [k for k in ("name", "genus", "subbundle_rank", "subbundle_degree", "chern_U", "chern_L") if k not in header]
     if missing:
         raise PresetError(f"presentation lacks preset header fields: {', '.join(missing)}")
-    ring = presentation_from_data(data, header["name"])
+    ring = presentation_from_data(data)
 
     def total_class(node) -> TotalChernClass:
         return TotalChernClass.from_total_element(ring, ring.evaluate(node))

@@ -453,10 +453,9 @@ def reduce_in_random_order(ring, raw_terms, rng):
     raise AssertionError("random-order reduction did not terminate")
 
 
-def expanded_parse(ring, text):
-    """Reference evaluation: expand the whole expression as a free
-    polynomial, resolve its names, and only then reduce to normal form.
-    It truncates nothing until the end, so keep exponents small."""
+def expanded_terms(ring, text):
+    """The expression as a free polynomial in the ring's names, regrouped as
+    ``{monomial: coefficient}``; nothing truncates, so keep exponents small."""
 
     def unknown(name):
         return UnknownGeneratorError(f"unknown name {name!r}: not a generator or parameter of this presentation")
@@ -466,7 +465,13 @@ def expanded_parse(ring, text):
     for key, coeff in expand(parse_expression(text), ring.generator_names + ring.params, unknown).items():
         scalar = ParamScalar(ring.params, {key[n:]: coeff})
         terms[key[:n]] = terms[key[:n]] + scalar if key[:n] in terms else scalar
-    return GradedElement(ring, ring._normalize(terms))
+    return terms
+
+
+def expanded_parse(ring, text):
+    """Reference evaluation: expand the whole expression as a free
+    polynomial, resolve its names, and only then reduce to normal form."""
+    return GradedElement(ring, ring._normalize(expanded_terms(ring, text)))
 
 
 class UncheckedRing(RingPresentation):

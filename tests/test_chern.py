@@ -114,6 +114,21 @@ def test_tensor_unit_and_ranks():
     assert u.tensor(PRESET.chern_l.character(1), big).rank == 2 * n
 
 
+def test_components_out_of_order_are_sorted():
+    c1, c2 = RING.parse("alpha + f"), RING.parse("alpha^2 + xi2")
+    ch = ChernCharacter(RING, 2, {2: c2, 1: c1})
+    assert [k for k, _ in ch.items()] == [1, 2]
+    assert ch.total_class() == ChernCharacter(RING, 2, {1: c1, 2: c2}).total_class()
+
+
+def test_reprs():
+    ch = character_from(2, "alpha + f", "0", "alpha^3")
+    assert repr(ch) == "ChernCharacter(2 + [alpha + f] + [alpha^3])"
+    assert repr(ChernCharacter(RING, RING.parameter("n"))) == "ChernCharacter(n)"
+    assert repr(TotalChernClass(RING, [RING.parse("xi1")])) == "TotalChernClass(1 + [xi1])"
+    assert repr(TotalChernClass(RING)) == "TotalChernClass(1)"
+
+
 def test_inhomogeneous_component_rejected():
     with pytest.raises(ValueError):
         ChernCharacter(RING, 1, [RING.parse("alpha + alpha^2")])

@@ -432,15 +432,24 @@ def test_unknown_name_in_a_vanishing_file_term_exits(capsys, tmp_path, line):
         assert out.err == f"error: {message}\n", text
 
 
-@pytest.mark.parametrize(
-    "tail", ["0*(theta+f)^1000", "(theta+f)^1000 - (theta+f)^1000", "(theta+f)^1000*0"], ids=["zero-first", "cancel", "zero-last"]
-)
+HOSTILE_TAILS = {
+    "zero-first": "0*(theta+f)^1000",
+    "cancel": "(theta+f)^1000 - (theta+f)^1000",
+    "zero-last": "(theta+f)^1000*0",
+    # a rule's right-hand side is truncated after every product, as any expression is
+    "cancel-3000": "(theta+f)^3000 - (theta+f)^3000",
+    "power-3000": "(theta+f)^3000",
+}
+
+
+@pytest.mark.parametrize("tail", HOSTILE_TAILS.values(), ids=HOSTILE_TAILS.keys())
 def test_hostile_rule_loads_fast(capsys, tmp_path, tail):
     text = Path(G2_RING).read_text().replace("xi1^2 -> -2*theta*f", f"xi1^2 -> -2*theta*f + {tail}")
     ring = tmp_path / "hostile.ring"
     ring.write_text(text)
     start = time.perf_counter()
-    assert run(["reduce", "--ring", str(ring), "alpha"]) == 0
+    with within(10):
+        assert run(["reduce", "--ring", str(ring), "alpha"]) == 0
     assert time.perf_counter() - start < 2
     assert capsys.readouterr().out == "alpha\n"
 

@@ -3,6 +3,8 @@ against the reference that expands them as free polynomials first."""
 
 import time
 from importlib import resources
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -10,11 +12,11 @@ from hypothesis import strategies as st
 
 from maxsub import gradedring
 from maxsub.cli import run
-from maxsub.errors import UnknownGeneratorError
+from maxsub.errors import PresentationError, UnknownGeneratorError
 from maxsub.gradedring import load_presentation
 from maxsub.parsing import Name
 
-from helpers import expanded_parse, g2_ring, jacobian_preset
+from helpers import expanded_parse, expanded_terms, g2_ring, jacobian_preset
 
 G2_RING = str(resources.files("maxsub").joinpath("presets", "g2-rank2.ring"))
 RINGS = {"g2-rank2": g2_ring, "jacobian-g3": lambda: jacobian_preset(3).ring}
@@ -85,6 +87,39 @@ def test_parse_matches_expand_then_reduce(ring_name, data):
 def test_parse_matches_expand_then_reduce_examples(ring_name, text):
     ring = RINGS[ring_name]()
     assert ring.parse(text) == expanded_parse(ring, text)
+
+
+G2_RULE = "rules: xi1^2 -> -2*theta*f"
+# monomials of g2-rank2 of fiber weight above 2 or base degree above 10
+TRUNCATING = ["f^2", "xi1*f", "xi1^2*xi2", "theta^6", "alpha^3*Lambda^2"]
+
+
+@st.composite
+def rule_tails_st(draw):
+    """A tail for the g2 rule ``xi1^2 -> -2*theta*f``: terms that keep its
+    degree and weight, terms that truncate, and now and then any expression."""
+    ring, scalars = g2_ring(), SimpleNamespace(generator_names=(), params=("n",))
+    tail = f"({draw(expressions_st(scalars))})*alpha*f + ({draw(expressions_st(scalars))})*theta*f"
+    tail += f" + ({draw(expressions_st(ring))})*{draw(st.sampled_from(TRUNCATING))}"
+    if draw(st.booleans()):
+        tail += f" - ({draw(expressions_st(ring, 2))})"
+    return tail
+
+
+@given(tail=rule_tails_st())
+def test_rule_reads_as_expand_minus_truncating_terms(tail):
+    # the reference: the free polynomial regrouped by monomial, minus the
+    # terms that truncate; the ring reads the rule and then checks each term
+    ring = g2_ring()
+    rhs = f"-2*theta*f + {tail}"
+    expected = {m: c for m, c in expanded_terms(ring, rhs).items() if not ring._truncates(m)}
+    text = Path(G2_RING).read_text().replace(G2_RULE, f"rules: xi1^2 -> {rhs}")
+    lhs = (0, 0, 2, 0, 0, 0)  # xi1^2: no lex order puts it above itself
+    if all(ring.degree(m) == 4 and ring.weight(m) == 2 and m != lhs for m in expected):
+        assert dict(load_presentation(text).rules[0].rhs) == expected
+    else:
+        with pytest.raises(PresentationError):
+            load_presentation(text)
 
 
 @pytest.mark.parametrize("ring_name", sorted(POWER_RINGS))

@@ -63,7 +63,7 @@ def test_shipped_jacobian_files_match_generator():
 
 def _ring_data(ring):
     return (
-        ring.name, ring.generator_names, ring.generator_degrees, ring.params, ring.rules, ring.zeros,
+        ring.generator_names, ring.generator_degrees, ring.params, ring.rules, ring.zeros,
         ring.fiber_index, ring.fiber_supported, ring.integrals, ring.top_degree,
     )
 

@@ -30,6 +30,7 @@ from helpers import (
 )
 
 POINT_RING = "generators:\ntop_degree: 0\nintegrals: 1 = 1\n"
+G2_TEXT = files("maxsub").joinpath("presets", "g2-rank2.ring").read_text()
 
 FIBERLESS = """
 generators: x=2
@@ -52,6 +53,11 @@ def test_g2_presentation_shape(R):
     assert len(R.integrals) == 2
     assert R.generator_names[R.fiber_index] == "f"
     assert [R.generator_names[i] for i in R.fiber_supported] == ["xi1", "xi2"]
+
+
+def test_repr_names_the_generators(R):
+    assert repr(R) == "RingPresentation(alpha,theta,xi1,xi2,Lambda,f, top_degree=10)"
+    assert repr(load_presentation(POINT_RING)) == "RingPresentation(point, top_degree=0)"
 
 
 def test_point_ring_integration_is_identity():
@@ -160,6 +166,21 @@ def test_declared_implied_zeros_change_nothing(text, zeros):
         assert declared._normalize({mono: one}) == shipped._normalize({mono: one})
 
 
+G2_RULE = "rules: xi1^2 -> -2*theta*f"
+
+
+@pytest.mark.parametrize("tail", ["theta^6", "f^2", "7*n*xi1*f*theta - theta^6"])
+def test_rule_term_zero_in_the_ring_is_dropped(R, tail):
+    # base degree above top_degree, or fiber weight above 2: zero before the checks
+    assert load_presentation(G2_TEXT.replace(G2_RULE, f"{G2_RULE} + {tail}")).rules == R.rules
+
+
+def test_rule_term_nonzero_in_the_ring_is_still_rejected():
+    message = r"^rule changes the fiber weight: xi1\^2 \(weight 2\) rewrites to a term of weight 0$"
+    with pytest.raises(PresentationError, match=message):
+        load_presentation(G2_TEXT.replace(G2_RULE, f"{G2_RULE} + theta^2"))
+
+
 def test_mismatched_rings_rejected(R):
     other = load_presentation(POINT_RING)
     with pytest.raises(ValueError):
@@ -180,14 +201,28 @@ def test_declared_integrals(R):
     assert combo.integrate() == 8 * n + 12
 
 
-def test_undeclared_top_monomial_is_loud(R):
-    with pytest.raises(IncompletePresentationError):
-        R.parse("theta*Lambda*xi2").integrate()
+def test_undeclared_top_monomial_is_loud():
+    # theta*Lambda^2 is a weight-0 top-degree normal monomial
+    ring = load_presentation(G2_TEXT.replace("integrals: theta*Lambda^2 = 4\n", ""))
+    with pytest.raises(IncompletePresentationError, match=r"no declared integral for theta\*Lambda\^2"):
+        ring.parse("theta*Lambda^2").integrate()
 
 
 def test_fiber_bearing_top_term_rejected(R):
-    with pytest.raises(FiberClassError):
+    with pytest.raises(FiberClassError, match="contains the fiber class"):
         R.parse("alpha^2*theta^2*f").integrate()
+
+
+@pytest.mark.parametrize("expr", ["theta*Lambda*xi2", "alpha^3*theta*xi1", "alpha^3*theta*xi1 + alpha^3*theta^2"])
+def test_top_term_of_fiber_weight_one_rejected(R, expr):
+    # a fiber-supported factor without f is still a class on curve x base
+    with pytest.raises(FiberClassError, match="carries fiber weight"):
+        R.parse(expr).integrate()
+
+
+def test_integral_of_nonzero_fiber_weight_rejected():
+    with pytest.raises(PresentationError, match=r"integral monomial alpha\^3\*theta\*xi1 has fiber weight 1, not 0"):
+        load_presentation(G2_TEXT.replace("top_degree:", "integrals: alpha^3*theta*xi1 = 5\ntop_degree:"))
 
 
 def test_ring_without_integrals_cannot_integrate():
