@@ -24,20 +24,24 @@ Each element reads once, when first asked, whether a term carries fiber
 weight.  :meth:`RingPresentation.sum_of_products` is the one-pass normal form
 of a sum of products, which the Chern layer uses for each recursion step and
 graded-product component: each pair of monomials looks up its normal form
-once, the integer numerators of the coefficients are multiplied right there
-and summed over one running common denominator, and each output coefficient
-is reduced once.  A ring that multiplies the same pairs again, as every count
-on a loaded preset and every consistency report does, finds each in its pair
-table ``_rows`` (``m1 -> {m2: normal form of m1*m2}``, the dicts of the
-normal-form cache) with one lookup and builds no product tuple; the table
-stores a new pair only while it holds fewer than
-:data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form, so it stays small
-where pairs never repeat.  Expressions go through the one tree walk of
-``parsing``, reduced after every product (:meth:`RingPresentation.evaluate`);
-a file's rule right-hand sides too, in the relation-free ring of its
-generators.  ``parsing`` is imported only where text is read, so a ring
-built as data never loads it.  All values are immutable; operations are pure
-functions.
+once, and the integer numerators of the coefficients go straight into the
+output coefficient's sums, over one running common denominator.  A constant
+coefficient, on either side or in the normal form, joins the pair's integer
+multiplier; two polynomial coefficients are multiplied into the output's sums
+in place (``scalars._add_product``); only a polynomial coefficient in the
+normal form, which needs a rule with a parameter, makes a throwaway product
+of the other two first.  Each output coefficient is reduced once.  A ring
+that multiplies the same pairs again, as every count on a loaded preset and
+every consistency report does, finds each in its pair table ``_rows``
+(``m1 -> {m2: normal form of m1*m2}``, the dicts of the normal-form cache)
+with one lookup and builds no product tuple; the table stores a new pair
+only while it holds fewer than :data:`PAIRS_PER_NORMAL_FORM` pairs per
+cached normal form, so it stays small where pairs never repeat.
+Expressions go through the one tree walk of ``parsing``, reduced after every
+product (:meth:`RingPresentation.evaluate`); a file's rule right-hand sides
+too, in the relation-free ring of its generators.  ``parsing`` is imported
+only where text is read, so a ring built as data never loads it.  All values
+are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from .scalars import ParamScalar, Rational, _make, _times, as_fraction, as_scalar, monomial_text, power, signed_sum
+from .scalars import ParamScalar, Rational, _add_product, _make, _times, as_fraction, as_scalar, monomial_text, power, signed_sum
 
 if TYPE_CHECKING:
     from .parsing import PresentationFileData
@@ -288,20 +292,31 @@ class RingPresentation:
         :meth:`_truncates` runs once per monomial), storing the cache's dict
         in the row while the table holds fewer than
         :data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form.  Only if
-        that form is not empty are the integer numerators of ``w*c1*c2``
-        multiplied there, times those of each normal-form coefficient ``c3``
-        other than 1.  A rational ``y`` folds into the weight; any other
-        scalar ``y`` is one more factor of each coefficient of ``x``, which
-        is in normal form already.  The numerators are summed in one map,
-        by output monomial and parameter exponents, over one running common
-        denominator: a term whose denominator does not divide it lifts the
-        map once to the lcm.  Each output coefficient is reduced once; its
-        numerators are filtered only where one cancelled or a scalar factor
-        was zero.
+        that form is not empty are the integer numerators of ``w*c1*c2``,
+        times those of each normal-form coefficient ``c3`` other than 1,
+        added into the sums of the output coefficient.  A rational ``y``
+        folds into the weight, and a pair whose weight is then 0 is skipped
+        before any lookup; any other scalar ``y`` is one more factor of each
+        coefficient of ``x``, which is in normal form already.  The three
+        coefficient cases:
+
+        - a constant ``c1``, ``c2`` or ``c3`` joins the integer multiplier
+          ``k`` of the pair, and is no factor;
+        - two polynomial factors are added as ``k*p*q`` straight into the
+          output's map (``_add_product``), one polynomial factor as ``k*p``;
+        - a polynomial ``c3`` with two polynomial factors (a rule with a
+          parameter: test rings only) forms ``p*q`` first with ``_times``.
+
+        The numerators are summed in one map, by output monomial and
+        parameter exponents, over one running common denominator: a term
+        whose denominator does not divide it lifts the map once to the lcm.
+        Each output coefficient is reduced once; its numerators are filtered
+        only where one cancelled or a scalar factor was zero.
         """
         cache, nf, one = self._nf_cache, self._monomial_nf, self._one_scalar
         rows, empty, stored = self._rows, {}, self._stored_pairs
         params, zero = self.params, self._zero_exponents
+        unit = {zero: 1}  # the factor left of a coefficient folded into the multiplier
         acc = {}  # output monomial -> {parameter exponents: numerator over den}
         den = 1
         for w, x, y in pairs:
@@ -317,8 +332,15 @@ class RingPresentation:
                     wn, wd, yterms = wn * y.numerator, wd * y.denominator, ((None, one),)
                 else:
                     yterms = ((None, as_scalar(y, params)),)
+            if not wn:
+                continue
             for m1, c1 in x._terms.items():
                 n1, d1 = c1._num, wd * c1._den
+                k1 = n1.get(zero) if len(n1) == 1 else None
+                if k1 is None:
+                    k1 = wn
+                else:
+                    n1, k1 = unit, wn * k1
                 row = rows.get(m1, empty)
                 for m2, c2 in yterms:
                     if m2 is None:  # a scalar factor: x is in normal form already
@@ -338,23 +360,29 @@ class RingPresentation:
                         if not out:
                             continue
                         out = out.items()
-                    # a constant factor joins the integer multiplier, any other multiplies out
+                    # a constant coefficient joins the integer multiplier; p and q
+                    # are the polynomial factors left, q None when fewer than two
                     n2, d12 = c2._num, d1 * c2._den
                     k2 = n2.get(zero) if len(n2) == 1 else None
-                    if k2 is None:
-                        n12, k12 = _times(n1, n2, zero), wn
+                    if k2 is not None:
+                        p, q, k12 = n1, None, k1 * k2
+                    elif n1 is unit:
+                        p, q, k12 = n2, None, k1
                     else:
-                        n12, k12 = n1, wn * k2
+                        p, q, k12 = n1, n2, k1
                     for nmono, c3 in out:
-                        if c3 is one:
-                            num, k, d = n12, k12, d12
-                        else:
+                        f, g, k, d = p, q, k12, d12
+                        if c3 is not one:
                             n3, d = c3._num, d12 * c3._den
                             k3 = n3.get(zero) if len(n3) == 1 else None
-                            if k3 is None:
-                                num, k = _times(n12, n3, zero), k12
+                            if k3 is not None:
+                                k *= k3
+                            elif g is not None:  # a parametric rule: three polynomial factors
+                                f, g = _times(f, g, zero), n3
+                            elif f is unit:
+                                f = n3
                             else:
-                                num, k = n12, k12 * k3
+                                g = n3
                         if d != den:
                             if den % d:
                                 lift = d // gcd(den, d)
@@ -364,14 +392,18 @@ class RingPresentation:
                                 den *= lift
                             k *= den // d
                         t = acc.get(nmono)
-                        if t is None:
-                            if len(num) == 1:
-                                (e,) = num
-                                acc[nmono] = {e: num[e] * k}
+                        if g is not None:
+                            if t is None:
+                                t = acc[nmono] = {}
+                            _add_product(t, f, g, k, zero)
+                        elif t is None:
+                            if len(f) == 1:
+                                (e,) = f
+                                acc[nmono] = {e: f[e] * k}
                             else:
-                                acc[nmono] = {e: c * k for e, c in num.items()}
+                                acc[nmono] = {e: c * k for e, c in f.items()}
                         else:
-                            for e, c in num.items():
+                            for e, c in f.items():
                                 t[e] = t.get(e, 0) + c * k
         # each output coefficient in place, with ``_make``'s invariant: no zero
         # numerator, and the one gcd divided out of the numerators and ``den``

@@ -99,6 +99,11 @@ class Preset:
             raise PresetError("presets normalize the subbundle degree to 1")
         if RANK_PARAMETER not in ring.params:
             raise PresetError(f"the ring must declare the rank parameter {RANK_PARAMETER!r}")
+        extra = [p for p in ring.params if p != RANK_PARAMETER]
+        if extra:
+            raise PresetError(
+                f"the ring may declare no parameter but the rank {RANK_PARAMETER!r}, got {', '.join(map(repr, extra))}"
+            )
         if ring.fiber_index is None:
             raise PresetError("the ring must declare a fiber class")
         self.name = name

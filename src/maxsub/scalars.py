@@ -9,9 +9,11 @@ floating point enters anywhere.  The public constructor validates its
 input; arithmetic results are built by ``_make``, which trusts its input
 and only divides out the common factor.  Every product of numerators,
 ``*`` here and the ring's one-pass sum of products
-(``RingPresentation.sum_of_products``), is ``_times``, which adds
-one-parameter exponents directly; the sum of products builds each output
-coefficient in place, under ``_make``'s invariant, with one gcd.
+(``RingPresentation.sum_of_products``), is ``_add_product``, which adds
+``k*p*q`` into a numerator map in place and adds one-parameter exponents
+directly: ``*`` starts it from an empty map, and the sum of products adds
+each term pair straight into its output coefficient, which it reduces in
+place, under ``_make``'s invariant, with one gcd.
 """
 
 from __future__ import annotations
@@ -290,22 +292,30 @@ def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> Param
 # -- numerator maps: the integer layer of every scalar product --
 
 
+def _add_product(out: dict, p: dict, q: dict, k: int, zero: tuple) -> dict:
+    """Add ``k*p*q`` into the numerator map ``out`` in place and return it; a
+    numerator that cancels stays, as 0.  One parameter (``zero`` of width 1,
+    as in every preset) adds its exponents directly instead of mapping
+    ``add`` over them."""
+    get = out.get
+    if len(zero) == 1:
+        for (e1,), c1 in p.items():
+            c1 *= k
+            for (e2,), c2 in q.items():
+                e = (e1 + e2,)
+                out[e] = get(e, 0) + c1 * c2
+        return out
+    for e1, c1 in p.items():
+        c1 *= k
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
 def _times(p: dict, q: dict, zero: tuple) -> dict:
-    """The product of two numerator maps, unreduced; a constant ``p`` scales
-    ``q``.  One parameter (``zero`` of width 1, as in every preset) adds its
-    exponents directly instead of mapping ``add`` over them."""
+    """The product of two numerator maps, unreduced; a constant ``p`` scales ``q``."""
     k = p.get(zero) if len(p) == 1 else None
     if k is not None:
         return {e: c * k for e, c in q.items()}
-    out: dict = {}
-    if len(zero) == 1:
-        for (e1,), c1 in p.items():
-            for (e2,), c2 in q.items():
-                e = (e1 + e2,)
-                out[e] = out.get(e, 0) + c1 * c2
-        return out
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
+    return _add_product({}, p, q, 1, zero)

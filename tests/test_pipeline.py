@@ -147,9 +147,14 @@ chern_L: 1 + x
         (G2_TEXT.replace("genus: 2", "genus: 1"), "genus must be at least 2, got 1"),
         (G2_TEXT.replace("subbundle_rank: 2", "subbundle_rank: 0"), "subbundle rank must be positive"),
         (G2_TEXT.replace("params: n", "params: m"), "the ring must declare the rank parameter 'n'"),
+        (G2_TEXT.replace("params: n", "params: n, m"), "the ring may declare no parameter but the rank 'n', got 'm'"),
+        (
+            G2_TEXT.replace("params: n", "params: a, n, m"),
+            "the ring may declare no parameter but the rank 'n', got 'a', 'm'",
+        ),
         (FIBERLESS_TEXT, "the ring must declare a fiber class"),
     ],
-    ids=["genus", "subbundle-rank", "rank-parameter", "fiber"],
+    ids=["genus", "subbundle-rank", "rank-parameter", "extra-parameter", "extra-parameters", "fiber"],
 )
 def test_preset_checks(text, message):
     with pytest.raises(PresetError) as info:

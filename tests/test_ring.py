@@ -451,6 +451,20 @@ def test_sum_of_products_rejects_another_ring(R):
             R.sum_of_products([(1, x, y)])
 
 
+def test_sum_of_products_skips_a_zero_multiplier():
+    # a zero weight, or a zero rational second factor folded into it, adds
+    # nothing and looks up no normal form: the count's evaluation pushes X
+    # forward at weight 0
+    ring = g2_ring()
+    x, y = ring.parse("xi1 + n*alpha + xi2"), ring.parse("xi1 + theta + xi2")
+    cache, stored = dict(ring._nf_cache), ring._stored_pairs
+    for pairs in ([(0, x, y)], [(1, x, 0)], [(Fraction(0), x, y), (5, x, Fraction(0))]):
+        got = ring.sum_of_products(pairs)
+        assert got == ring.zero() and not got.items()
+    assert ring._nf_cache == cache and ring._stored_pairs == stored
+    assert ring.sum_of_products([(0, x, y), (1, x, y), (2, y, 0)]) == x * y
+
+
 def _two_parameter_ring():
     # g2-rank2 over n and m, with xi2^2 -> (m - 1/2*n)*alpha^3*f: the normal
     # form of a product of two xi2 terms is a third factor with a denominator
@@ -468,6 +482,7 @@ TWO_ELEMENTS = [
         "(2/7 - n)*xi2 + (n^2 + 1/4*m)*theta + 3",
         "m*xi2 + 1/6*xi1 + Lambda",
         "theta^2 - 5/4*alpha^2*theta",
+        "-3/2*xi2 + 2*alpha",  # a constant xi2 coefficient meets a parametric normal form
     )
 ]
 # a scalar second factor: an int, a Fraction, and scalars that are not constant
@@ -517,6 +532,7 @@ def test_sum_of_products_with_a_parametric_rule():
             "(1/3*n^2 - 1/5)*xi2 - n*alpha*f",
             "(2/7 - n)*xi2 + (n^2 + 1/4)*theta + 3",
             "n*xi2 + 1/6*xi1",
+            "3*xi2 - alpha",
         )
     ]
     weights = [1, Fraction(-3, 4), Fraction(5, 2), -2]

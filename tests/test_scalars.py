@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from maxsub.chern import ChernCharacter
 from maxsub.gradedring import load_presentation
-from maxsub.scalars import ParamScalar
+from maxsub.scalars import ParamScalar, _add_product
 
 from helpers import ReferenceScalar, g2_ring, total_degree
 
@@ -191,6 +191,30 @@ def test_arithmetic_matches_reference(params, data):
     assert (a - a).is_zero and a / q * q == a
     if a.is_constant:
         assert a == a.constant_value() and hash(a) == hash(ra) == hash(a.constant_value())
+
+
+@pytest.mark.parametrize("params", PARAM_LISTS)
+@given(data=st.data(), k=st.sampled_from([-3, 0, 1, 7]), cancel=st.booleans())
+def test_add_product_adds_k_p_q_in_place(params, data, k, cancel):
+    # numerator maps are the integer polynomials; the expected sum is built
+    # term by term with ParamScalar addition, which multiplies no maps
+    maps = st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(params)), st.integers(-9, 9).filter(bool), max_size=4)
+    p, q, r = data.draw(maps), data.draw(maps), data.draw(maps)
+    product_terms = ParamScalar(params)
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            product_terms = product_terms + ParamScalar(params, {tuple(map(sum, zip(e1, e2))): c1 * c2})
+    target = ParamScalar(params, r)
+    if cancel:  # every entry that only k*p*q reaches cancels to 0
+        target = target - product_terms * k
+    out = dict(target._num)
+    assert target._den == 1
+    before = dict(out)
+    assert _add_product(out, p, q, k, (0,) * len(params)) is out
+    assert before.keys() <= out.keys() and all(type(c) is int for c in out.values())
+    assert ParamScalar(params, out) == target + product_terms * k
+    if cancel:
+        assert {e: c for e, c in out.items() if c} == ParamScalar(params, r)._num
 
 
 # a point ring over n and m: its elements are scalars, so the ring's sum of
