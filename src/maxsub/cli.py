@@ -19,11 +19,10 @@ from .errors import KernelError, ParseError, check_power_digits, too_many_digits
 
 
 def _load_ring_file(path: str):
-    from pathlib import Path
-
     from .gradedring import load_presentation
 
-    return load_presentation(Path(path).read_text())
+    with open(path) as file:
+        return load_presentation(file.read())
 
 
 def _print_exact(value, render=str) -> None:

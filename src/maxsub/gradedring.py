@@ -25,21 +25,22 @@ weight.  :meth:`RingPresentation.sum_of_products` is the one-pass normal form
 of a sum of products, which the Chern layer uses for each recursion step and
 graded-product component: each pair of monomials looks up its normal form
 once, and the integer numerators of the coefficients go straight into the
-output coefficient's sums, over one running common denominator.  A constant
-coefficient, on either side or in the normal form, joins the pair's integer
-multiplier; two polynomial coefficients are multiplied into the output's sums
-in place (``scalars._add_product``); only a polynomial coefficient in the
-normal form, which needs a rule with a parameter, makes a throwaway product
-of the other two first.  Each output coefficient is reduced once.  A ring
-that multiplies the same pairs again, as every count on a loaded preset and
-every consistency report does, finds each in its pair table ``_rows``
-(``m1 -> {m2: normal form of m1*m2}``, the dicts of the normal-form cache)
-with one lookup and builds no product tuple; the table stores a new pair
-only while it holds fewer than :data:`PAIRS_PER_NORMAL_FORM` pairs per
-cached normal form, so it stays small where pairs never repeat.
+output coefficient's sums, over one running common denominator.  Rules and
+zeros are over Q, so every normal-form coefficient is an ``int`` or a
+``Fraction`` and joins the pair's integer multiplier, as a constant element
+coefficient does; two polynomial coefficients are multiplied into the
+output's sums in place (``scalars._add_product``).  Each output coefficient
+is reduced once, by ``scalars._make``.  A ring that multiplies the same pairs
+again, as every count on a loaded preset and every consistency report does,
+finds each in its pair table ``_rows`` (``m1 -> {m2: normal form of
+m1*m2}``, the dicts of the normal-form cache) with one lookup and builds no
+product tuple; the table stores a new pair only while it holds fewer than
+:data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form, so it stays
+small where pairs never repeat.
 Expressions go through the one tree walk of ``parsing``, reduced after every
 product (:meth:`RingPresentation.evaluate`); a file's rule right-hand sides
-too, in the relation-free ring of its generators.  ``parsing`` is imported
+too, in the relation-free ring of its generators with no parameters, so a
+parameter in a rule is a load error.  ``parsing`` is imported
 only where text is read, so a ring built as data never loads it.  All values
 are immutable; operations are pure functions.
 """
@@ -57,7 +58,7 @@ from .errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from .scalars import ParamScalar, Rational, _add_product, _make, _times, as_fraction, as_scalar, monomial_text, power, signed_sum
+from .scalars import ParamScalar, Rational, _add_product, _make, as_fraction, as_scalar, monomial_text, power, signed_sum
 
 if TYPE_CHECKING:
     from .parsing import PresentationFileData
@@ -71,7 +72,12 @@ PAIRS_PER_NORMAL_FORM = 4
 
 class RewriteRule(NamedTuple):
     lhs: Monomial
-    rhs: Tuple[Tuple[Monomial, ParamScalar], ...]
+    rhs: Tuple[Tuple[Monomial, Rational], ...]  # rules are over Q
+
+
+#: The normal-form coefficient of every normal monomial: one shared value, so
+#: the kernel and ``_normalize`` skip it by identity.
+_ONE = Fraction(1)
 
 
 def _unknown_name(name: str) -> UnknownGeneratorError:
@@ -137,7 +143,12 @@ class RingPresentation:
             lhs_deg, lhs_weight = self.degree(rule.lhs), self.weight(rule.lhs)
             if not any(rule.lhs):
                 raise PresentationError("the empty monomial cannot be a rule left-hand side")
-            for mono, _ in rule.rhs:
+            for mono, coeff in rule.rhs:
+                if not isinstance(coeff, (int, Fraction)):
+                    raise PresentationError(
+                        f"rule coefficients must be rational: {self.monomial_str(rule.lhs)} "
+                        f"rewrites with coefficient {coeff}"
+                    )
                 if self.degree(mono) != lhs_deg:
                     raise PresentationError(
                         f"degree-inhomogeneous rule: {self.monomial_str(rule.lhs)} (degree {lhs_deg}) "
@@ -224,16 +235,16 @@ class RingPresentation:
             remaining.remove(pick)
             pending = [(rule, mono) for rule, mono in pending if rule.lhs[pick] == mono[pick]]
         if pending:
-            stuck = dict.fromkeys(rule for rule, _ in pending)
+            stuck, one = dict.fromkeys(rule for rule, _ in pending), self._one_scalar
             listed = ", ".join(
-                f"{self.monomial_str(rule.lhs)} -> {GradedElement(self, dict(rule.rhs))}" for rule in stuck
+                f"{self.monomial_str(rule.lhs)} -> {GradedElement(self, {m: one * c for m, c in rule.rhs})}" for rule in stuck
             )
             raise PresentationError(
                 "rewrite rules may not terminate: no lex order of the generators puts every "
                 f"left-hand side above its right-hand side ({listed})"
             )
 
-    def _rewrite(self, mono: Monomial, lhs: Monomial, rhs) -> dict[Monomial, ParamScalar]:
+    def _rewrite(self, mono: Monomial, lhs: Monomial, rhs) -> dict[Monomial, Rational]:
         """One rewrite step on ``mono`` by ``lhs -> rhs``; ``lhs`` divides ``mono``."""
         quotient = tuple(m - l for m, l in zip(mono, lhs))
         return {tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rhs}
@@ -243,11 +254,11 @@ class RingPresentation:
         fiber weight above 2, or base degree above the top degree."""
         return sum(map(mul, mono, self._weights)) > 2 or sum(map(mul, mono, self._base_degrees)) > self.top_degree
 
-    def _monomial_nf(self, mono: Monomial) -> dict[Monomial, ParamScalar]:
+    def _monomial_nf(self, mono: Monomial) -> dict[Monomial, Rational]:
         cached = self._nf_cache.get(mono)
         if cached is not None:
             return cached
-        result: dict[Monomial, ParamScalar] = {}
+        result: dict[Monomial, Rational] = {}
         if not self._truncates(mono):
             # the first reducer whose support ``mono`` covers: a zero kills it
             for support, rule in self._reducers:
@@ -259,18 +270,17 @@ class RingPresentation:
                         result = self._normalize(self._rewrite(mono, rule.lhs, rule.rhs))
                     break
             else:
-                result = {mono: self._one_scalar}
+                result = {mono: _ONE}
         self._nf_cache[mono] = result
         return result
 
     def _normalize(self, raw: Mapping[Monomial, ParamScalar]) -> dict[Monomial, ParamScalar]:
-        one = self._one_scalar
         out: dict[Monomial, ParamScalar] = {}
         for mono, coeff in raw.items():
             if not coeff:
                 continue
             for nmono, ncoeff in self._monomial_nf(mono).items():
-                term = coeff if ncoeff is one else coeff * ncoeff  # a normal monomial's own form: no product
+                term = coeff if ncoeff is _ONE else coeff * ncoeff  # a normal monomial's own form: no product
                 total = out.get(nmono)
                 total = term if total is None else total + term
                 if total:
@@ -293,19 +303,16 @@ class RingPresentation:
         in the row while the table holds fewer than
         :data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form.  Only if
         that form is not empty are the integer numerators of ``w*c1*c2``,
-        times those of each normal-form coefficient ``c3`` other than 1,
-        added into the sums of the output coefficient.  A rational ``y``
-        folds into the weight, and a pair whose weight is then 0 is skipped
-        before any lookup; any other scalar ``y`` is one more factor of each
-        coefficient of ``x``, which is in normal form already.  The three
-        coefficient cases:
+        times each normal-form coefficient ``c3`` other than 1, added into
+        the sums of the output coefficient.  A rational ``y`` folds into the
+        weight, and a pair whose weight is then 0 is skipped before any
+        lookup; any other scalar ``y`` is one more factor of each coefficient
+        of ``x``, which is in normal form already.  The two coefficient cases:
 
-        - a constant ``c1``, ``c2`` or ``c3`` joins the integer multiplier
-          ``k`` of the pair, and is no factor;
+        - a constant ``c1`` or ``c2``, and the rational ``c3``, join the
+          integer multiplier ``k`` of the pair, and are no factor;
         - two polynomial factors are added as ``k*p*q`` straight into the
-          output's map (``_add_product``), one polynomial factor as ``k*p``;
-        - a polynomial ``c3`` with two polynomial factors (a rule with a
-          parameter: test rings only) forms ``p*q`` first with ``_times``.
+          output's map (``_add_product``), one polynomial factor as ``k*p``.
 
         The numerators are summed in one map, by output monomial and
         parameter exponents, over one running common denominator: a term
@@ -313,7 +320,7 @@ class RingPresentation:
         Each output coefficient is reduced once; its numerators are filtered
         only where one cancelled or a scalar factor was zero.
         """
-        cache, nf, one = self._nf_cache, self._monomial_nf, self._one_scalar
+        cache, nf, one, one_scalar = self._nf_cache, self._monomial_nf, _ONE, self._one_scalar
         rows, empty, stored = self._rows, {}, self._stored_pairs
         params, zero = self.params, self._zero_exponents
         unit = {zero: 1}  # the factor left of a coefficient folded into the multiplier
@@ -329,7 +336,7 @@ class RingPresentation:
                 yterms = y._terms.items()
             else:
                 if isinstance(y, (int, Fraction)):
-                    wn, wd, yterms = wn * y.numerator, wd * y.denominator, ((None, one),)
+                    wn, wd, yterms = wn * y.numerator, wd * y.denominator, ((None, one_scalar),)
                 else:
                     yterms = ((None, as_scalar(y, params)),)
             if not wn:
@@ -371,18 +378,9 @@ class RingPresentation:
                     else:
                         p, q, k12 = n1, n2, k1
                     for nmono, c3 in out:
-                        f, g, k, d = p, q, k12, d12
+                        k, d = k12, d12
                         if c3 is not one:
-                            n3, d = c3._num, d12 * c3._den
-                            k3 = n3.get(zero) if len(n3) == 1 else None
-                            if k3 is not None:
-                                k *= k3
-                            elif g is not None:  # a parametric rule: three polynomial factors
-                                f, g = _times(f, g, zero), n3
-                            elif f is unit:
-                                f = n3
-                            else:
-                                g = n3
+                            k, d = k * c3.numerator, d * c3.denominator
                         if d != den:
                             if den % d:
                                 lift = d // gcd(den, d)
@@ -392,38 +390,27 @@ class RingPresentation:
                                 den *= lift
                             k *= den // d
                         t = acc.get(nmono)
-                        if g is not None:
+                        if q is not None:
                             if t is None:
                                 t = acc[nmono] = {}
-                            _add_product(t, f, g, k, zero)
+                            _add_product(t, p, q, k, zero)
                         elif t is None:
-                            if len(f) == 1:
-                                (e,) = f
-                                acc[nmono] = {e: f[e] * k}
+                            if len(p) == 1:
+                                (e,) = p
+                                acc[nmono] = {e: p[e] * k}
                             else:
-                                acc[nmono] = {e: c * k for e, c in f.items()}
+                                acc[nmono] = {e: c * k for e, c in p.items()}
                         else:
-                            for e, c in f.items():
+                            for e, c in p.items():
                                 t[e] = t.get(e, 0) + c * k
-        # each output coefficient in place, with ``_make``'s invariant: no zero
-        # numerator, and the one gcd divided out of the numerators and ``den``
         terms = {}
         for mono, num in acc.items():
             if not num or 0 in num.values():  # a zero scalar factor, or a numerator cancelled
                 num = {e: c for e, c in num.items() if c}
                 if not num:
                     continue
-            common = gcd(den, *num.values())
-            coeff = object.__new__(ParamScalar)
-            coeff.params = params
-            if common == 1:
-                coeff._num, coeff._den = num, den
-            else:
-                coeff._num, coeff._den = {e: c // common for e, c in num.items()}, den // common
-            terms[mono] = coeff
-        result = object.__new__(GradedElement)
-        result.ring, result._terms, result._fiber_bearing = self, terms, None
-        return result
+            terms[mono] = _make(params, num, den)
+        return _element(self, terms)
 
     def _check_ring(self, *elements: "GradedElement"):
         for x in elements:
@@ -667,8 +654,7 @@ class GradedElement:
         ring = self.ring
         if not ring.integrals:
             raise IncompletePresentationError("the presentation declares no integrals")
-        num: dict = {}  # integer numerators over one running denominator, as in the kernel
-        den = 1
+        total = None
         for mono, coeff in self._terms.items():
             if ring.degree(mono) < ring.top_degree:
                 continue
@@ -683,15 +669,8 @@ class GradedElement:
                 raise IncompletePresentationError(
                     f"incomplete presentation: no declared integral for {ring.monomial_str(mono)}"
                 )
-            d = coeff._den * value.denominator
-            if den % d:
-                lift = d // gcd(den, d)
-                num = {e: c * lift for e, c in num.items()}
-                den *= lift
-            k = value.numerator * (den // d)
-            for e, c in coeff._num.items():
-                num[e] = num.get(e, 0) + c * k
-        return _make(ring.params, {e: c for e, c in num.items() if c}, den)
+            total = coeff * value if total is None else total + coeff * value
+        return ParamScalar(ring.params) if total is None else total
 
     def pushforward_fiber(self) -> "GradedElement":
         """Integrate over the curve fiber: extract the f-linear part, f -> 1.
@@ -761,14 +740,16 @@ def presentation_from_data(data: PresentationFileData) -> RingPresentation:
     from . import parsing
 
     fields = dict(fiber=data.fiber, fiber_supported=data.fiber_supported, top_degree=data.top_degree)
-    free = RingPresentation(data.generators, data.params, **fields)
+    free = RingPresentation(data.generators, **fields)  # no parameters: rules are over Q
     gen_names = free.generator_names
     rules = []
     for lhs_node, rhs_node, line in data.rules:
         lhs = _single_monomial(lhs_node, gen_names, f"rule left-hand side on line {line}")
-        message = f"rule on line {line} uses unknown name"
-        rhs = free._evaluate(rhs_node, parsing, lambda name: PresentationError(f"{message} {name!r}"))
-        rules.append(RewriteRule(lhs, tuple(rhs.items())))
+        message = f"rule on line {line} uses"
+        rhs = free._evaluate(
+            rhs_node, parsing, lambda name: PresentationError(f"{message} {name!r}, not a generator: rules are over Q")
+        )
+        rules.append(RewriteRule(lhs, tuple((m, c.constant_value()) for m, c in rhs.items())))
     zeros = [_single_monomial(node, gen_names, f"zero-monomial on line {line}") for node, line in data.zeros]
     integrals = {}
     for node, value, line in data.integrals:

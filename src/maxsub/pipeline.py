@@ -29,8 +29,8 @@ formal parameter, so counts come out as exact polynomials in n.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from importlib import resources
 from itertools import islice
 from math import factorial
 
@@ -159,15 +159,16 @@ def _pushforward_times(x: ChernCharacter, a: ParamScalar | int, b: ParamScalar) 
     formula).  One pass over X's components: ch_k adds its fiber integral,
     weighted a, to output k-1 (to the rank when k = 1), and its point
     restriction, weighted b, to output k; each output component is one call
-    of the ring's sum of products."""
+    of the ring's sum of products.  At a = 0 no fiber integral is formed."""
     ring = x.ring
     rank, pairs = b * x.rank, {}
     for k, part in x._parts.items():
-        pushed = part.pushforward_fiber()
-        if k == 1:
-            rank += a * pushed.constant_coefficient()
-        else:
-            pairs.setdefault(k - 1, []).append((1, pushed, a))
+        if a:
+            pushed = part.pushforward_fiber()
+            if k == 1:
+                rank += a * pushed.constant_coefficient()
+            else:
+                pairs.setdefault(k - 1, []).append((1, pushed, a))
         pairs.setdefault(k, []).append((1, part.restrict_to_point(), b))
     sum_of_products = ring.sum_of_products
     return _character(ring, rank, {k: sum_of_products(terms) for k, terms in pairs.items()})
@@ -361,11 +362,10 @@ def jacobian_preset(genus: int) -> Preset:
     if genus > JACOBIAN_MAX_GENUS:
         raise PresetError(f"the jacobian preset supports genus up to {JACOBIAN_MAX_GENUS}, got {genus}")
     g = genus
-    params = (RANK_PARAMETER,)
     ring = RingPresentation(
         generators=(("theta", 2), ("xi1", 2), ("f", 2)),
-        params=params,
-        rules=[RewriteRule((0, 2, 0), (((1, 0, 1), ParamScalar.constant(-2, params)),))],  # xi1^2 -> -2*theta*f
+        params=(RANK_PARAMETER,),
+        rules=[RewriteRule((0, 2, 0), (((1, 0, 1), -2),))],  # xi1^2 -> -2*theta*f
         zeros=[(g + 1, 0, 0)],  # theta^(g+1)
         fiber="f",
         fiber_supported=("xi1",),
@@ -410,11 +410,14 @@ def preset_from_text(text: str) -> Preset:
 
 def load_preset(name: str, genus: int | None = None) -> Preset:
     """Load a built-in preset: ``g2-rank2`` or ``jacobian`` (genus 2 to
-    :data:`JACOBIAN_MAX_GENUS`, built by :func:`jacobian_preset`)."""
+    :data:`JACOBIAN_MAX_GENUS`, built by :func:`jacobian_preset`).  The
+    g2-rank2 file is read next to this module, so a zipped install cannot
+    load it."""
     if name == "g2-rank2":
         if genus not in (None, 2):
             raise PresetError("the g2-rank2 preset is specific to genus 2")
-        return preset_from_text(resources.files("maxsub").joinpath("presets", "g2-rank2.ring").read_text())
+        with open(os.path.join(os.path.dirname(__file__), "presets", "g2-rank2.ring"), encoding="utf-8") as file:
+            return preset_from_text(file.read())
     if name == "jacobian":
         return jacobian_preset(2 if genus is None else genus)
     raise PresetError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

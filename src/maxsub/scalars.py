@@ -12,8 +12,8 @@ and only divides out the common factor.  Every product of numerators,
 (``RingPresentation.sum_of_products``), is ``_add_product``, which adds
 ``k*p*q`` into a numerator map in place and adds one-parameter exponents
 directly: ``*`` starts it from an empty map, and the sum of products adds
-each term pair straight into its output coefficient, which it reduces in
-place, under ``_make``'s invariant, with one gcd.
+each term pair straight into its output coefficient.  Both build their
+results with ``_make``.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ class ParamScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        num = _times(self._num, other._num, (0,) * len(self.params))
+        num = _add_product({}, self._num, other._num, 1, (0,) * len(self.params))
         return _make(self.params, {e: c for e, c in num.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
@@ -311,11 +311,3 @@ def _add_product(out: dict, p: dict, q: dict, k: int, zero: tuple) -> dict:
             e = tuple(map(add, e1, e2))
             out[e] = get(e, 0) + c1 * c2
     return out
-
-
-def _times(p: dict, q: dict, zero: tuple) -> dict:
-    """The product of two numerator maps, unreduced; a constant ``p`` scales ``q``."""
-    k = p.get(zero) if len(p) == 1 else None
-    if k is not None:
-        return {e: c * k for e, c in q.items()}
-    return _add_product({}, p, q, 1, zero)

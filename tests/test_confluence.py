@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from maxsub import load_preset
 from maxsub.errors import PresentationError
 from maxsub.gradedring import RewriteRule, RingPresentation, load_presentation
-from maxsub.scalars import ParamScalar
 
 from helpers import UncheckedRing, exhaustive_confluence_failure, g2_ring, jacobian_preset
 
@@ -67,7 +66,7 @@ def test_loading_enumerates_no_monomials(monkeypatch):
 
 def _rules(specs):
     return [
-        RewriteRule(lhs, tuple((mono, ParamScalar.constant(c)) for mono, c in rhs.items() if c))
+        RewriteRule(lhs, tuple((mono, c) for mono, c in rhs.items() if c))
         for lhs, rhs in specs
     ]
 

@@ -47,10 +47,12 @@ def rationals_st():
 @st.composite
 def expressions_st(draw, ring, depth=3):
     """Small expression texts: sums, differences, products, signs, powers
-    up to 6, over the ring's generators, its parameter ``n`` and rationals.
-    Bounded depth keeps the reference expansion small."""
+    up to 6, over the ring's generators, its parameter ``n`` and rationals;
+    rationals alone where it names none.  Bounded depth keeps the reference
+    expansion small."""
     if depth == 0 or draw(st.integers(0, 3)) == 0:
-        return draw(st.one_of(st.sampled_from(ring.generator_names + ring.params), rationals_st()))
+        names = ring.generator_names + ring.params
+        return draw(st.one_of(st.sampled_from(names), rationals_st()) if names else rationals_st())
     kind = draw(st.sampled_from(["+", "-", "*", "neg", "^"]))
     inner = draw(expressions_st(ring, depth - 1))
     if kind == "neg":
@@ -97,8 +99,10 @@ TRUNCATING = ["f^2", "xi1*f", "xi1^2*xi2", "theta^6", "alpha^3*Lambda^2"]
 @st.composite
 def rule_tails_st(draw):
     """A tail for the g2 rule ``xi1^2 -> -2*theta*f``: terms that keep its
-    degree and weight, terms that truncate, and now and then any expression."""
-    ring, scalars = g2_ring(), SimpleNamespace(generator_names=(), params=("n",))
+    degree and weight, terms that truncate, and now and then any expression,
+    all over Q as rules are."""
+    scalars = SimpleNamespace(generator_names=(), params=())
+    ring = SimpleNamespace(generator_names=g2_ring().generator_names, params=())
     tail = f"({draw(expressions_st(scalars))})*alpha*f + ({draw(expressions_st(scalars))})*theta*f"
     tail += f" + ({draw(expressions_st(ring))})*{draw(st.sampled_from(TRUNCATING))}"
     if draw(st.booleans()):

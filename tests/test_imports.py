@@ -2,8 +2,9 @@
 
 Each footprint is taken in its own child interpreter, because in-process
 tests share one ``sys.modules``: a module that some earlier test imported
-would hide an import that only a fresh process makes.  No timings are
-asserted.
+would hide an import that only a fresh process makes.  The child runs under
+``python -S``, so no site hook of the installation imports a standard-library
+module first and hides it.  No timings are asserted.
 """
 
 import builtins
@@ -21,14 +22,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 G2_RING = str(resources.files("maxsub").joinpath("presets", "g2-rank2.ring"))
 
 # Prints the exit code, then the modules that importing maxsub.cli added to
-# the bare interpreter's, then those added once the command has run.
+# the bare interpreter's, then every module loaded once the command has run.
 _CHILD = """
 import sys
 before = set(sys.modules)
 from maxsub import cli
 imported = set(sys.modules) - before
 code = cli.run(sys.argv[1:])
-loaded = set(sys.modules) - before
+loaded = set(sys.modules)
 print(code)
 print(" ".join(sorted(imported)))
 print(" ".join(sorted(loaded)))
@@ -47,11 +48,11 @@ COMMANDS = {
 
 @pytest.fixture(scope="module")
 def footprints():
-    """command -> (modules added by importing maxsub.cli, modules added by the end of the run)"""
+    """command -> (modules added by importing maxsub.cli, modules loaded by the end of the run)"""
     result = {}
     for name, argv in COMMANDS.items():
         proc = subprocess.run(
-            [sys.executable, "-c", _CHILD, *argv],
+            [sys.executable, "-S", "-c", _CHILD, *argv],
             env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True,
             text=True,
@@ -121,6 +122,14 @@ def test_ring_parse_runs_one_import_statement(monkeypatch):
 def test_no_command_loads_dataclasses_or_inspect(footprints):
     for name, (_, loaded) in footprints.items():
         assert not loaded & {"dataclasses", "inspect"}, name
+
+
+@pytest.mark.parametrize("command", ["count", "count-jacobian"])
+def test_count_loads_no_resource_or_path_modules(footprints, command):
+    # the preset file is read next to the package with open, and a count
+    # imports nothing that importlib.resources would bring in
+    _, loaded = footprints[command]
+    assert not loaded & {"importlib.resources", "pathlib", "zipfile"}
 
 
 def test_only_record_output_loads_json(footprints):

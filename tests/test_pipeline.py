@@ -310,6 +310,27 @@ def test_shared_product_matches_the_three_product_route(genus):
 
 
 @pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 8)], ids=["g2-rank2", "jacobian-g8"])
+def test_evaluation_forms_no_fiber_pushforward(preset_args, monkeypatch):
+    # pi_*(X n(2g-2) f) = n(2g-2) X|pt weights every fiber integral by 0, so
+    # none is formed; the sections form one per component of X
+    preset = load_preset(*preset_args)
+    result = count_maximal_subbundles(preset)
+    calls = []
+
+    def counted(self, method=GradedElement.pushforward_fiber):
+        calls.append(self)
+        return method(self)
+
+    monkeypatch.setattr(GradedElement, "pushforward_fiber", counted)
+    evaluation = result.evaluation
+    assert calls == []
+    result.sections
+    assert len(calls) == len(result.product._parts)
+    monkeypatch.undo()
+    assert evaluation == three_product_route(preset)["evaluation"]
+
+
+@pytest.mark.parametrize("preset_args", [("g2-rank2", None), ("jacobian", 8)], ids=["g2-rank2", "jacobian-g8"])
 def test_count_forms_no_sheaf_character(preset_args, monkeypatch):
     # the count pushes X (-n + s f) forward by the projection formula: it
     # forms neither the upstairs integrand nor either sheaf's character
