@@ -32,7 +32,7 @@ construction and go through the trusted :func:`_character` and
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .gradedring import GradedElement, RingPresentation
 from .scalars import ParamScalar, as_scalar

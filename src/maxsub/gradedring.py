@@ -37,20 +37,24 @@ m1*m2}``, the dicts of the normal-form cache) with one lookup and builds no
 product tuple; the table stores a new pair only while it holds fewer than
 :data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form, so it stays
 small where pairs never repeat.
+A ring declares at most one parameter, the rank n of its coefficients.
 Expressions go through the one tree walk of ``parsing``, reduced after every
 product (:meth:`RingPresentation.evaluate`); a file's rule right-hand sides
 too, in the relation-free ring of its generators with no parameters, so a
-parameter in a rule is a load error.  ``parsing`` is imported
-only where text is read, so a ring built as data never loads it.  All values
-are immutable; operations are pure functions.
+parameter in a rule is a load error.  A file's left-hand sides, zeros and
+integral monomials are products of generator powers, read as exponent
+vectors by ``parsing.monomial`` with no scalar arithmetic.  ``parsing`` is
+imported only where text is read, so a ring built as data never loads it.
+All values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import comb, gcd
 from operator import add, mul, sub
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     FiberClassError,
@@ -58,21 +62,16 @@ from .errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from .scalars import ParamScalar, Rational, _add_product, _make, as_fraction, as_scalar, monomial_text, power, signed_sum
+from .scalars import ParamScalar, _add_product, _make, as_fraction, as_scalar, monomial_text, power, signed_sum
 
-if TYPE_CHECKING:
-    from .parsing import PresentationFileData
-
-Monomial = Tuple[int, ...]
+Monomial = tuple[int, ...]
 
 #: The kernel's pair table stores a new pair only while it holds fewer than
 #: this many pairs per cached normal form.
 PAIRS_PER_NORMAL_FORM = 4
 
-
-class RewriteRule(NamedTuple):
-    lhs: Monomial
-    rhs: Tuple[Tuple[Monomial, Rational], ...]  # rules are over Q
+#: ``lhs``, a monomial, rewrites to ``rhs``, ``((monomial, int or Fraction), ...)``: rules are over Q.
+RewriteRule = namedtuple("RewriteRule", "lhs rhs")
 
 
 #: The normal-form coefficient of every normal monomial: one shared value, so
@@ -89,11 +88,11 @@ class RingPresentation:
 
     def __init__(
         self,
-        generators: Sequence[Tuple[str, int]],
+        generators: Sequence[tuple[str, int]],
         params: Sequence[str] = (),
         rules: Sequence[RewriteRule] = (),
         zeros: Sequence[Monomial] = (),
-        fiber: Optional[str] = None,
+        fiber: str | None = None,
         fiber_supported: Sequence[str] = (),
         integrals: Mapping[Monomial, Fraction] | None = None,
         top_degree: int = 0,
@@ -109,19 +108,18 @@ class RingPresentation:
         self._nf_cache: dict = {}
         self._rows: dict = {}  # m1 -> {m2: the normal form of m1*m2}, the kernel's pair table
         self._stored_pairs = 0
-        self._zero_exponents = (0,) * len(self.params)
         self._one_scalar = ParamScalar.constant(1, self.params)
         self._validate(fiber, fiber_supported)
         self._check_critical_pairs()
 
     # -- structure ---------------------------------------------------------
 
-    def _validate(self, fiber: Optional[str], fiber_supported: Sequence[str]):
-        # each name is one generator or one parameter, so one variable
+    def _validate(self, fiber: str | None, fiber_supported: Sequence[str]):
+        # each name is one generator or the parameter, so one variable
         if len(set(self.generator_names)) != self.ngens:
             raise PresentationError("duplicate generator names")
-        if len(set(self.params)) != len(self.params):
-            raise PresentationError("duplicate parameter names")
+        if len(self.params) > 1:
+            raise PresentationError(f"a ring declares at most one parameter, got {', '.join(map(repr, self.params))}")
         if set(self.generator_names) & set(self.params):
             raise PresentationError("a name cannot be both a generator and a parameter")
         if fiber is not None and fiber not in self._index:
@@ -244,7 +242,7 @@ class RingPresentation:
                 f"left-hand side above its right-hand side ({listed})"
             )
 
-    def _rewrite(self, mono: Monomial, lhs: Monomial, rhs) -> dict[Monomial, Rational]:
+    def _rewrite(self, mono: Monomial, lhs: Monomial, rhs) -> dict:
         """One rewrite step on ``mono`` by ``lhs -> rhs``; ``lhs`` divides ``mono``."""
         quotient = tuple(m - l for m, l in zip(mono, lhs))
         return {tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rhs}
@@ -254,11 +252,11 @@ class RingPresentation:
         fiber weight above 2, or base degree above the top degree."""
         return sum(map(mul, mono, self._weights)) > 2 or sum(map(mul, mono, self._base_degrees)) > self.top_degree
 
-    def _monomial_nf(self, mono: Monomial) -> dict[Monomial, Rational]:
+    def _monomial_nf(self, mono: Monomial) -> dict:
         cached = self._nf_cache.get(mono)
         if cached is not None:
             return cached
-        result: dict[Monomial, Rational] = {}
+        result = {}
         if not self._truncates(mono):
             # the first reducer whose support ``mono`` covers: a zero kills it
             for support, rule in self._reducers:
@@ -315,16 +313,15 @@ class RingPresentation:
           output's map (``_add_product``), one polynomial factor as ``k*p``.
 
         The numerators are summed in one map, by output monomial and
-        parameter exponents, over one running common denominator: a term
+        parameter exponent, over one running common denominator: a term
         whose denominator does not divide it lifts the map once to the lcm.
         Each output coefficient is reduced once; its numerators are filtered
         only where one cancelled or a scalar factor was zero.
         """
         cache, nf, one, one_scalar = self._nf_cache, self._monomial_nf, _ONE, self._one_scalar
         rows, empty, stored = self._rows, {}, self._stored_pairs
-        params, zero = self.params, self._zero_exponents
-        unit = {zero: 1}  # the factor left of a coefficient folded into the multiplier
-        acc = {}  # output monomial -> {parameter exponents: numerator over den}
+        params, unit = self.params, {0: 1}  # unit: the factor left of a coefficient folded into the multiplier
+        acc = {}  # output monomial -> {parameter exponent: numerator over den}
         den = 1
         for w, x, y in pairs:
             wn, wd = w.numerator, w.denominator
@@ -343,7 +340,7 @@ class RingPresentation:
                 continue
             for m1, c1 in x._terms.items():
                 n1, d1 = c1._num, wd * c1._den
-                k1 = n1.get(zero) if len(n1) == 1 else None
+                k1 = n1.get(0) if len(n1) == 1 else None
                 if k1 is None:
                     k1 = wn
                 else:
@@ -370,7 +367,7 @@ class RingPresentation:
                     # a constant coefficient joins the integer multiplier; p and q
                     # are the polynomial factors left, q None when fewer than two
                     n2, d12 = c2._num, d1 * c2._den
-                    k2 = n2.get(zero) if len(n2) == 1 else None
+                    k2 = n2.get(0) if len(n2) == 1 else None
                     if k2 is not None:
                         p, q, k12 = n1, None, k1 * k2
                     elif n1 is unit:
@@ -393,7 +390,7 @@ class RingPresentation:
                         if q is not None:
                             if t is None:
                                 t = acc[nmono] = {}
-                            _add_product(t, p, q, k, zero)
+                            _add_product(t, p, q, k)
                         elif t is None:
                             if len(p) == 1:
                                 (e,) = p
@@ -451,7 +448,7 @@ class RingPresentation:
     def one(self) -> "GradedElement":
         return self.scalar(1)
 
-    def scalar(self, value: Rational | ParamScalar) -> "GradedElement":
+    def scalar(self, value: int | Fraction | ParamScalar) -> "GradedElement":
         return GradedElement(self, self._normalize({(0,) * self.ngens: as_scalar(value, self.params)}))
 
     def generator(self, name: str) -> "GradedElement":
@@ -602,7 +599,7 @@ class GradedElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Rational):
+    def __truediv__(self, other: int | Fraction):
         divisor = as_fraction(other)
         if not divisor:
             raise ZeroDivisionError("division of a ring element by zero")
@@ -718,42 +715,30 @@ class GradedElement:
 # -- loading -----------------------------------------------------------------
 
 
-def _single_monomial(node, generators, where: str) -> Monomial:
-    """The monomial of a bare product of generators; ``where`` names it in
-    errors.  An unknown name is reported first, even in a term that vanishes."""
-    from .parsing import expand
-
-    terms = expand(node, generators, lambda name: PresentationError(f"{where} uses unknown generator {name!r}"))
-    if len(terms) != 1:
-        raise PresentationError(f"{where} must be a single monomial")
-    ((mono, coeff),) = terms.items()
-    if coeff != 1:
-        raise PresentationError(f"{where} must have coefficient 1")
-    return mono
-
-
-def presentation_from_data(data: PresentationFileData) -> RingPresentation:
-    """Assemble and validate a presentation from parsed file content.  Each
-    rule's right-hand side is read like any expression, in the relation-free
-    ring: names first, each product truncated as it is formed, so a term that
-    is zero there is dropped."""
+def presentation_from_data(data) -> RingPresentation:
+    """Assemble and validate a presentation from parsed file content
+    (``parsing.PresentationFileData``).  Each rule's right-hand side is read
+    like any expression, in the relation-free ring: names first, each product
+    truncated as it is formed, so a term that is zero there is dropped.
+    Left-hand sides, zeros and integral monomials are products of generator
+    powers (``parsing.monomial``)."""
     from . import parsing
 
     fields = dict(fiber=data.fiber, fiber_supported=data.fiber_supported, top_degree=data.top_degree)
     free = RingPresentation(data.generators, **fields)  # no parameters: rules are over Q
-    gen_names = free.generator_names
+    index, monomial = free._index, parsing.monomial
     rules = []
     for lhs_node, rhs_node, line in data.rules:
-        lhs = _single_monomial(lhs_node, gen_names, f"rule left-hand side on line {line}")
+        lhs = monomial(lhs_node, index, f"rule left-hand side on line {line}")
         message = f"rule on line {line} uses"
         rhs = free._evaluate(
             rhs_node, parsing, lambda name: PresentationError(f"{message} {name!r}, not a generator: rules are over Q")
         )
         rules.append(RewriteRule(lhs, tuple((m, c.constant_value()) for m, c in rhs.items())))
-    zeros = [_single_monomial(node, gen_names, f"zero-monomial on line {line}") for node, line in data.zeros]
+    zeros = [monomial(node, index, f"zero-monomial on line {line}") for node, line in data.zeros]
     integrals = {}
     for node, value, line in data.integrals:
-        mono = _single_monomial(node, gen_names, f"integral monomial on line {line}")
+        mono = monomial(node, index, f"integral monomial on line {line}")
         if mono in integrals:
             raise PresentationError(f"duplicate integral for monomial on line {line}")
         integrals[mono] = value

@@ -5,19 +5,20 @@ names, ``+ - *`` and ``^`` with nonnegative integer exponents, and
 parentheses.  ``/`` is allowed only between integer literals, to write
 exact rationals such as ``5/24``.  :func:`walk` is the one evaluator of
 expression trees: a ring evaluates in its elements, a file's rule
-right-hand sides included, and :func:`expand` evaluates a file's monomials
-and integral values, which must not truncate, as ``ParamScalar``
-polynomials in the file's names.  Both reject an unknown name first, even
-in a term that vanishes.
+right-hand sides included, and :func:`expand` evaluates a file's integral
+values as ``ParamScalar`` constants.  A file's rule left-hand sides, zeros
+and integral monomials are products of generator powers, read by
+:func:`monomial` as exponent vectors with no arithmetic on coefficients.
+All of them reject an unknown name first, even in a term that vanishes.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
 
-from .errors import ParseError, check_power_digits
+from .errors import ParseError, PresentationError, check_power_digits
 from .scalars import ParamScalar
 
 # Names and numbers are ASCII only: str.isalpha and str.isdigit also accept
@@ -252,9 +253,9 @@ def walk(node, leaf):
         return -walk(node.operand, leaf)
     if isinstance(node, Pow):
         base = walk(node.base, leaf)
-        # the constant term and the lex-leading coefficient of the base's
+        # the constant term and the leading coefficient of the base's
         # constant coefficient, raised to the exponent, are exact coefficients
-        # of the power, as Q[params] is a domain: refuse before computing one
+        # of the power, as Q[n] is a domain: refuse before computing one
         # that could never be printed
         scalar = base if isinstance(base, ParamScalar) else base.constant_coefficient()
         for value in (scalar.constant_term(), scalar.leading_coefficient()):
@@ -275,10 +276,11 @@ def walk(node, leaf):
     return out
 
 
-def expand(node, variables: Sequence[str], unknown) -> dict[tuple[int, ...], Fraction]:
-    """An expression tree as a polynomial in the distinct names ``variables``
-    with rational coefficients, ``{exponent vector: coefficient}``, for
-    presentation files.  Any other name raises ``unknown(name)`` first."""
+def expand(node, variables: Sequence[str], unknown) -> dict[int, Fraction]:
+    """An expression tree as a polynomial in ``variables``, at most one name,
+    with rational coefficients, ``{exponent: coefficient}``; a file's
+    integral values are read with no name.  Any other name raises
+    ``unknown(name)`` first."""
     for name in names(node):
         if name not in variables:
             raise unknown(name)
@@ -289,6 +291,33 @@ def expand(node, variables: Sequence[str], unknown) -> dict[tuple[int, ...], Fra
         return ParamScalar.variable(node.name, variables)
 
     return dict(walk(node, leaf).items())
+
+
+def monomial(node, index: Mapping[str, int], where: str) -> tuple[int, ...]:
+    """The exponent vector of a product of powers of the names in ``index``
+    (name -> position) and the number 1; ``where`` names it in errors.  An
+    unknown name is reported first, even in a term that vanishes; then a sum
+    is refused, and so is any other number, even one that a power makes 1.
+    The tree is walked on a stack, in a loop; a power multiplies the
+    exponents of its base."""
+    for name in names(node):
+        if name not in index:
+            raise PresentationError(f"{where} uses unknown generator {name!r}")
+    exponents = [0] * len(index)
+    stack = [(node, 1)]
+    while stack:
+        node, times = stack.pop()
+        if isinstance(node, Name):
+            exponents[index[node.name]] += times
+        elif isinstance(node, Pow):
+            stack.append((node.base, times * node.exponent))
+        elif isinstance(node, BinOp) and node.op == "*":
+            stack += ((node.right, times), (node.left, times))
+        elif isinstance(node, BinOp):
+            raise PresentationError(f"{where} must be a single monomial")
+        elif not (isinstance(node, Num) and node.value == 1):
+            raise PresentationError(f"{where} must have coefficient 1")
+    return tuple(exponents)
 
 
 # -- presentation files ----------------------------------------------------
@@ -305,10 +334,10 @@ class PresentationFileData:
         self.generators: list[tuple[str, int]] = []
         self.rules: list[tuple[object, object, int]] = []  # lhs, rhs, line
         self.zeros: list[tuple[object, int]] = []
-        self.fiber: Optional[str] = None
+        self.fiber: str | None = None
         self.fiber_supported: list[str] = []
         self.integrals: list[tuple[object, Fraction, int]] = []
-        self.top_degree: Optional[int] = None
+        self.top_degree: int | None = None
         self.preset: dict = {}
 
 
@@ -412,7 +441,7 @@ def parse_presentation_text(text: str) -> PresentationFileData:
             node = parse_expression(mono, lineno, mono_col)
             error = ParseError("expected an exact rational constant", lineno, value_col)
             constant = expand(parse_expression(value, lineno, value_col), (), lambda name: error)
-            data.integrals.append((node, constant.get((), Fraction(0)), lineno))
+            data.integrals.append((node, constant.get(0, Fraction(0)), lineno))
         elif section == "top_degree":
             message = f"top_degree must be a nonnegative integer, got {body!r}"
             data.top_degree = _integer(body, lineno, column, message)

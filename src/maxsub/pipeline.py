@@ -97,13 +97,8 @@ class Preset:
             raise PresetError("subbundle rank must be positive")
         if subbundle_degree != 1:
             raise PresetError("presets normalize the subbundle degree to 1")
-        if RANK_PARAMETER not in ring.params:
+        if ring.params != (RANK_PARAMETER,):  # a ring declares at most one parameter
             raise PresetError(f"the ring must declare the rank parameter {RANK_PARAMETER!r}")
-        extra = [p for p in ring.params if p != RANK_PARAMETER]
-        if extra:
-            raise PresetError(
-                f"the ring may declare no parameter but the rank {RANK_PARAMETER!r}, got {', '.join(map(repr, extra))}"
-            )
         if ring.fiber_index is None:
             raise PresetError("the ring must declare a fiber class")
         self.name = name
@@ -227,7 +222,7 @@ class CountResult:
 
     def to_record(self) -> dict:
         def scalar_terms(s: ParamScalar) -> dict:
-            return {monomial_text(s.params, e) or "1": str(c) for e, c in sorted(s.items(), reverse=True)}
+            return {monomial_text(s.params, (e,)) or "1": str(c) for e, c in sorted(s.items(), reverse=True)}
 
         def character_record(ch: ChernCharacter) -> dict:
             return {

@@ -1,33 +1,28 @@
-"""Exact scalars: sparse polynomials in declared formal parameters.
+"""Exact scalars: polynomials in at most one formal parameter, the rank n.
 
 These are the coefficients of every cohomology class in the kernel.  A
-value is stored as integer numerators over one common denominator, in
-lowest terms, so arithmetic is integer arithmetic with one gcd per result,
-and ``==`` and ``hash`` compare the stored form.  Division is only ever by
-an explicit nonzero rational, so values stay inside Q[parameters] and no
-floating point enters anywhere.  The public constructor validates its
-input; arithmetic results are built by ``_make``, which trusts its input
-and only divides out the common factor.  Every product of numerators,
-``*`` here and the ring's one-pass sum of products
-(``RingPresentation.sum_of_products``), is ``_add_product``, which adds
-``k*p*q`` into a numerator map in place and adds one-parameter exponents
-directly: ``*`` starts it from an empty map, and the sum of products adds
-each term pair straight into its output coefficient.  Both build their
-results with ``_make``.
+value is stored as a map from ``int`` exponents to integer numerators over
+one common denominator, in lowest terms, so arithmetic is integer
+arithmetic with one gcd per result, and ``==`` and ``hash`` compare the
+stored form.  Division is only ever by an explicit nonzero rational, so
+values stay inside Q[n] and no floating point enters anywhere.  The public
+constructor validates its input; arithmetic results are built by
+``_make``, which trusts its input and only divides out the common factor.
+Every product of numerators, ``*`` here and the ring's one-pass sum of
+products (``RingPresentation.sum_of_products``), is ``_add_product``, which
+adds ``k*p*q`` into a numerator map in place: ``*`` starts it from an empty
+map, and the sum of products adds each term pair straight into its output
+coefficient.  Both build their results with ``_make``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
-from typing import Iterable, Mapping, Sequence, Tuple, Union
-
-Rational = Union[int, Fraction]
-Exponents = Tuple[int, ...]
 
 
-def as_fraction(value: Rational) -> Fraction:
+def as_fraction(value: int | Fraction) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -53,56 +48,48 @@ def power(base, exponent: int, one):
 
 
 class ParamScalar:
-    """Polynomial in formal parameters with rational coefficients.
+    """Polynomial with rational coefficients in the parameter of ``params``,
+    a tuple of at most one name.
 
-    Stored sparsely as ``_num``, a map from parameter-exponent vectors to
-    nonzero integers, over one denominator ``_den > 0`` with
-    ``gcd(_den, *_num.values()) == 1``.  Instances are immutable; all
-    operations return new values.
+    Stored sparsely as ``_num``, a map from ``int`` exponents to nonzero
+    integers, over one denominator ``_den > 0`` with
+    ``gcd(_den, *_num.values()) == 1``; with no parameter the only exponent
+    is 0.  Instances are immutable; all operations return new values.
     """
 
     __slots__ = ("params", "_num", "_den")
 
-    def __init__(
-        self,
-        params: Iterable[str],
-        terms: Mapping[Exponents, Rational] | None = None,
-    ):
-        self.params: Tuple[str, ...] = tuple(params)
-        clean: dict[Exponents, Fraction] = {}
-        if terms:
-            width = len(self.params)
-            for expo, coeff in terms.items():
-                expo = tuple(expo)
-                if len(expo) != width:
-                    raise ValueError("exponent vector does not match the parameter list")
-                if any(e < 0 for e in expo):
-                    raise ValueError("parameter exponents must be nonnegative")
-                coeff = as_fraction(coeff)
-                if coeff:
-                    clean[expo] = coeff
+    def __init__(self, params: Iterable[str], terms: Mapping[int, int | Fraction] | None = None):
+        self.params = tuple(params)
+        if len(self.params) > 1:
+            raise ValueError(f"a scalar has at most one parameter, got {self.params}")
+        clean: dict[int, Fraction] = {}
+        for expo, coeff in (terms or {}).items():
+            if not isinstance(expo, int) or expo < 0 or expo and not self.params:
+                raise ValueError(f"exponents are nonnegative ints, and 0 with no parameter: got {expo!r} over {self.params}")
+            coeff = as_fraction(coeff)
+            if coeff:
+                clean[expo] = coeff
         # the lcm of reduced denominators leaves no factor common to all numerators
         self._den = lcm(*(c.denominator for c in clean.values()))
         self._num = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
 
     @classmethod
-    def constant(cls, value: Rational, params: Iterable[str] = ()) -> "ParamScalar":
-        params = tuple(params)
+    def constant(cls, value: int | Fraction, params: Iterable[str] = ()) -> "ParamScalar":
         value = as_fraction(value)
-        return _make(params, {(0,) * len(params): value.numerator} if value else {}, value.denominator)
+        return _make(tuple(params), {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, name: str, params: Iterable[str]) -> "ParamScalar":
         params = tuple(params)
-        expo = tuple(1 if p == name else 0 for p in params)
-        if sum(expo) != 1:
-            raise ValueError(f"{name!r} is not among the declared parameters {params}")
-        return _make(params, {expo: 1}, 1)
+        if params != (name,):
+            raise ValueError(f"{name!r} is not the declared parameter of {params}")
+        return _make(params, {1: 1}, 1)
 
     # -- views ------------------------------------------------------------
 
     def items(self):
-        """(exponents, coefficient) pairs, coefficients as ``Fraction``s."""
+        """(exponent, coefficient) pairs, coefficients as ``Fraction``s."""
         return {e: Fraction(c, self._den) for e, c in self._num.items()}.items()
 
     @property
@@ -114,7 +101,7 @@ class ParamScalar:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self._num)
+        return not any(self._num)
 
     def constant_value(self) -> Fraction:
         if not self._num:
@@ -123,31 +110,22 @@ class ParamScalar:
             raise ValueError(f"{self} is not a constant")
         return Fraction(next(iter(self._num.values())), self._den)
 
-    def constant_term(self) -> Rational:
-        """The coefficient of the parameter monomial 1; the int 0 when it has none."""
-        c = self._num.get((0,) * len(self.params))
+    def constant_term(self) -> int | Fraction:
+        """The coefficient of exponent 0; the int 0 when it has none."""
+        c = self._num.get(0)
         return 0 if c is None else Fraction(c, self._den)
 
-    def leading_coefficient(self) -> Rational:
-        """The coefficient of the lex-largest parameter monomial; the int 0 when it has none."""
+    def leading_coefficient(self) -> int | Fraction:
+        """The coefficient of the top exponent; the int 0 when it has none."""
         return Fraction(self._num[max(self._num)], self._den) if self._num else 0
 
-    def evaluate(self, assignment: Mapping[str, Rational]) -> Fraction:
-        """Specialize every parameter to an exact rational, in integers: with
-        each value p/q and D the top exponent of its parameter, the sum of
-        c * p^e * q^(D-e) over ``_den * q^D`` makes one ``Fraction``."""
-        values = [as_fraction(assignment[p]) for p in self.params]
-        tops = [max(column) for column in zip(*self._num)]  # empty when there are no terms
-        total = 0
-        for expo, coeff in self._num.items():
-            for v, e, d in zip(values, expo, tops):
-                if d:
-                    coeff *= v.numerator**e * v.denominator ** (d - e)
-            total += coeff
-        den = self._den
-        for v, d in zip(values, tops):
-            den *= v.denominator**d
-        return Fraction(total, den)
+    def evaluate(self, assignment: Mapping[str, int | Fraction]) -> Fraction:
+        """Specialize the parameter to an exact rational, in integers: with
+        the value p/q and D the top exponent, the sum of c * p^e * q^(D-e)
+        over ``_den * q^D`` makes one ``Fraction``."""
+        value = as_fraction(assignment[self.params[0]]) if self.params else Fraction(0)
+        p, q, top = value.numerator, value.denominator, max(self._num, default=0)
+        return Fraction(sum(c * p**e * q ** (top - e) for e, c in self._num.items()), self._den * q**top)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -196,12 +174,12 @@ class ParamScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        num = _add_product({}, self._num, other._num, 1, (0,) * len(self.params))
+        num = _add_product({}, self._num, other._num, 1)
         return _make(self.params, {e: c for e, c in num.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Rational):
+    def __truediv__(self, other: int | Fraction):
         divisor = as_fraction(other)
         if not divisor:
             raise ZeroDivisionError("division of a scalar by zero")
@@ -230,10 +208,10 @@ class ParamScalar:
 
     def term_pieces(self):
         """(negative, text) for each term, highest degree first."""
-        for expo in sorted(self._num, key=lambda e: (-sum(e), tuple(-x for x in e))):
+        for expo in sorted(self._num, reverse=True):
             coeff = self._num[expo]
             mag = Fraction(abs(coeff), self._den)
-            mono = monomial_text(self.params, expo)
+            mono = monomial_text(self.params, (expo,))
             if mono and mag != 1:
                 mono = f"{mag}*{mono}" if mag.denominator == 1 else f"({mag})*{mono}"
             yield coeff < 0, mono or str(mag)
@@ -245,7 +223,7 @@ class ParamScalar:
         return f"ParamScalar({str(self)!r})"
 
 
-def as_scalar(value, params: Tuple[str, ...]) -> ParamScalar:
+def as_scalar(value, params: tuple[str, ...]) -> ParamScalar:
     """The one conversion rule for coefficients: an ``int`` or ``Fraction``
     becomes a constant over ``params``, and a scalar over another parameter
     list converts only when it is constant; anything else is a ValueError."""
@@ -263,7 +241,7 @@ def monomial_text(names: Sequence[str], expo: Sequence[int]) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, expo) if e)
 
 
-def signed_sum(pieces: Iterable[Tuple[bool, str]]) -> str:
+def signed_sum(pieces: Iterable[tuple[bool, str]]) -> str:
     """Join ``(negative, text)`` pieces as ``a - b + c``; ``0`` when empty."""
     out = []
     for negative, text in pieces:
@@ -275,9 +253,9 @@ def signed_sum(pieces: Iterable[Tuple[bool, str]]) -> str:
     return "".join(out) or "0"
 
 
-def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> ParamScalar:
-    """Trusted constructor for arithmetic results: ``num`` maps exponent vectors
-    of the right width to nonzero ints, ``den > 0``; it only divides out the gcd."""
+def _make(params: tuple[str, ...], num: dict[int, int], den: int) -> ParamScalar:
+    """Trusted constructor for arithmetic results: ``num`` maps exponents
+    valid for ``params`` to nonzero ints, ``den > 0``; it only divides out the gcd."""
     common = gcd(den, *num.values())
     if common != 1:
         num = {e: c // common for e, c in num.items()}
@@ -292,22 +270,13 @@ def _make(params: Tuple[str, ...], num: dict[Exponents, int], den: int) -> Param
 # -- numerator maps: the integer layer of every scalar product --
 
 
-def _add_product(out: dict, p: dict, q: dict, k: int, zero: tuple) -> dict:
+def _add_product(out: dict, p: dict, q: dict, k: int) -> dict:
     """Add ``k*p*q`` into the numerator map ``out`` in place and return it; a
-    numerator that cancels stays, as 0.  One parameter (``zero`` of width 1,
-    as in every preset) adds its exponents directly instead of mapping
-    ``add`` over them."""
+    numerator that cancels stays, as 0."""
     get = out.get
-    if len(zero) == 1:
-        for (e1,), c1 in p.items():
-            c1 *= k
-            for (e2,), c2 in q.items():
-                e = (e1 + e2,)
-                out[e] = get(e, 0) + c1 * c2
-        return out
     for e1, c1 in p.items():
         c1 *= k
         for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
     return out

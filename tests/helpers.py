@@ -15,7 +15,7 @@ from maxsub import load_preset, pipeline
 from maxsub.chern import ChernCharacter
 from maxsub.errors import PresetError, UnknownGeneratorError
 from maxsub.gradedring import GradedElement, RingPresentation
-from maxsub.parsing import expand, parse_expression
+from maxsub.parsing import names, parse_expression, walk
 from maxsub.scalars import ParamScalar
 
 
@@ -47,8 +47,8 @@ def homogeneous_component(x: GradedElement, degree: int) -> GradedElement:
 
 
 def total_degree(s: ParamScalar) -> int:
-    """The largest total degree of a term of ``s`` in its parameters; 0 for zero."""
-    return max((sum(e) for e, _ in s.items()), default=0)
+    """The largest exponent of a term of ``s``; 0 for zero."""
+    return max((e for e, _ in s.items()), default=0)
 
 
 def jacobian_ring_text(genus: int) -> str:
@@ -117,7 +117,7 @@ def scalars_st(ring, max_param_degree=2):
         st.tuples(st.integers(0, max_param_degree), fractions_st()),
         min_size=1,
         max_size=2,
-    ).map(lambda items: ParamScalar(ring.params, {(e,): c for e, c in items}))
+    ).map(lambda items: ParamScalar(ring.params, dict(items)))
     return st.one_of(constants, polys)
 
 
@@ -265,9 +265,12 @@ def three_product_route(preset):
 
 class ReferenceScalar:
     """The scalar as it was before integer numerators: a dict from parameter
-    exponent vectors to nonzero ``Fraction``s, re-validated on every result.
-    Slow, but every operation is plain ``Fraction`` arithmetic, so it serves
-    as the oracle for :class:`maxsub.scalars.ParamScalar`."""
+    exponent vectors to nonzero ``Fraction``s, re-validated on every result,
+    over any number of parameters.  Slow, but every operation is plain
+    ``Fraction`` arithmetic, so it serves as the oracle for
+    :class:`maxsub.scalars.ParamScalar`.  It is also the free polynomial
+    that :func:`reference_expand` computes with :func:`maxsub.parsing.walk`,
+    so it has the views ``walk`` reads."""
 
     def __init__(self, params, terms=None):
         self.params = tuple(params)
@@ -286,6 +289,19 @@ class ReferenceScalar:
 
     def items(self):
         return self._terms.items()
+
+    @property
+    def is_zero(self):
+        return not self._terms
+
+    def constant_coefficient(self):
+        return self  # a free polynomial has no ring element around it
+
+    def constant_term(self):
+        return self._terms.get((0,) * len(self.params), 0)
+
+    def leading_coefficient(self):
+        return self._terms[max(self._terms)] if self._terms else 0
 
     def _coerce(self, other):
         return other if isinstance(other, ReferenceScalar) else ReferenceScalar.constant(other, self.params)
@@ -453,6 +469,24 @@ def reduce_in_random_order(ring, raw_terms, rng):
     raise AssertionError("random-order reduction did not terminate")
 
 
+def reference_expand(node, variables, unknown):
+    """An expression tree as a free polynomial in the distinct names
+    ``variables``, ``{exponent vector: coefficient}``, computed by the
+    parser's walk in :class:`ReferenceScalar`; any other name raises
+    ``unknown(name)`` first."""
+    for name in names(node):
+        if name not in variables:
+            raise unknown(name)
+
+    def leaf(node):
+        name = getattr(node, "name", None)
+        if name is None:
+            return ReferenceScalar.constant(node.value, variables)
+        return ReferenceScalar(variables, {tuple(int(v == name) for v in variables): 1})
+
+    return dict(walk(node, leaf).items())
+
+
 def expanded_terms(ring, text):
     """The expression as a free polynomial in the ring's names, regrouped as
     ``{monomial: coefficient}``; nothing truncates, so keep exponents small."""
@@ -462,8 +496,8 @@ def expanded_terms(ring, text):
 
     n = ring.ngens
     terms = {}
-    for key, coeff in expand(parse_expression(text), ring.generator_names + ring.params, unknown).items():
-        scalar = ParamScalar(ring.params, {key[n:]: coeff})
+    for key, coeff in reference_expand(parse_expression(text), ring.generator_names + ring.params, unknown).items():
+        scalar = ParamScalar(ring.params, {sum(key[n:]): coeff})  # the parameter's exponent; 0 with none
         terms[key[:n]] = terms[key[:n]] + scalar if key[:n] in terms else scalar
     return terms
 

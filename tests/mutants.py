@@ -49,7 +49,8 @@ PIPELINE = "src/maxsub/pipeline.py"
 PARSING = "src/maxsub/parsing.py"
 
 G2_PAIRS = "tests/test_ring.py::test_sum_of_products_on_every_pair_of_basis_monomials[g2-rank2]"
-TWO_PAIRS = "tests/test_ring.py::test_sum_of_products_matches_the_fold_over_two_parameters"
+RATIONAL_RULE_PAIRS = "tests/test_ring.py::test_sum_of_products_matches_the_fold_with_a_rational_rule"
+MONOMIALS = "tests/test_parsing.py::test_monomial_reads_a_product_of_powers"
 
 MUTANTS = (
     # -- rules over Q: the kernel folds a rational normal-form coefficient --
@@ -58,7 +59,7 @@ MUTANTS = (
         RING,
         "k, d = k * c3.numerator, d * c3.denominator",
         "k, d = k * c3.numerator, d",
-        (TWO_PAIRS,),
+        (RATIONAL_RULE_PAIRS,),
     ),
     Mutant(
         "normal-form-multiply-skipped",
@@ -100,7 +101,36 @@ MUTANTS = (
         PIPELINE,
         "import os\n",
         "import os\nimport importlib.resources\n",
-        ("tests/test_imports.py::test_count_loads_no_resource_or_path_modules",),
+        ("tests/test_imports.py::test_count_loads_no_resource_path_or_typing_modules",),
+    ),
+    # -- one parameter, and file monomials read as products --
+    Mutant(
+        "at-most-one-parameter-check-removed",
+        RING,
+        "if len(self.params) > 1:",
+        "if False:",
+        ("tests/test_cli.py::test_ring_file_error_is_one_line[two-parameters]",),
+    ),
+    Mutant(
+        "monomial-drops-a-power",
+        PARSING,
+        "stack.append((node.base, times * node.exponent))",
+        "stack.append((node.base, times))",
+        (MONOMIALS,),
+    ),
+    Mutant(
+        "monomial-drops-a-factor",
+        PARSING,
+        "stack += ((node.right, times), (node.left, times))",
+        "stack.append((node.left, times))",
+        (MONOMIALS,),
+    ),
+    Mutant(
+        "monomial-accepts-a-sum",
+        PARSING,
+        'elif isinstance(node, BinOp) and node.op == "*":',
+        "elif isinstance(node, BinOp):",
+        ("tests/test_cli.py::test_ring_file_error_is_one_line[zero-a-cancelling-sum]",),
     ),
     # -- the kernel's sums and the scalars' integer layer --
     Mutant(
@@ -141,8 +171,8 @@ MUTANTS = (
     Mutant(
         "exponents-not-added",
         SCALARS,
-        "e = (e1 + e2,)",
-        "e = (e1,)",
+        "e = e1 + e2",
+        "e = e1",
         (G2_PAIRS,),
     ),
     Mutant(
@@ -150,7 +180,7 @@ MUTANTS = (
         SCALARS,
         "    for e1, c1 in p.items():\n        c1 *= k",
         "    for e1, c1 in p.items():\n        pass",
-        (TWO_PAIRS,),
+        (RATIONAL_RULE_PAIRS,),
     ),
     # -- normal forms --
     Mutant(

@@ -6,7 +6,7 @@ from maxsub import chern
 from maxsub.chern import ChernCharacter, TotalChernClass, _character, _graded_product
 from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.pipeline import count_maximal_subbundles
-from maxsub.scalars import ParamScalar
+from maxsub.scalars import ParamScalar, as_fraction, as_scalar
 
 from helpers import (
     character_difference,
@@ -29,6 +29,47 @@ RING = PRESET.ring
 
 def character_from(rank, *part_texts):
     return ChernCharacter(RING, rank, [RING.parse(t) for t in part_texts])
+
+
+def _other_theta():
+    return jacobian_preset(3).ring.generator("theta")
+
+
+#: case -> (a call with a bad argument, the exception type, its message)
+ARGUMENT_ERRORS = {
+    "component-numbered-0": (
+        lambda: ChernCharacter(RING, 1, {0: RING.parse("alpha")}),
+        ValueError,
+        "character components are numbered from 1, got 0",
+    ),
+    "component-of-another-ring": (
+        lambda: TotalChernClass(RING, [_other_theta()]),
+        ValueError,
+        "Chern class component 1 belongs to a different presentation",
+    ),
+    "part-0": (lambda: character_from(2, "alpha").part(0), IndexError, "use .rank for ch_0"),
+    "tensor-across-rings": (
+        lambda: character_from(2, "alpha").tensor(ChernCharacter(_other_theta().ring, 1, [_other_theta()])),
+        ValueError,
+        "characters belong to different presentations",
+    ),
+    "class-product-across-rings": (
+        lambda: PRESET.chern_u * TotalChernClass(_other_theta().ring, [_other_theta()]),
+        ValueError,
+        "Chern classes belong to different presentations",
+    ),
+    "element-divided-by-0": (lambda: RING.parse("alpha") / 0, ZeroDivisionError, "division of a ring element by zero"),
+    "float-as-fraction": (lambda: as_fraction(0.5), TypeError, "expected an exact rational, got float"),
+    "float-as-scalar": (lambda: as_scalar(0.5, ("n",)), ValueError, "expected an exact scalar, got float"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_kernel_argument_errors(case):
+    call, error, message = ARGUMENT_ERRORS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 # -- conversion goldens --------------------------------------------------------

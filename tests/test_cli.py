@@ -370,13 +370,21 @@ LOAD_ERRORS = {
         "generators: x=2, y=2\nzeros: x + y\ntop_degree: 4\n", 1, "zero-monomial on line 2 must be a single monomial"
     ),
     "zero-coefficient": ("generators: x=2, y=2\nzeros: 2*x\ntop_degree: 4\n", 1, "zero-monomial on line 2 must have coefficient 1"),
+    # a file monomial is a product, read with no arithmetic: a sum is refused even where it cancels to one term
+    "zero-a-cancelling-sum": (
+        "generators: x=2, y=2\nzeros: x*y - x*y + x^2\ntop_degree: 4\n", 1, "zero-monomial on line 2 must be a single monomial"
+    ),
+    "rule-lhs-a-power-of-a-number": (
+        "generators: x=2, y=2\nrules: 2^0*x^2 -> y^2\ntop_degree: 4\n", 1, "rule left-hand side on line 2 must have coefficient 1"
+    ),
     "duplicate-integral": (
         "generators: x=2, y=2\ntop_degree: 4\nintegrals: x*y = 1\nintegrals: x*y = 2\n",
         1,
         "duplicate integral for monomial on line 4",
     ),
     "duplicate-generator": ("generators: x=2, x=2\ntop_degree: 4\n", 1, "duplicate generator names"),
-    "duplicate-parameter": ("params: n, n\ngenerators: x=2\ntop_degree: 4\n", 1, "duplicate parameter names"),
+    "duplicate-parameter": ("params: n, n\ngenerators: x=2\ntop_degree: 4\n", 1, "a ring declares at most one parameter, got 'n', 'n'"),
+    "two-parameters": ("params: n, m\ngenerators: x=2\ntop_degree: 4\n", 1, "a ring declares at most one parameter, got 'n', 'm'"),
     "generator-and-parameter": (
         "params: x\ngenerators: x=2\ntop_degree: 4\n", 1, "a name cannot be both a generator and a parameter"
     ),

@@ -194,6 +194,7 @@ def ring_files_st(draw):
 @example("generators: a=2\nzeros: a^3, , a^4\ntop_degree: 4\n", "reduce", "a")
 @example("generators: a=2\nintegrals: a = 1/0\ntop_degree: 2\n", "integrate", "a")
 @example("generators: a=2\ntop_degree: 1000000\n", "reduce", "a^500000")
+@example("params: n, m\ngenerators: a=2\ntop_degree: 4\n", "reduce", "n*a")
 def test_ring_files_keep_the_contract(tmp_path_factory, text, command, expression):
     ring = tmp_path_factory.mktemp("fuzz") / "fuzz.ring"
     ring.write_text(text, encoding="utf-8")

@@ -125,11 +125,12 @@ def test_no_command_loads_dataclasses_or_inspect(footprints):
 
 
 @pytest.mark.parametrize("command", ["count", "count-jacobian"])
-def test_count_loads_no_resource_or_path_modules(footprints, command):
-    # the preset file is read next to the package with open, and a count
-    # imports nothing that importlib.resources would bring in
+def test_count_loads_no_resource_path_or_typing_modules(footprints, command):
+    # the preset file is read next to the package with open, a count imports
+    # nothing that importlib.resources would bring in, and the kernel's
+    # annotations need no typing at run time
     _, loaded = footprints[command]
-    assert not loaded & {"importlib.resources", "pathlib", "zipfile"}
+    assert not loaded & {"importlib.resources", "pathlib", "zipfile", "typing"}
 
 
 def test_only_record_output_loads_json(footprints):

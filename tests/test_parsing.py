@@ -2,25 +2,29 @@ from fractions import Fraction
 
 import pytest
 
+from maxsub.errors import PresentationError
 from maxsub.parsing import (
     MAX_NESTING,
     ParseError,
     expand,
+    monomial,
     names,
     parse_expression,
     parse_presentation_text,
     tokenize,
 )
 
+from helpers import reference_expand
+
 
 def terms(text):
-    """The expansion over the expression's own names, keyed by sorted
-    (name, exponent) pairs."""
+    """The free expansion over the expression's own names, keyed by sorted
+    (name, exponent) pairs: the grammar read by the parser's walk."""
     node = parse_expression(text)
     variables = tuple(dict.fromkeys(names(node)))
     return {
         tuple(sorted((v, e) for v, e in zip(variables, expo) if e)): coeff
-        for expo, coeff in expand(node, variables, None).items()
+        for expo, coeff in reference_expand(node, variables, None).items()
     }
 
 
@@ -101,6 +105,64 @@ def test_long_chains_cost_no_recursion():
     assert terms("-" * n + "x") == {(("x", 1),): Fraction(1)}
     assert terms("x" + "^1" * n) == {(("x", 1),): Fraction(1)}
     assert terms("(x^2)^3^2") == {(("x", 12),): Fraction(1)}
+
+
+def test_expand_reads_one_parameter_or_none():
+    # a file's integral value is read with no name; exponents are ints
+    assert expand(parse_expression("5/24 - 1/24"), (), None) == {0: Fraction(1, 6)}
+    assert expand(parse_expression("0*2"), (), None) == {}
+    assert expand(parse_expression("(n + 1)^2 - 1"), ("n",), None) == {2: 1, 1: 2}
+    with pytest.raises(KeyError, match="x"):
+        expand(parse_expression("2*x"), (), KeyError)
+
+
+GENERATORS = {"a": 0, "b": 1, "c": 2}
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("a", (1, 0, 0)),
+        ("1", (0, 0, 0)),
+        ("b*a*b", (1, 2, 0)),
+        ("(a*b^2)^3*c", (3, 6, 1)),
+        ("(a^2)^3^2", (12, 0, 0)),
+        ("1*a*1^7", (1, 0, 0)),
+        ("a^0*b", (0, 1, 0)),
+        ("(((a)*(b*(c))))", (1, 1, 1)),
+    ],
+)
+def test_monomial_reads_a_product_of_powers(text, expected):
+    assert monomial(parse_expression(text), GENERATORS, "zero") == expected
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("a*b - a*b + a^2", "zero must be a single monomial"),
+        ("(a + b)^0", "zero must be a single monomial"),
+        ("2*a", "zero must have coefficient 1"),
+        ("2^0*a", "zero must have coefficient 1"),
+        ("-a", "zero must have coefficient 1"),
+        ("0", "zero must have coefficient 1"),
+        ("1/2*a", "zero must have coefficient 1"),
+        ("2*a + 0*d", "zero uses unknown generator 'd'"),  # names first
+        ("a - a + d^0", "zero uses unknown generator 'd'"),
+    ],
+)
+def test_monomial_refuses_sums_and_numbers(text, message):
+    with pytest.raises(PresentationError) as info:
+        monomial(parse_expression(text), GENERATORS, "zero")
+    assert str(info.value) == message
+
+
+def test_monomial_walks_long_products_in_a_loop():
+    n = 50_000
+    assert monomial(parse_expression("*".join(["a", "b"] * n)), GENERATORS, "zero") == (n, n, 0)
+    nested = "a"
+    for _ in range(MAX_NESTING - 1):
+        nested = f"b*({nested})^2"
+    assert monomial(parse_expression(nested), GENERATORS, "zero") == (2 ** (MAX_NESTING - 1), 2 ** (MAX_NESTING - 1) - 1, 0)
 
 
 def test_error_reports_expected_token():
