@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from .gradedring import GradedElement, RingPresentation
-from .scalars import ParamScalar, as_scalar
+from .scalars import ParamScalar
 
 Components = dict  # {k: nonzero GradedElement of degree 2k}, keys increasing
 
@@ -200,7 +200,7 @@ class ChernCharacter(_SparseGraded):
 
     def __init__(self, ring: RingPresentation, rank, parts: Sequence[GradedElement] | Mapping[int, GradedElement] = ()):
         self.ring = ring
-        self.rank = as_scalar(rank, ring.params)
+        self.rank = ring.coefficient(rank)
         self._parts = _checked(ring, parts, "character")
 
     def part(self, k: int) -> GradedElement:
@@ -284,7 +284,7 @@ class TotalChernClass(_SparseGraded):
         the given rank; it runs on ch directly, the factorials riding on
         each product's weight (:func:`_newton`)."""
         ring = self.ring
-        return _character(ring, as_scalar(rank, ring.params), _newton(ring, self._parts, to_character=True))
+        return _character(ring, ring.coefficient(rank), _newton(ring, self._parts, to_character=True))
 
     def __eq__(self, other):
         if isinstance(other, TotalChernClass):

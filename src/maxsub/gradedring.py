@@ -37,14 +37,16 @@ m1*m2}``, the dicts of the normal-form cache) with one lookup and builds no
 product tuple; the table stores a new pair only while it holds fewer than
 :data:`PAIRS_PER_NORMAL_FORM` pairs per cached normal form, so it stays
 small where pairs never repeat.
-A ring declares at most one parameter, the rank n of its coefficients.
-Expressions go through the one tree walk of ``parsing``, reduced after every
-product (:meth:`RingPresentation.evaluate`); a file's rule right-hand sides
-too, in the relation-free ring of its generators with no parameters, so a
-parameter in a rule is a load error.  A file's left-hand sides, zeros and
-integral monomials are products of generator powers, read as exponent
-vectors by ``parsing.monomial`` with no scalar arithmetic.  ``parsing`` is
-imported only where text is read, so a ring built as data never loads it.
+A ring declares no parameter or the rank n, and a polynomial in n enters
+only a ring that declares it (:meth:`RingPresentation.coefficient`).
+Expressions go through the one tree walk of ``parsing``, names checked
+first, reduced after every product (:meth:`RingPresentation.evaluate`); a
+file's rule right-hand sides too, in the relation-free ring of its
+generators with no parameter, so a parameter in a rule is a load error.  A
+file's left-hand sides, zeros and integral monomials are products of
+generator powers, read as exponent vectors by ``parsing.monomial`` with no
+scalar arithmetic.  ``parsing`` is imported only where text is read, so a
+ring built as data never loads it.
 All values are immutable; operations are pure functions.
 """
 
@@ -62,7 +64,7 @@ from .errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from .scalars import ParamScalar, _add_product, _make, as_fraction, as_scalar, monomial_text, power, signed_sum
+from .scalars import PARAMETER, ParamScalar, _add_product, _make, as_fraction, as_scalar, monomial_text, power, signed_sum
 
 Monomial = tuple[int, ...]
 
@@ -108,7 +110,7 @@ class RingPresentation:
         self._nf_cache: dict = {}
         self._rows: dict = {}  # m1 -> {m2: the normal form of m1*m2}, the kernel's pair table
         self._stored_pairs = 0
-        self._one_scalar = ParamScalar.constant(1, self.params)
+        self._one_scalar = ParamScalar.constant(1)
         self._validate(fiber, fiber_supported)
         self._check_critical_pairs()
 
@@ -118,10 +120,11 @@ class RingPresentation:
         # each name is one generator or the parameter, so one variable
         if len(set(self.generator_names)) != self.ngens:
             raise PresentationError("duplicate generator names")
-        if len(self.params) > 1:
-            raise PresentationError(f"a ring declares at most one parameter, got {', '.join(map(repr, self.params))}")
+        if self.params not in ((), (PARAMETER,)):
+            raise PresentationError(f"a ring's only parameter is the rank {PARAMETER!r}, got {', '.join(map(repr, self.params))}")
         if set(self.generator_names) & set(self.params):
             raise PresentationError("a name cannot be both a generator and a parameter")
+        self._names = self._index.keys() | self.params  # every name an expression may use
         if fiber is not None and fiber not in self._index:
             raise PresentationError(f"fiber class {fiber!r} is not a generator")
         for n in fiber_supported:
@@ -320,7 +323,7 @@ class RingPresentation:
         """
         cache, nf, one, one_scalar = self._nf_cache, self._monomial_nf, _ONE, self._one_scalar
         rows, empty, stored = self._rows, {}, self._stored_pairs
-        params, unit = self.params, {0: 1}  # unit: the factor left of a coefficient folded into the multiplier
+        unit = {0: 1}  # the factor left of a coefficient folded into the multiplier
         acc = {}  # output monomial -> {parameter exponent: numerator over den}
         den = 1
         for w, x, y in pairs:
@@ -331,11 +334,10 @@ class RingPresentation:
                 if y.ring is not self:
                     raise ValueError("elements belong to different presentations")
                 yterms = y._terms.items()
+            elif isinstance(y, (int, Fraction)):
+                wn, wd, yterms = wn * y.numerator, wd * y.denominator, ((None, one_scalar),)
             else:
-                if isinstance(y, (int, Fraction)):
-                    wn, wd, yterms = wn * y.numerator, wd * y.denominator, ((None, one_scalar),)
-                else:
-                    yterms = ((None, as_scalar(y, params)),)
+                yterms = ((None, self.coefficient(y)),)
             if not wn:
                 continue
             for m1, c1 in x._terms.items():
@@ -406,7 +408,7 @@ class RingPresentation:
                 num = {e: c for e, c in num.items() if c}
                 if not num:
                     continue
-            terms[mono] = _make(params, num, den)
+            terms[mono] = _make(num, den)
         return _element(self, terms)
 
     def _check_ring(self, *elements: "GradedElement"):
@@ -448,8 +450,17 @@ class RingPresentation:
     def one(self) -> "GradedElement":
         return self.scalar(1)
 
+    def coefficient(self, value: int | Fraction | ParamScalar) -> ParamScalar:
+        """The one rule for a coefficient entering the ring: a rational or a
+        constant scalar, or a polynomial in n if the ring declares n; else a
+        ValueError."""
+        value = as_scalar(value)
+        if self.params or value.is_constant:
+            return value
+        raise ValueError(f"the coefficient {value} uses {PARAMETER!r}, which this ring does not declare")
+
     def scalar(self, value: int | Fraction | ParamScalar) -> "GradedElement":
-        return GradedElement(self, self._normalize({(0,) * self.ngens: as_scalar(value, self.params)}))
+        return GradedElement(self, self._normalize({(0,) * self.ngens: self.coefficient(value)}))
 
     def generator(self, name: str) -> "GradedElement":
         if name not in self._index:
@@ -458,9 +469,10 @@ class RingPresentation:
         return GradedElement(self, self._normalize({mono: self._one_scalar}))
 
     def parameter(self, name: str) -> ParamScalar:
+        """The rank n, which only a ring that declares it has."""
         if name not in self.params:
             raise UnknownGeneratorError(f"unknown parameter {name!r}")
-        return ParamScalar.variable(name, self.params)
+        return _make({1: 1}, 1)
 
     def evaluate(self, node) -> "GradedElement":
         """Reduce an expression tree to normal form after every product: the
@@ -473,9 +485,7 @@ class RingPresentation:
     def _evaluate(self, node, parsing, unknown=_unknown_name) -> "GradedElement":
         # ``parsing`` is the module, passed in by the caller's one import;
         # ``unknown(name)`` is the error for a name that is neither kind
-        for name in parsing.names(node):
-            if name not in self._index and name not in self.params:
-                raise unknown(name)
+        parsing.check_names(node, self._names, unknown)
         return self.scalar(out) if isinstance(out := parsing.walk(node, self._leaf), ParamScalar) else out
 
     def _leaf(self, node) -> "GradedElement | ParamScalar":
@@ -484,7 +494,7 @@ class RingPresentation:
         # needs no normal form
         name = getattr(node, "name", None)
         if name is None:
-            return ParamScalar.constant(node.value, self.params)
+            return ParamScalar.constant(node.value)
         return self.generator(name) if name in self._index else self.parameter(name)
 
     def parse(self, text: str) -> "GradedElement":
@@ -538,7 +548,7 @@ class GradedElement:
 
     def constant_coefficient(self) -> ParamScalar:
         zero_mono = (0,) * self.ring.ngens
-        return self._terms.get(zero_mono, ParamScalar(self.ring.params))
+        return self._terms.get(zero_mono, ParamScalar())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -591,7 +601,7 @@ class GradedElement:
                         del raw[mono]
             return GradedElement(self.ring, self.ring._normalize(raw))
         if isinstance(other, ParamScalar):
-            other = as_scalar(other, self.ring.params)
+            other = self.ring.coefficient(other)
         elif not isinstance(other, (int, Fraction)):
             return NotImplemented
         # a rational scales the coefficients directly: no constant scalar is built
@@ -667,7 +677,7 @@ class GradedElement:
                     f"incomplete presentation: no declared integral for {ring.monomial_str(mono)}"
                 )
             total = coeff * value if total is None else total + coeff * value
-        return ParamScalar(ring.params) if total is None else total
+        return ParamScalar() if total is None else total
 
     def pushforward_fiber(self) -> "GradedElement":
         """Integrate over the curve fiber: extract the f-linear part, f -> 1.

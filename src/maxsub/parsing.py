@@ -3,19 +3,23 @@
 The expression grammar covers rational literals, parameter and generator
 names, ``+ - *`` and ``^`` with nonnegative integer exponents, and
 parentheses.  ``/`` is allowed only between integer literals, to write
-exact rationals such as ``5/24``.  :func:`walk` is the one evaluator of
+exact rationals such as ``5/24``.  Every number literal is read by one
+function, so one longer than Python's int-to-text limit is a
+:class:`ParseError` at its position.  :func:`walk` is the one evaluator of
 expression trees: a ring evaluates in its elements, a file's rule
 right-hand sides included, and :func:`expand` evaluates a file's integral
 values as ``ParamScalar`` constants.  A file's rule left-hand sides, zeros
 and integral monomials are products of generator powers, read by
 :func:`monomial` as exponent vectors with no arithmetic on coefficients.
-All of them reject an unknown name first, even in a term that vanishes.
+All of them reject an unknown name first, even in a term that vanishes,
+with the one check :func:`check_names`.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping, Sequence
+import sys
+from collections.abc import Container, Mapping
 from fractions import Fraction
 
 from .errors import ParseError, PresentationError, check_power_digits
@@ -168,34 +172,37 @@ class _Parser:
         operand = self.power()
         return Neg(operand) if negative else operand
 
+    def integer(self, message: str) -> int:
+        """The next token as an int; ``message`` is the error when it is not
+        a number literal."""
+        tok = self.peek()
+        if tok.kind != "num":
+            self.fail(message, expected="an integer")
+        self.advance()
+        return _literal(tok.value, tok.line, tok.column)
+
     def power(self):
         node = self.atom()
         while self.peek().kind == "op" and self.peek().value == "^":
             self.advance()
-            tok = self.peek()
-            if tok.kind != "num":
-                self.fail("exponents must be nonnegative integer literals", expected="an integer")
-            self.advance()
             # (x^a)^b is x^(a*b): a chain of powers stays one node
             base, exponent = (node.base, node.exponent) if isinstance(node, Pow) else (node, 1)
-            node = Pow(base, exponent * int(tok.value))
+            node = Pow(base, exponent * self.integer("exponents must be nonnegative integer literals"))
         return node
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            value = Fraction(int(tok.value))
+            value = Fraction(_literal(tok.value, tok.line, tok.column))
             nxt = self.peek()
             if nxt.kind == "op" and nxt.value == "/":
                 self.advance()
                 den = self.peek()
-                if den.kind != "num":
-                    self.fail("'/' must be followed by an integer literal", expected="an integer")
-                self.advance()
-                if int(den.value) == 0:
+                divisor = self.integer("'/' must be followed by an integer literal")
+                if divisor == 0:
                     raise ParseError("zero denominator", den.line, den.column)
-                value = value / int(den.value)
+                value /= divisor
             return Num(value)
         if tok.kind == "name":
             self.advance()
@@ -222,19 +229,14 @@ def parse_expression(text: str, line: int = 1, column: int = 1):
     return _Parser(tokenize(text, line, column)).parse()
 
 
-def names(node) -> Iterator[str]:
-    """Every name in an expression tree, in text order, without recursion."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Name):
-            yield node.name
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, BinOp):
-            stack += (node.right, node.left)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
+def _literal(digits: str, line: int, column: int) -> int:
+    """The one reader of number literals: ASCII ``digits`` after an optional
+    ``-``, and a ParseError at ``line``, ``column`` when there are more than
+    Python's int-to-text limit allows (if it is not 0)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(digits) - digits.startswith("-") > limit:
+        raise ParseError(f"a number literal has more than {limit} digits", line, column)
+    return int(digits)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -276,21 +278,31 @@ def walk(node, leaf):
     return out
 
 
-def expand(node, variables: Sequence[str], unknown) -> dict[int, Fraction]:
-    """An expression tree as a polynomial in ``variables``, at most one name,
-    with rational coefficients, ``{exponent: coefficient}``; a file's
-    integral values are read with no name.  Any other name raises
-    ``unknown(name)`` first."""
-    for name in names(node):
-        if name not in variables:
-            raise unknown(name)
+def check_names(node, known: Container[str], unknown) -> None:
+    """The names-first check of every expression: ``unknown(name)`` is
+    raised for the first name of ``node`` in text order that is not in
+    ``known``, even in a term that vanishes, before anything is computed.
+    The tree is walked on a stack, without recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            if node.name not in known:
+                raise unknown(node.name)
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, BinOp):
+            stack += (node.right, node.left)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
 
-    def leaf(node):
-        if isinstance(node, Num):
-            return ParamScalar.constant(node.value, variables)
-        return ParamScalar.variable(node.name, variables)
 
-    return dict(walk(node, leaf).items())
+def expand(node, unknown) -> dict[int, Fraction]:
+    """A rational constant expression, as a file's integral value, as
+    ``{0: value}``, or ``{}`` for 0; any name raises ``unknown(name)``
+    first."""
+    check_names(node, (), unknown)
+    return dict(walk(node, lambda num: ParamScalar.constant(num.value)).items())
 
 
 def monomial(node, index: Mapping[str, int], where: str) -> tuple[int, ...]:
@@ -300,9 +312,7 @@ def monomial(node, index: Mapping[str, int], where: str) -> tuple[int, ...]:
     is refused, and so is any other number, even one that a power makes 1.
     The tree is walked on a stack, in a loop; a power multiplies the
     exponents of its base."""
-    for name in names(node):
-        if name not in index:
-            raise PresentationError(f"{where} uses unknown generator {name!r}")
+    check_names(node, index, lambda name: PresentationError(f"{where} uses unknown generator {name!r}"))
     exponents = [0] * len(index)
     stack = [(node, 1)]
     while stack:
@@ -387,7 +397,7 @@ def _integer(text: str, line: int, column: int, message: str, signed: bool = Fal
     end = _DIGITS_RE.match(text, start).end()
     if not start < end == len(text):
         raise ParseError(message, line, column + end)
-    return int(text)
+    return _literal(text, line, column)
 
 
 def parse_presentation_text(text: str) -> PresentationFileData:
@@ -440,7 +450,7 @@ def parse_presentation_text(text: str) -> PresentationFileData:
             )
             node = parse_expression(mono, lineno, mono_col)
             error = ParseError("expected an exact rational constant", lineno, value_col)
-            constant = expand(parse_expression(value, lineno, value_col), (), lambda name: error)
+            constant = expand(parse_expression(value, lineno, value_col), lambda name: error)
             data.integrals.append((node, constant.get(0, Fraction(0)), lineno))
         elif section == "top_degree":
             message = f"top_degree must be a nonnegative integer, got {body!r}"

@@ -38,9 +38,7 @@ from . import PRESET_NAMES
 from .chern import ChernCharacter, TotalChernClass, _character, _graded_product
 from .errors import PresetError
 from .gradedring import GradedElement, RewriteRule, RingPresentation, presentation_from_data
-from .scalars import ParamScalar, monomial_text
-
-RANK_PARAMETER = "n"
+from .scalars import PARAMETER as RANK_PARAMETER, ParamScalar, monomial_text
 
 #: Largest genus of the built-in rank-1 preset.  Its top Chern class carries
 #: 1/genus!, so the work grows faster than linearly in the genus; the bound
@@ -97,7 +95,7 @@ class Preset:
             raise PresetError("subbundle rank must be positive")
         if subbundle_degree != 1:
             raise PresetError("presets normalize the subbundle degree to 1")
-        if ring.params != (RANK_PARAMETER,):  # a ring declares at most one parameter
+        if not ring.params:  # a ring declares no parameter or the rank n
             raise PresetError(f"the ring must declare the rank parameter {RANK_PARAMETER!r}")
         if ring.fiber_index is None:
             raise PresetError("the ring must declare a fiber class")
@@ -218,11 +216,11 @@ class CountResult:
         return self.preset.count_label
 
     def specialize(self, rank: int) -> Fraction:
-        return self.count.evaluate({RANK_PARAMETER: rank})
+        return self.count.evaluate(rank)
 
     def to_record(self) -> dict:
         def scalar_terms(s: ParamScalar) -> dict:
-            return {monomial_text(s.params, (e,)) or "1": str(c) for e, c in sorted(s.items(), reverse=True)}
+            return {monomial_text((RANK_PARAMETER,), (e,)) or "1": str(c) for e, c in sorted(s.items(), reverse=True)}
 
         def character_record(ch: ChernCharacter) -> dict:
             return {

@@ -1,13 +1,17 @@
-"""Exact scalars: polynomials in at most one formal parameter, the rank n.
+"""Exact scalars: polynomials in the one formal parameter, the rank n.
 
-These are the coefficients of every cohomology class in the kernel.  A
-value is stored as a map from ``int`` exponents to integer numerators over
-one common denominator, in lowest terms, so arithmetic is integer
-arithmetic with one gcd per result, and ``==`` and ``hash`` compare the
-stored form.  Division is only ever by an explicit nonzero rational, so
-values stay inside Q[n] and no floating point enters anywhere.  The public
-constructor validates its input; arithmetic results are built by
-``_make``, which trusts its input and only divides out the common factor.
+These are the coefficients of every cohomology class in the kernel.  The
+parameter is named :data:`PARAMETER` and is the only one a ring may
+declare, so a scalar carries no parameter list: whether one that is not
+constant may enter a ring is the ring's rule
+(``RingPresentation.coefficient``).  A value is stored as a map from
+``int`` exponents of n to integer numerators over one common denominator,
+in lowest terms, so arithmetic is integer arithmetic with one gcd per
+result, and ``==`` and ``hash`` compare the stored form.  Division is only
+ever by an explicit nonzero rational, so values stay inside Q[n] and no
+floating point enters anywhere.  The public constructor validates its
+input; arithmetic results are built by ``_make``, which trusts its input
+and only divides out the common factor.
 Every product of numerators, ``*`` here and the ring's one-pass sum of
 products (``RingPresentation.sum_of_products``), is ``_add_product``, which
 adds ``k*p*q`` into a numerator map in place: ``*`` starts it from an empty
@@ -20,6 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+
+#: The name of the one formal parameter, the rank n.
+PARAMETER = "n"
 
 
 def as_fraction(value: int | Fraction) -> Fraction:
@@ -48,25 +55,21 @@ def power(base, exponent: int, one):
 
 
 class ParamScalar:
-    """Polynomial with rational coefficients in the parameter of ``params``,
-    a tuple of at most one name.
+    """Polynomial in n with rational coefficients.
 
     Stored sparsely as ``_num``, a map from ``int`` exponents to nonzero
     integers, over one denominator ``_den > 0`` with
-    ``gcd(_den, *_num.values()) == 1``; with no parameter the only exponent
-    is 0.  Instances are immutable; all operations return new values.
+    ``gcd(_den, *_num.values()) == 1``.  Instances are immutable; all
+    operations return new values.
     """
 
-    __slots__ = ("params", "_num", "_den")
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, params: Iterable[str], terms: Mapping[int, int | Fraction] | None = None):
-        self.params = tuple(params)
-        if len(self.params) > 1:
-            raise ValueError(f"a scalar has at most one parameter, got {self.params}")
+    def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
         clean: dict[int, Fraction] = {}
         for expo, coeff in (terms or {}).items():
-            if not isinstance(expo, int) or expo < 0 or expo and not self.params:
-                raise ValueError(f"exponents are nonnegative ints, and 0 with no parameter: got {expo!r} over {self.params}")
+            if not isinstance(expo, int) or expo < 0:
+                raise ValueError(f"exponents are nonnegative ints, got {expo!r}")
             coeff = as_fraction(coeff)
             if coeff:
                 clean[expo] = coeff
@@ -75,16 +78,9 @@ class ParamScalar:
         self._num = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
 
     @classmethod
-    def constant(cls, value: int | Fraction, params: Iterable[str] = ()) -> "ParamScalar":
+    def constant(cls, value: int | Fraction) -> "ParamScalar":
         value = as_fraction(value)
-        return _make(tuple(params), {0: value.numerator} if value else {}, value.denominator)
-
-    @classmethod
-    def variable(cls, name: str, params: Iterable[str]) -> "ParamScalar":
-        params = tuple(params)
-        if params != (name,):
-            raise ValueError(f"{name!r} is not the declared parameter of {params}")
-        return _make(params, {1: 1}, 1)
+        return _make({0: value.numerator} if value else {}, value.denominator)
 
     # -- views ------------------------------------------------------------
 
@@ -104,11 +100,9 @@ class ParamScalar:
         return not any(self._num)
 
     def constant_value(self) -> Fraction:
-        if not self._num:
-            return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant")
-        return Fraction(next(iter(self._num.values())), self._den)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def constant_term(self) -> int | Fraction:
         """The coefficient of exponent 0; the int 0 when it has none."""
@@ -119,63 +113,53 @@ class ParamScalar:
         """The coefficient of the top exponent; the int 0 when it has none."""
         return Fraction(self._num[max(self._num)], self._den) if self._num else 0
 
-    def evaluate(self, assignment: Mapping[str, int | Fraction]) -> Fraction:
-        """Specialize the parameter to an exact rational, in integers: with
-        the value p/q and D the top exponent, the sum of c * p^e * q^(D-e)
-        over ``_den * q^D`` makes one ``Fraction``."""
-        value = as_fraction(assignment[self.params[0]]) if self.params else Fraction(0)
+    def evaluate(self, value: int | Fraction) -> Fraction:
+        """Specialize n to an exact rational, in integers: with the value p/q
+        and D the top exponent, the sum of c * p^e * q^(D-e) over
+        ``_den * q^D`` makes one ``Fraction``."""
+        value = as_fraction(value)
         p, q, top = value.numerator, value.denominator, max(self._num, default=0)
         return Fraction(sum(c * p**e * q ** (top - e) for e, c in self._num.items()), self._den * q**top)
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other) -> "ParamScalar | None":
-        if isinstance(other, (ParamScalar, int, Fraction)):
-            return as_scalar(other, self.params)
-        return None  # a foreign type: let its reflected operation decide
-
-    def _plus(self, other: "ParamScalar", sign: int) -> "ParamScalar":
-        """``self + sign * other`` over the lcm of the two denominators."""
+    def _plus(self, other, sign: int) -> "ParamScalar":
+        """``self + sign * other`` over the lcm of the two denominators; a
+        foreign ``other`` is left to its reflected operation."""
+        if isinstance(other, (int, Fraction)):
+            other = ParamScalar.constant(other)
+        elif not isinstance(other, ParamScalar):
+            return NotImplemented
         d1, d2 = self._den, other._den
         den = d1 // gcd(d1, d2) * d2
         s1, s2 = den // d1, den // d2 * sign
         num = {e: c * s1 for e, c in self._num.items()}
         for e, c in other._num.items():
             num[e] = num.get(e, 0) + c * s2
-        return _make(self.params, {e: c for e, c in num.items() if c}, den)
+        return _make({e: c for e, c in num.items() if c}, den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.params, {e: -c for e, c in self._num.items()}, self._den)
+        return _make({e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._plus(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._plus(self, -1)
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):  # scale the numerators: no constant scalar is built
             num = {e: c * other.numerator for e, c in self._num.items()} if other else {}
-            return _make(self.params, num, self._den * other.denominator)
-        other = self._coerce(other)
-        if other is None:
+            return _make(num, self._den * other.denominator)
+        if not isinstance(other, ParamScalar):
             return NotImplemented
         num = _add_product({}, self._num, other._num, 1)
-        return _make(self.params, {e: c for e, c in num.items() if c}, self._den * other._den)
+        return _make({e: c for e, c in num.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -186,23 +170,19 @@ class ParamScalar:
         return self * (1 / divisor)
 
     def __pow__(self, exponent: int):
-        return power(self, exponent, ParamScalar.constant(1, self.params))
+        return power(self, exponent, ParamScalar.constant(1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.is_constant and self.constant_value() == other
         if isinstance(other, ParamScalar):
-            if other.params != self.params:
-                if self.is_constant and other.is_constant:
-                    return self.constant_value() == other.constant_value()
-                return False
             return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self):
         if self.is_constant:
             return hash(self.constant_value())
-        return hash((self.params, self._den, frozenset(self._num.items())))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- printing ---------------------------------------------------------
 
@@ -211,7 +191,7 @@ class ParamScalar:
         for expo in sorted(self._num, reverse=True):
             coeff = self._num[expo]
             mag = Fraction(abs(coeff), self._den)
-            mono = monomial_text(self.params, (expo,))
+            mono = monomial_text((PARAMETER,), (expo,))
             if mono and mag != 1:
                 mono = f"{mag}*{mono}" if mag.denominator == 1 else f"({mag})*{mono}"
             yield coeff < 0, mono or str(mag)
@@ -223,17 +203,14 @@ class ParamScalar:
         return f"ParamScalar({str(self)!r})"
 
 
-def as_scalar(value, params: tuple[str, ...]) -> ParamScalar:
-    """The one conversion rule for coefficients: an ``int`` or ``Fraction``
-    becomes a constant over ``params``, and a scalar over another parameter
-    list converts only when it is constant; anything else is a ValueError."""
+def as_scalar(value) -> ParamScalar:
+    """A scalar as itself, and an ``int`` or ``Fraction`` as a constant;
+    anything else is a ValueError."""
     if isinstance(value, ParamScalar):
-        if value.params == params:
-            return value
-        value = value.constant_value()  # a ValueError unless constant
-    elif not isinstance(value, (int, Fraction)):
+        return value
+    if not isinstance(value, (int, Fraction)):
         raise ValueError(f"expected an exact scalar, got {type(value).__name__}")
-    return ParamScalar.constant(value, params)
+    return ParamScalar.constant(value)
 
 
 def monomial_text(names: Sequence[str], expo: Sequence[int]) -> str:
@@ -253,15 +230,14 @@ def signed_sum(pieces: Iterable[tuple[bool, str]]) -> str:
     return "".join(out) or "0"
 
 
-def _make(params: tuple[str, ...], num: dict[int, int], den: int) -> ParamScalar:
-    """Trusted constructor for arithmetic results: ``num`` maps exponents
-    valid for ``params`` to nonzero ints, ``den > 0``; it only divides out the gcd."""
+def _make(num: dict[int, int], den: int) -> ParamScalar:
+    """Trusted constructor for arithmetic results: ``num`` maps nonnegative
+    int exponents to nonzero ints, ``den > 0``; it only divides out the gcd."""
     common = gcd(den, *num.values())
     if common != 1:
         num = {e: c // common for e, c in num.items()}
         den //= common
     out = object.__new__(ParamScalar)
-    out.params = params
     out._num = num
     out._den = den
     return out

@@ -15,7 +15,7 @@ from maxsub import load_preset, pipeline
 from maxsub.chern import ChernCharacter
 from maxsub.errors import PresetError, UnknownGeneratorError
 from maxsub.gradedring import GradedElement, RingPresentation
-from maxsub.parsing import names, parse_expression, walk
+from maxsub.parsing import check_names, parse_expression, walk
 from maxsub.scalars import ParamScalar
 
 
@@ -110,14 +110,14 @@ def monomials_st(draw, ring, max_degree=10, allowed=None):
 
 
 def scalars_st(ring, max_param_degree=2):
-    constants = fractions_st().map(lambda q: ParamScalar.constant(q, ring.params))
+    constants = fractions_st().map(ParamScalar.constant)
     if len(ring.params) != 1:
         return constants
     polys = st.lists(
         st.tuples(st.integers(0, max_param_degree), fractions_st()),
         min_size=1,
         max_size=2,
-    ).map(lambda items: ParamScalar(ring.params, dict(items)))
+    ).map(lambda items: ParamScalar(dict(items)))
     return st.one_of(constants, polys)
 
 
@@ -133,7 +133,7 @@ def raw_terms_st(ring, max_degree=10, max_terms=3, allowed=None):
 def _merge_pairs(ring, pairs):
     raw = {}
     for mono, coeff in pairs:
-        raw[mono] = raw.get(mono, ParamScalar(ring.params)) + coeff
+        raw[mono] = raw.get(mono, ParamScalar()) + coeff
     return raw
 
 
@@ -461,7 +461,7 @@ def reduce_in_random_order(ring, raw_terms, rng):
         quotient = tuple(m - l for m, l in zip(mono, rule.lhs))
         for rmono, rcoeff in rule.rhs:
             combined = tuple(q + r for q, r in zip(quotient, rmono))
-            total = terms.get(combined, ParamScalar(ring.params)) + coeff * rcoeff
+            total = terms.get(combined, ParamScalar()) + coeff * rcoeff
             if total:
                 terms[combined] = total
             else:
@@ -474,9 +474,7 @@ def reference_expand(node, variables, unknown):
     ``variables``, ``{exponent vector: coefficient}``, computed by the
     parser's walk in :class:`ReferenceScalar`; any other name raises
     ``unknown(name)`` first."""
-    for name in names(node):
-        if name not in variables:
-            raise unknown(name)
+    check_names(node, variables, unknown)
 
     def leaf(node):
         name = getattr(node, "name", None)
@@ -497,7 +495,7 @@ def expanded_terms(ring, text):
     n = ring.ngens
     terms = {}
     for key, coeff in reference_expand(parse_expression(text), ring.generator_names + ring.params, unknown).items():
-        scalar = ParamScalar(ring.params, {sum(key[n:]): coeff})  # the parameter's exponent; 0 with none
+        scalar = ParamScalar({sum(key[n:]): coeff})  # the parameter's exponent; 0 with none
         terms[key[:n]] = terms[key[:n]] + scalar if key[:n] in terms else scalar
     return terms
 
@@ -523,14 +521,14 @@ def reference_normalizer(ring):
     rule by exponent-wise division, with cycle detection.  A monomial that
     rewrites to itself raises ``_RewriteCycle``."""
     in_progress = object()
-    one = ParamScalar.constant(1, ring.params)
+    one = ParamScalar.constant(1)
     cache = {}
 
     def normalize(raw):
         out = {}
         for mono, coeff in raw.items():
             for nmono, ncoeff in monomial_nf(mono).items():
-                total = out.get(nmono, ParamScalar(ring.params)) + coeff * ncoeff
+                total = out.get(nmono, ParamScalar()) + coeff * ncoeff
                 if total:
                     out[nmono] = total
                 else:

@@ -103,13 +103,34 @@ MUTANTS = (
         "import os\nimport importlib.resources\n",
         ("tests/test_imports.py::test_count_loads_no_resource_path_or_typing_modules",),
     ),
-    # -- one parameter, and file monomials read as products --
+    # -- the one parameter n, one names-first check, and file monomials read as products --
     Mutant(
-        "at-most-one-parameter-check-removed",
+        "rank-parameter-check-removed",
         RING,
-        "if len(self.params) > 1:",
+        "if self.params not in ((), (PARAMETER,)):",
         "if False:",
-        ("tests/test_cli.py::test_ring_file_error_is_one_line[two-parameters]",),
+        ("tests/test_cli.py::test_ring_file_error_is_one_line[other-parameter]",),
+    ),
+    Mutant(
+        "coefficient-rule-admits-n",
+        RING,
+        "if self.params or value.is_constant:",
+        "if True:",
+        ("tests/test_scalars.py::test_conversion_rule",),
+    ),
+    Mutant(
+        "evaluate-ignores-its-value",
+        SCALARS,
+        "        value = as_fraction(value)\n        p, q, top",
+        "        value = Fraction(1)\n        p, q, top",
+        ("tests/test_scalars.py::test_evaluate",),
+    ),
+    Mutant(
+        "monomial-skips-the-names-check",
+        PARSING,
+        "    check_names(node, index, lambda name:",
+        "    (lambda *args: None)(node, index, lambda name:",
+        ("tests/test_parsing.py::test_monomial_refuses_sums_and_numbers",),
     ),
     Mutant(
         "monomial-drops-a-power",

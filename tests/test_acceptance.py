@@ -150,4 +150,4 @@ def test_criterion_8_formula_calculators():
     for g in (2, 3, 4, 5):
         count = count_maximal_subbundles(jacobian_preset(g)).count
         for k in range(2, 11):
-            assert count.evaluate({"n": k}) == m1_closed(k, g)
+            assert count.evaluate(k) == m1_closed(k, g)

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,7 +62,7 @@ ARGUMENT_ERRORS = {
     ),
     "element-divided-by-0": (lambda: RING.parse("alpha") / 0, ZeroDivisionError, "division of a ring element by zero"),
     "float-as-fraction": (lambda: as_fraction(0.5), TypeError, "expected an exact rational, got float"),
-    "float-as-scalar": (lambda: as_scalar(0.5, ("n",)), ValueError, "expected an exact scalar, got float"),
+    "float-as-scalar": (lambda: as_scalar(0.5), ValueError, "expected an exact scalar, got float"),
 }
 
 
@@ -381,3 +383,24 @@ def test_sparse_operations_match_dense_reference(ring_name, data):
         keys = [k for k, _ in obj.items()]
         assert keys == sorted(keys)
         assert dict(obj.items()) == {k: x for k, x in enumerate(dense, start=1) if not x.is_zero}
+
+
+#: value -> (how to build it, its operations: + - * for a scalar or an element)
+FOREIGN_OPERAND_VALUES = {
+    "ParamScalar": (lambda: ParamScalar({1: 1, 0: 2}), ("add", "sub", "mul", "eq")),
+    "GradedElement": (lambda: RING.parse("alpha + n*theta"), ("add", "sub", "mul", "eq")),
+    "ChernCharacter": (lambda: character_from(2, "alpha"), ("eq",)),
+    "TotalChernClass": (lambda: TotalChernClass(RING, [RING.parse("alpha")]), ("eq",)),
+}
+
+
+@pytest.mark.parametrize("value, op", [(v, op) for v, (_, ops) in FOREIGN_OPERAND_VALUES.items() for op in ops])
+def test_foreign_operand_is_left_to_python(value, op):
+    # a str is no operand: each operation returns NotImplemented, so Python
+    # raises TypeError for + - *, and == is False
+    x = FOREIGN_OPERAND_VALUES[value][0]()
+    if op == "eq":
+        assert (x == "alpha") is False and x != "alpha"
+    else:
+        with pytest.raises(TypeError):
+            getattr(operator, op)(x, "alpha")

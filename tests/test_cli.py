@@ -200,6 +200,52 @@ def test_printable_powers_pass_the_digit_bound(capsys):
     assert capsys.readouterr().out == expected
 
 
+#: site -> (an expression, or a line of g2-rank2's file and its replacement, with
+#: a literal {D}; where the literal starts)
+LONG_LITERALS = {
+    "exponent": ("alpha^{D}", "line 1, column 7"),
+    "coefficient": ("{D}*alpha", "line 1, column 1"),
+    "denominator": ("1/{D}", "line 1, column 3"),
+    "integral-value": (("integrals: alpha^3*theta^2 = 8", "integrals: alpha^3*theta^2 = {D}"), "line 24, column 30"),
+    "top-degree": (("top_degree: 10", "top_degree: {D}"), "line 26, column 13"),
+    "generator-degree": (("generators: alpha=2,", "generators: alpha={D},"), "line 17, column 19"),
+    "genus": (("genus: 2", "genus: -{D}"), "line 29, column 8"),
+}
+
+
+@pytest.mark.parametrize("site", LONG_LITERALS)
+def test_number_literal_past_the_digit_limit_exits_2(capsys, tmp_path, site):
+    # a literal one digit past Python's int-to-text limit is a parse error at
+    # its position, wherever it stands, not int()'s advice to raise the limit
+    text, where = LONG_LITERALS[site]
+    limit = sys.get_int_max_str_digits()
+    digits = "9" * (limit + 1)
+    ring, expression = G2_RING, "alpha"
+    if isinstance(text, str):
+        expression = text.format(D=digits)
+    else:
+        ring = tmp_path / "long.ring"
+        ring.write_text(Path(G2_RING).read_text().replace(text[0], text[1].format(D=digits), 1))
+    assert run(["reduce", "--ring", str(ring), expression]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {where}: a number literal has more than {limit} digits\n"
+
+
+def test_number_literals_up_to_the_digit_limit_read(capsys):
+    # a literal of exactly the limit's digits reads; with no limit any length does
+    limit = sys.get_int_max_str_digits()
+    assert run(["reduce", "--ring", G2_RING, "9" * limit + "*alpha + alpha^" + "9" * limit]) == 0
+    assert capsys.readouterr().out == "9" * limit + "*alpha\n"
+    sys.set_int_max_str_digits(0)
+    try:
+        code = run(["reduce", "--ring", G2_RING, "1/" + "9" * (limit + 1) + "*alpha^" + "9" * (limit + 1)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert run(["count", "--preset", "not-a-preset"]) == 2
     assert run(["count"]) == 2
@@ -383,10 +429,11 @@ LOAD_ERRORS = {
         "duplicate integral for monomial on line 4",
     ),
     "duplicate-generator": ("generators: x=2, x=2\ntop_degree: 4\n", 1, "duplicate generator names"),
-    "duplicate-parameter": ("params: n, n\ngenerators: x=2\ntop_degree: 4\n", 1, "a ring declares at most one parameter, got 'n', 'n'"),
-    "two-parameters": ("params: n, m\ngenerators: x=2\ntop_degree: 4\n", 1, "a ring declares at most one parameter, got 'n', 'm'"),
+    "duplicate-parameter": ("params: n, n\ngenerators: x=2\ntop_degree: 4\n", 1, "a ring's only parameter is the rank 'n', got 'n', 'n'"),
+    "two-parameters": ("params: n, m\ngenerators: x=2\ntop_degree: 4\n", 1, "a ring's only parameter is the rank 'n', got 'n', 'm'"),
+    "other-parameter": ("params: t\ngenerators: x=2\ntop_degree: 4\n", 1, "a ring's only parameter is the rank 'n', got 't'"),
     "generator-and-parameter": (
-        "params: x\ngenerators: x=2\ntop_degree: 4\n", 1, "a name cannot be both a generator and a parameter"
+        "params: n\ngenerators: n=2\ntop_degree: 4\n", 1, "a name cannot be both a generator and a parameter"
     ),
     "odd-top-degree": ("generators: x=2\ntop_degree: 3\n", 1, "top_degree must be even and nonnegative, got 3"),
     "empty-zero": ("generators: x=2\nzeros: 1\ntop_degree: 4\n", 1, "the empty monomial cannot be declared zero"),

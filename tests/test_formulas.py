@@ -55,6 +55,8 @@ def test_stratum_dim():
     assert "empty stratum" in str(err.value)
     with pytest.raises(ValueError):
         stratum_dim(4, 2, 4, 2, 0)  # s must be positive
+    with pytest.raises(ValueError, match="genus must be at least 2, got 1"):
+        stratum_dim(2, 1, 3, 1, 1)
 
 
 def test_quot_dim():

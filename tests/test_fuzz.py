@@ -167,7 +167,7 @@ def ring_files_st(draw):
     """A small presentation file: mostly well-formed lines, some broken ones."""
     lines = []
     if draw(st.booleans()):
-        lines.append("params: " + draw(st.sampled_from(["n", "n, m", "n,", "a", "n, n"])))
+        lines.append("params: " + draw(st.sampled_from(["n", "n, m", "n,", "a", "n, n", "t"])))
     gens = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
     lines.append("generators: " + ", ".join(f"{g}={draw(DEGREES)}" for g in gens))
     for _ in range(draw(st.integers(0, 3))):
@@ -195,6 +195,7 @@ def ring_files_st(draw):
 @example("generators: a=2\nintegrals: a = 1/0\ntop_degree: 2\n", "integrate", "a")
 @example("generators: a=2\ntop_degree: 1000000\n", "reduce", "a^500000")
 @example("params: n, m\ngenerators: a=2\ntop_degree: 4\n", "reduce", "n*a")
+@example("params: t\ngenerators: a=2\ntop_degree: 4\n", "reduce", "t*a")
 def test_ring_files_keep_the_contract(tmp_path_factory, text, command, expression):
     ring = tmp_path_factory.mktemp("fuzz") / "fuzz.ring"
     ring.write_text(text, encoding="utf-8")

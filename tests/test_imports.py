@@ -193,6 +193,16 @@ def test_unknown_attribute_raises():
     assert not hasattr(maxsub, "cli_main")
 
 
+def test_submodule_loads_through_the_package_attribute():
+    # in a fresh process no earlier import has set maxsub.pipeline, so the
+    # package's __getattr__ imports it
+    child = "import maxsub, sys; assert 'maxsub.pipeline' not in sys.modules; print(maxsub.pipeline.__name__)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child], env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "maxsub.pipeline\n", "")
+
+
 def test_submodules_and_moved_names():
     assert maxsub.pipeline.load_preset is maxsub.load_preset
     assert maxsub.parsing.ParseError is maxsub.errors.ParseError is maxsub.ParseError

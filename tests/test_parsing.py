@@ -8,7 +8,6 @@ from maxsub.parsing import (
     ParseError,
     expand,
     monomial,
-    names,
     parse_expression,
     parse_presentation_text,
     tokenize,
@@ -21,7 +20,7 @@ def terms(text):
     """The free expansion over the expression's own names, keyed by sorted
     (name, exponent) pairs: the grammar read by the parser's walk."""
     node = parse_expression(text)
-    variables = tuple(dict.fromkeys(names(node)))
+    variables = tuple(dict.fromkeys(t.value for t in tokenize(text) if t.kind == "name"))
     return {
         tuple(sorted((v, e) for v, e in zip(variables, expo) if e)): coeff
         for expo, coeff in reference_expand(node, variables, None).items()
@@ -108,12 +107,13 @@ def test_long_chains_cost_no_recursion():
 
 
 def test_expand_reads_one_parameter_or_none():
-    # a file's integral value is read with no name; exponents are ints
-    assert expand(parse_expression("5/24 - 1/24"), (), None) == {0: Fraction(1, 6)}
-    assert expand(parse_expression("0*2"), (), None) == {}
-    assert expand(parse_expression("(n + 1)^2 - 1"), ("n",), None) == {2: 1, 1: 2}
-    with pytest.raises(KeyError, match="x"):
-        expand(parse_expression("2*x"), (), KeyError)
+    # a file's integral value is a rational constant: any name is unknown,
+    # even in a term that vanishes
+    assert expand(parse_expression("5/24 - 1/24"), None) == {0: Fraction(1, 6)}
+    assert expand(parse_expression("0*2"), None) == {}
+    for text in ("2*x", "0*n + 1"):
+        with pytest.raises(KeyError, match="x|n"):
+            expand(parse_expression(text), KeyError)
 
 
 GENERATORS = {"a": 0, "b": 1, "c": 2}

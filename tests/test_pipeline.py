@@ -146,17 +146,18 @@ chern_L: 1 + x
     [
         (G2_TEXT.replace("genus: 2", "genus: 1"), PresetError, "genus must be at least 2, got 1"),
         (G2_TEXT.replace("subbundle_rank: 2", "subbundle_rank: 0"), PresetError, "subbundle rank must be positive"),
-        (G2_TEXT.replace("params: n", "params: m"), PresetError, "the ring must declare the rank parameter 'n'"),
-        # a ring declares at most one parameter: a second one fails the ring's load
-        (G2_TEXT.replace("params: n", "params: n, m"), PresentationError, "a ring declares at most one parameter, got 'n', 'm'"),
+        (G2_TEXT.replace("params: n\n", ""), PresetError, "the ring must declare the rank parameter 'n'"),
+        # a ring's only parameter is n: any other fails the ring's load
+        (G2_TEXT.replace("params: n", "params: n, m"), PresentationError, "a ring's only parameter is the rank 'n', got 'n', 'm'"),
         (
             G2_TEXT.replace("params: n", "params: a, n, m"),
             PresentationError,
-            "a ring declares at most one parameter, got 'a', 'n', 'm'",
+            "a ring's only parameter is the rank 'n', got 'a', 'n', 'm'",
         ),
+        (G2_TEXT.replace("params: n", "params: m"), PresentationError, "a ring's only parameter is the rank 'n', got 'm'"),
         (FIBERLESS_TEXT, PresetError, "the ring must declare a fiber class"),
     ],
-    ids=["genus", "subbundle-rank", "rank-parameter", "extra-parameter", "extra-parameters", "fiber"],
+    ids=["genus", "subbundle-rank", "rank-parameter", "extra-parameter", "extra-parameters", "other-parameter", "fiber"],
 )
 def test_preset_checks(text, error, message):
     with pytest.raises(error) as info:
@@ -429,7 +430,7 @@ def test_admissibility_matches_symbolic_induced_degree():
     # the symbolic test is_admissible used before: evaluate induced_degree at n = k
     for preset in [PRESET] + [jacobian_preset(g) for g in range(2, 9)]:
         for k in range(2, 200):
-            expected = k > preset.subbundle_rank and preset.induced_degree.evaluate({"n": k}).denominator == 1
+            expected = k > preset.subbundle_rank and preset.induced_degree.evaluate(k).denominator == 1
             if preset.subbundle_rank == 2 and preset.genus == 2:
                 expected = expected and k >= 4 and k % 2 == 0
             assert preset.is_admissible(k) == expected, (preset.name, preset.genus, k)

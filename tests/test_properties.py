@@ -100,7 +100,7 @@ def _ring_and_basis(genus):
     """The ring of g2-rank2 (genus None) or of the jacobian preset, and its
     normal-form basis monomials of degree up to ``top_degree + 2``."""
     ring = RING if genus is None else jacobian_preset(genus).ring
-    one = ParamScalar.constant(1, ring.params)
+    one = ParamScalar.constant(1)
     basis = [
         GradedElement(ring, {mono: one})
         for mono in ring.monomials_up_to(ring.top_degree + 2)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from importlib.resources import files
 from itertools import product
 from math import gcd
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maxsub.chern import ChernCharacter
+from maxsub.chern import ChernCharacter, TotalChernClass
+from maxsub.errors import PresentationError, UnknownGeneratorError
 from maxsub.gradedring import load_presentation
 from maxsub.scalars import ParamScalar, _add_product
 
@@ -14,20 +16,19 @@ from helpers import ReferenceScalar, g2_ring, total_degree
 
 
 def n():
-    return ParamScalar.variable("n", ("n",))
+    return ParamScalar({1: 1})
 
 
 def test_zero_coefficients_are_pruned():
-    s = ParamScalar(("n",), {1: 0, 0: 3})
+    s = ParamScalar({1: 0, 0: 3})
     assert list(s.items()) == [(0, Fraction(3))]
 
 
 def test_width_mismatch_rejected():
-    # exponents are nonnegative ints, 0 alone with no parameter, and a scalar
-    # has at most one parameter
-    for params, terms in [(("n",), {(1,): 1}), (("n",), {-1: 1}), ((), {1: 1}), (("n", "m"), {0: 1})]:
-        with pytest.raises(ValueError):
-            ParamScalar(params, terms)
+    # exponents of n are nonnegative ints, and coefficients exact rationals
+    for terms in [{(1,): 1}, {-1: 1}, {1.0: 1}, {1: 0.5}]:
+        with pytest.raises((ValueError, TypeError)):
+            ParamScalar(terms)
 
 
 def test_exact_arithmetic():
@@ -40,8 +41,8 @@ def test_exact_arithmetic():
 
 def test_power_matches_repeated_multiplication():
     x = n()
-    for base in (x + 1, x * Fraction(2, 3) - x**2, ParamScalar(("n",)), ParamScalar.constant(-1, ("n",))):
-        expected = ParamScalar.constant(1, ("n",))
+    for base in (x + 1, x * Fraction(2, 3) - x**2, ParamScalar(), ParamScalar.constant(-1)):
+        expected = ParamScalar.constant(1)
         for k in range(21):
             assert base**k == expected, (base, k)
             expected = expected * base
@@ -62,56 +63,64 @@ def test_mixed_ops_with_ints_and_fractions():
     assert Fraction(1, 2) * x + Fraction(1, 2) * x == x
 
 
-def test_mismatched_parameter_lists_rejected():
-    x = n()
-    y = ParamScalar.variable("m", ("m",))
-    with pytest.raises(ValueError):
-        x + y
-    # bare constants embed into any parameter list
-    assert x + ParamScalar.constant(1) == x + 1
-
-
 # -- one conversion rule at every entry point ------------------------------------
 
-RING = g2_ring()
+#: g2-rank2's ring without its parameter: a coefficient with a power of n may not enter it
+RING = load_presentation(files("maxsub").joinpath("presets", "g2-rank2.ring").read_text().replace("params: n\n", ""))
 ALPHA = RING.generator("alpha")
-#: a constant and a non-constant scalar, both over a parameter list the ring does not use
-OTHER_CONSTANT = ParamScalar.constant(Fraction(3, 2), ("m",))
-OTHER_VARIABLE = ParamScalar.variable("m", ("m",))
-#: entry point -> (how a scalar goes through it, the result for OTHER_CONSTANT)
+CONSTANT = ParamScalar.constant(Fraction(3, 2))
+#: entry point -> (how a scalar goes through it, the result for CONSTANT)
 CONVERSIONS = {
-    "ParamScalar +": (lambda s: n() + s, n() + Fraction(3, 2)),
     "GradedElement +": (lambda s: ALPHA + s, RING.parse("alpha + 3/2")),
     "GradedElement *": (lambda s: ALPHA * s, RING.parse("3/2*alpha")),
     "ring.scalar": (RING.scalar, RING.parse("3/2")),
-    "ChernCharacter rank": (lambda s: ChernCharacter(RING, s).rank, RING.parse("3/2").constant_coefficient()),
+    "sum_of_products y": (lambda s: RING.sum_of_products([(1, ALPHA, s)]), RING.parse("3/2*alpha")),
+    "ChernCharacter rank": (lambda s: ChernCharacter(RING, s).rank, CONSTANT),
+    "TotalChernClass.character rank": (lambda s: TotalChernClass(RING).character(s).rank, CONSTANT),
 }
 
 
 @pytest.mark.parametrize("entry", CONVERSIONS)
 def test_conversion_rule(entry):
-    """A constant over another parameter list converts; a non-constant one
-    is a ValueError, wherever a coefficient enters."""
+    """In a ring with no parameter a constant scalar converts, and n is a
+    ValueError, wherever a coefficient enters."""
     convert, expected = CONVERSIONS[entry]
-    converted = convert(OTHER_CONSTANT)
-    assert converted == expected
-    coeffs = [converted] if isinstance(converted, ParamScalar) else [c for _, c in converted.items()]
-    assert {c.params for c in coeffs} == {("n",)}
-    with pytest.raises(ValueError):
-        convert(OTHER_VARIABLE)
+    assert convert(CONSTANT) == expected
+    for scalar in (n(), CONSTANT - n() ** 2):
+        with pytest.raises(ValueError, match="uses 'n', which this ring does not declare"):
+            convert(scalar)
+
+
+def test_mismatched_parameter_lists_rejected():
+    # a ring's only parameter is n: a file declaring another is refused, and
+    # in a ring that declares none, n is an unknown name
+    with pytest.raises(PresentationError, match="^a ring's only parameter is the rank 'n', got 't'$"):
+        load_presentation("params: t\ngenerators: x=2\ntop_degree: 2\n")
+    for reach_n in (lambda: RING.parse("n*alpha"), lambda: RING.parameter("n")):
+        with pytest.raises(UnknownGeneratorError):
+            reach_n()
+
+
+def test_equality_across_parameter_lists():
+    # a scalar carries no parameter list: a constant read in a ring without n
+    # equals, and hashes as, the same constant read in a ring with n
+    with_n = g2_ring().parse("3/2 + alpha").constant_coefficient()
+    without_n = RING.parse("3/2 + alpha").constant_coefficient()
+    assert with_n == without_n and hash(with_n) == hash(without_n)
+    assert g2_ring().parse("3/2*n").constant_coefficient() != without_n
 
 
 def test_evaluate():
     x = n()
     d = x * Fraction(3, 2) - 2
-    assert d.evaluate({"n": 4}) == 4
+    assert d.evaluate(4) == 4
     count = x**5 / 48 + x**3 / 24
-    assert count.evaluate({"n": 4}) == 24
-    assert count.evaluate({"n": 6}) == 171
+    assert count.evaluate(4) == 24
+    assert count.evaluate(6) == 171
 
 
 def test_constants():
-    assert ParamScalar.constant(0, ("n",)).is_zero
+    assert ParamScalar.constant(0).is_zero
     assert not n().is_constant
     assert (n() - n()).constant_value() == 0
     with pytest.raises(ValueError):
@@ -121,12 +130,12 @@ def test_constants():
 def test_total_degree():
     x = n()
     assert total_degree(x**5 + x) == 5
-    assert total_degree(ParamScalar(("n",))) == 0
+    assert total_degree(ParamScalar()) == 0
 
 
 def test_canonical_printing():
     x = n()
-    assert str(ParamScalar(("n",))) == "0"
+    assert str(ParamScalar()) == "0"
     assert str(x**2) == "n^2"
     assert str(x**5 / 48 + x**3 / 24) == "(1/48)*n^5 + (1/24)*n^3"
     assert str(x * Fraction(3, 2) - 2) == "(3/2)*n - 2"
@@ -135,60 +144,47 @@ def test_canonical_printing():
 
 
 def test_equality_against_rationals():
-    assert ParamScalar.constant(3, ("n",)) == 3
-    assert ParamScalar.constant(Fraction(1, 2), ("n",)) == Fraction(1, 2)
+    assert ParamScalar.constant(3) == 3
+    assert ParamScalar.constant(Fraction(1, 2)) == Fraction(1, 2)
+    assert hash(ParamScalar.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
     assert n() != 1
-
-
-def test_equality_across_parameter_lists():
-    # a constant is the same number over any parameter list; a polynomial is not
-    over_n, over_m = ParamScalar.constant(Fraction(3, 2), ("n",)), ParamScalar.constant(Fraction(3, 2), ("m",))
-    assert over_n == over_m and hash(over_n) == hash(over_m)
-    assert ParamScalar.constant(1, ("n",)) != ParamScalar.constant(2, ("m",))
-    assert n() != ParamScalar.variable("m", ("m",))
-    assert n() != ParamScalar.constant(1, ("m",))
-    assert ParamScalar.constant(1, ("m",)) != n()
+    assert n() != ParamScalar.constant(1)
 
 
 # -- against the Fraction-dict reference ---------------------------------------
 
-PARAM_LISTS = ((), ("n",))
 rationals_st = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
-
-
-def exponents_st(params):
-    return st.integers(0, 3 if params else 0)
+exponents_st = st.integers(0, 3)
 
 
 @st.composite
-def polynomial_pairs_st(draw, params):
-    """The same random polynomial as a ParamScalar and as a ReferenceScalar,
-    whose exponents are vectors: ``(e,)``, or ``()`` with no parameter."""
-    terms = draw(st.dictionaries(exponents_st(params), rationals_st, max_size=4))
-    return ParamScalar(params, terms), ReferenceScalar(params, {(e,)[: len(params)]: c for e, c in terms.items()})
+def polynomial_pairs_st(draw):
+    """The same random polynomial as a ParamScalar and as a ReferenceScalar
+    in n, whose exponents are vectors ``(e,)``."""
+    terms = draw(st.dictionaries(exponents_st, rationals_st, max_size=4))
+    return ParamScalar(terms), ReferenceScalar(("n",), {(e,): c for e, c in terms.items()})
 
 
 def assert_agrees(fast, ref):
-    assert {(e,)[: len(fast.params)]: c for e, c in fast.items()} == dict(ref.items())
+    assert {(e,): c for e, c in fast.items()} == dict(ref.items())
     assert all(type(c) is Fraction for _, c in fast.items())
     assert str(fast) == str(ref)
-    assert fast.evaluate({"n": Fraction(3, 2), "m": -2}) == ref.evaluate({"n": Fraction(3, 2), "m": -2})
+    assert fast.evaluate(Fraction(3, 2)) == ref.evaluate({"n": Fraction(3, 2)})
     # lowest terms: integer numerators, none zero, over a positive denominator
     assert fast._den > 0 and gcd(fast._den, *fast._num.values()) == 1
     assert all(type(c) is int and c for c in fast._num.values())
 
 
-@pytest.mark.parametrize("params", PARAM_LISTS)
 @given(data=st.data())
-def test_arithmetic_matches_reference(params, data):
-    (a, ra), (b, rb) = data.draw(polynomial_pairs_st(params)), data.draw(polynomial_pairs_st(params))
+def test_arithmetic_matches_reference(data):
+    (a, ra), (b, rb) = data.draw(polynomial_pairs_st()), data.draw(polynomial_pairs_st())
     q = data.draw(rationals_st.filter(bool))
     k = data.draw(st.integers(0, 6))
     assert_agrees(a, ra)
     for fast, ref in (
         (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
         (a / q, ra / q), (a / q.numerator, ra / q.numerator), (a**k, ra**k),
-        (a + q, ra + q), (q - a, ReferenceScalar.constant(q, params) - ra),
+        (a + q, ra + q), (q - a, ReferenceScalar.constant(q, ("n",)) - ra),
         (q * a, ra * q), (a * q.numerator, ra * q.numerator), (a * 0, ra * 0),
     ):
         assert_agrees(fast, ref)
@@ -200,18 +196,17 @@ def test_arithmetic_matches_reference(params, data):
         assert a == a.constant_value() and hash(a) == hash(ra) == hash(a.constant_value())
 
 
-@pytest.mark.parametrize("params", PARAM_LISTS)
 @given(data=st.data(), k=st.sampled_from([-3, 0, 1, 7]), cancel=st.booleans())
-def test_add_product_adds_k_p_q_in_place(params, data, k, cancel):
+def test_add_product_adds_k_p_q_in_place(data, k, cancel):
     # numerator maps are the integer polynomials; the expected sum is built
     # term by term with ParamScalar addition, which multiplies no maps
-    maps = st.dictionaries(exponents_st(params), st.integers(-9, 9).filter(bool), max_size=4)
+    maps = st.dictionaries(exponents_st, st.integers(-9, 9).filter(bool), max_size=4)
     p, q, r = data.draw(maps), data.draw(maps), data.draw(maps)
-    product_terms = ParamScalar(params)
+    product_terms = ParamScalar()
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            product_terms = product_terms + ParamScalar(params, {e1 + e2: c1 * c2})
-    target = ParamScalar(params, r)
+            product_terms = product_terms + ParamScalar({e1 + e2: c1 * c2})
+    target = ParamScalar(r)
     if cancel:  # every entry that only k*p*q reaches cancels to 0
         target = target - product_terms * k
     out = dict(target._num)
@@ -219,9 +214,9 @@ def test_add_product_adds_k_p_q_in_place(params, data, k, cancel):
     before = dict(out)
     assert _add_product(out, p, q, k) is out
     assert before.keys() <= out.keys() and all(type(c) is int for c in out.values())
-    assert ParamScalar(params, out) == target + product_terms * k
+    assert ParamScalar(out) == target + product_terms * k
     if cancel:
-        assert {e: c for e, c in out.items() if c} == ParamScalar(params, r)._num
+        assert {e: c for e, c in out.items() if c} == ParamScalar(r)._num
 
 
 # a point ring over n: its elements are scalars, so the ring's sum of
@@ -231,20 +226,19 @@ SCALAR_RING = load_presentation("params: n\ngenerators:\ntop_degree: 0\nintegral
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
 def test_sum_of_products_matches_the_fold(size):
-    params = SCALAR_RING.params
     n = SCALAR_RING.parameter("n")
-    pool = [n + Fraction(1, 2), n**2 - n * Fraction(2, 3), ParamScalar.constant(Fraction(-3, 4), params), n**3 - Fraction(1, 5)]
+    pool = [n + Fraction(1, 2), n**2 - n * Fraction(2, 3), ParamScalar.constant(Fraction(-3, 4)), n**3 - Fraction(1, 5)]
     weights = [1, Fraction(-2, 3), Fraction(7, 5)]
     products = []
-    expected = ParamScalar(params)
+    expected = ParamScalar()
     for i, factors in enumerate(product(pool, repeat=size)):
         weight = weights[i % 3]
-        term = ParamScalar.constant(weight, params)
+        term = ParamScalar.constant(weight)
         for f in factors:
             term = term * f
         expected = expected + term
         # the last factor is an element on even i and a bare scalar on odd i
-        head = ParamScalar.constant(1, params)
+        head = ParamScalar.constant(1)
         for f in factors[:-1]:
             head = head * f
         last = SCALAR_RING.scalar(factors[-1]) if i % 2 == 0 else factors[-1]
@@ -256,20 +250,11 @@ def test_sum_of_products_matches_the_fold(size):
     assert got._den > 0 and gcd(got._den, *got._num.values()) == 1
 
 
-ASSIGNMENTS = (
-    {"n": 0, "m": 0},
-    {"n": -3, "m": Fraction(5, 7)},
-    {"n": Fraction(-7, 5), "m": 1},
-    {"n": Fraction(1, 3), "m": Fraction(-2, 9)},
-)
-
-
-@pytest.mark.parametrize("params", PARAM_LISTS)
 @given(data=st.data())
-def test_evaluate_matches_reference(params, data):
+def test_evaluate_matches_reference(data):
     # evaluate works in integers over one common denominator; the reference
     # sums Fraction terms
-    a, ra = data.draw(polynomial_pairs_st(params))
-    for assignment in ASSIGNMENTS:
-        value = a.evaluate(assignment)
-        assert type(value) is Fraction and value == ra.evaluate(assignment)
+    a, ra = data.draw(polynomial_pairs_st())
+    for rank in (0, -3, Fraction(-7, 5), Fraction(1, 3)):
+        value = a.evaluate(rank)
+        assert type(value) is Fraction and value == ra.evaluate({"n": rank})
