@@ -153,20 +153,26 @@ def test_equality_against_rationals():
 
 # -- against the Fraction-dict reference ---------------------------------------
 
+#: the parameters a drawn scalar uses: none (a constant), or n
+PARAM_LISTS = ((), ("n",))
 rationals_st = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
-exponents_st = st.integers(0, 3)
+
+
+def exponents_in(params):
+    return st.integers(0, 3 if params else 0)
 
 
 @st.composite
-def polynomial_pairs_st(draw):
+def polynomial_pairs_st(draw, params):
     """The same random polynomial as a ParamScalar and as a ReferenceScalar
-    in n, whose exponents are vectors ``(e,)``."""
-    terms = draw(st.dictionaries(exponents_st, rationals_st, max_size=4))
-    return ParamScalar(terms), ReferenceScalar(("n",), {(e,): c for e, c in terms.items()})
+    over ``params``, whose exponents are vectors: ``(e,)``, or ``()`` for a
+    constant."""
+    terms = draw(st.dictionaries(exponents_in(params), rationals_st, max_size=4))
+    return ParamScalar(terms), ReferenceScalar(params, {(e,)[: len(params)]: c for e, c in terms.items()})
 
 
 def assert_agrees(fast, ref):
-    assert {(e,): c for e, c in fast.items()} == dict(ref.items())
+    assert {(e,)[: len(ref.params)]: c for e, c in fast.items()} == dict(ref.items())
     assert all(type(c) is Fraction for _, c in fast.items())
     assert str(fast) == str(ref)
     assert fast.evaluate(Fraction(3, 2)) == ref.evaluate({"n": Fraction(3, 2)})
@@ -175,16 +181,17 @@ def assert_agrees(fast, ref):
     assert all(type(c) is int and c for c in fast._num.values())
 
 
+@pytest.mark.parametrize("params", PARAM_LISTS)
 @given(data=st.data())
-def test_arithmetic_matches_reference(data):
-    (a, ra), (b, rb) = data.draw(polynomial_pairs_st()), data.draw(polynomial_pairs_st())
+def test_arithmetic_matches_reference(params, data):
+    (a, ra), (b, rb) = data.draw(polynomial_pairs_st(params)), data.draw(polynomial_pairs_st(params))
     q = data.draw(rationals_st.filter(bool))
     k = data.draw(st.integers(0, 6))
     assert_agrees(a, ra)
     for fast, ref in (
         (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
         (a / q, ra / q), (a / q.numerator, ra / q.numerator), (a**k, ra**k),
-        (a + q, ra + q), (q - a, ReferenceScalar.constant(q, ("n",)) - ra),
+        (a + q, ra + q), (q - a, ReferenceScalar.constant(q, params) - ra),
         (q * a, ra * q), (a * q.numerator, ra * q.numerator), (a * 0, ra * 0),
     ):
         assert_agrees(fast, ref)
@@ -196,11 +203,12 @@ def test_arithmetic_matches_reference(data):
         assert a == a.constant_value() and hash(a) == hash(ra) == hash(a.constant_value())
 
 
+@pytest.mark.parametrize("params", PARAM_LISTS)
 @given(data=st.data(), k=st.sampled_from([-3, 0, 1, 7]), cancel=st.booleans())
-def test_add_product_adds_k_p_q_in_place(data, k, cancel):
+def test_add_product_adds_k_p_q_in_place(params, data, k, cancel):
     # numerator maps are the integer polynomials; the expected sum is built
     # term by term with ParamScalar addition, which multiplies no maps
-    maps = st.dictionaries(exponents_st, st.integers(-9, 9).filter(bool), max_size=4)
+    maps = st.dictionaries(exponents_in(params), st.integers(-9, 9).filter(bool), max_size=4)
     p, q, r = data.draw(maps), data.draw(maps), data.draw(maps)
     product_terms = ParamScalar()
     for e1, c1 in p.items():
@@ -250,11 +258,12 @@ def test_sum_of_products_matches_the_fold(size):
     assert got._den > 0 and gcd(got._den, *got._num.values()) == 1
 
 
+@pytest.mark.parametrize("params", PARAM_LISTS)
 @given(data=st.data())
-def test_evaluate_matches_reference(data):
+def test_evaluate_matches_reference(params, data):
     # evaluate works in integers over one common denominator; the reference
     # sums Fraction terms
-    a, ra = data.draw(polynomial_pairs_st())
+    a, ra = data.draw(polynomial_pairs_st(params))
     for rank in (0, -3, Fraction(-7, 5), Fraction(1, 3)):
         value = a.evaluate(rank)
         assert type(value) is Fraction and value == ra.evaluate({"n": rank})
