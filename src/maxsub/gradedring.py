@@ -64,7 +64,7 @@ from .errors import (
     PresentationError,
     UnknownGeneratorError,
 )
-from .scalars import PARAMETER, ParamScalar, _add_product, _make, as_fraction, as_scalar, monomial_text, power, signed_sum
+from .scalars import PARAMETER, ParamScalar, _add_product, _make, as_fraction, monomial_text, power, signed_sum
 
 Monomial = tuple[int, ...]
 
@@ -454,7 +454,10 @@ class RingPresentation:
         """The one rule for a coefficient entering the ring: a rational or a
         constant scalar, or a polynomial in n if the ring declares n; else a
         ValueError."""
-        value = as_scalar(value)
+        if not isinstance(value, ParamScalar):
+            if not isinstance(value, (int, Fraction)):
+                raise ValueError(f"expected an exact scalar, got {type(value).__name__}")
+            value = ParamScalar.constant(value)
         if self.params or value.is_constant:
             return value
         raise ValueError(f"the coefficient {value} uses {PARAMETER!r}, which this ring does not declare")

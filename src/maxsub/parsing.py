@@ -232,11 +232,12 @@ def parse_expression(text: str, line: int = 1, column: int = 1):
 def _literal(digits: str, line: int, column: int) -> int:
     """The one reader of number literals: ASCII ``digits`` after an optional
     ``-``, and a ParseError at ``line``, ``column`` when there are more than
-    Python's int-to-text limit allows (if it is not 0)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and len(digits) - digits.startswith("-") > limit:
-        raise ParseError(f"a number literal has more than {limit} digits", line, column)
-    return int(digits)
+    Python's int-to-text limit allows, the only ValueError ``int`` can raise
+    on them."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"a number literal has more than {sys.get_int_max_str_digits()} digits", line, column) from None
 
 
 # -- evaluation ------------------------------------------------------------

@@ -203,16 +203,6 @@ class ParamScalar:
         return f"ParamScalar({str(self)!r})"
 
 
-def as_scalar(value) -> ParamScalar:
-    """A scalar as itself, and an ``int`` or ``Fraction`` as a constant;
-    anything else is a ValueError."""
-    if isinstance(value, ParamScalar):
-        return value
-    if not isinstance(value, (int, Fraction)):
-        raise ValueError(f"expected an exact scalar, got {type(value).__name__}")
-    return ParamScalar.constant(value)
-
-
 def monomial_text(names: Sequence[str], expo: Sequence[int]) -> str:
     """``a*b^2`` for the exponents ``expo`` of ``names``; empty for the unit."""
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, expo) if e)

@@ -8,7 +8,7 @@ from maxsub import chern
 from maxsub.chern import ChernCharacter, TotalChernClass, _character, _graded_product
 from maxsub.gradedring import GradedElement, RingPresentation
 from maxsub.pipeline import count_maximal_subbundles
-from maxsub.scalars import ParamScalar, as_fraction, as_scalar
+from maxsub.scalars import ParamScalar, as_fraction
 
 from helpers import (
     character_difference,
@@ -62,7 +62,7 @@ ARGUMENT_ERRORS = {
     ),
     "element-divided-by-0": (lambda: RING.parse("alpha") / 0, ZeroDivisionError, "division of a ring element by zero"),
     "float-as-fraction": (lambda: as_fraction(0.5), TypeError, "expected an exact rational, got float"),
-    "float-as-scalar": (lambda: as_scalar(0.5), ValueError, "expected an exact scalar, got float"),
+    "float-as-scalar": (lambda: RING.coefficient(0.5), ValueError, "expected an exact scalar, got float"),
 }
 
 

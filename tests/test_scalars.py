@@ -26,8 +26,8 @@ def test_zero_coefficients_are_pruned():
 
 def test_width_mismatch_rejected():
     # exponents of n are nonnegative ints, and coefficients exact rationals
-    for terms in [{(1,): 1}, {-1: 1}, {1.0: 1}, {1: 0.5}]:
-        with pytest.raises((ValueError, TypeError)):
+    for terms, error in [({(1,): 1}, ValueError), ({-1: 1}, ValueError), ({1.0: 1}, ValueError), ({1: 0.5}, TypeError)]:
+        with pytest.raises(error):
             ParamScalar(terms)
 
 
