@@ -7,7 +7,7 @@ virtual (negative or symbolic) ranks.  Both recursions and the graded
 product run up to half the ring's ``max_degree``, the largest degree a
 nonzero element can have (on curve x base, the base's top degree plus the
 fiber's 2); everything above vanishes.  When no component of their inputs
-is fiber-bearing they stop at half the base's ``top_degree`` instead: a
+carries fiber weight they stop at half the base's ``top_degree`` instead: a
 product of weight-0 terms has weight 0, so every component above truncates.
 A Newton recursion also ends once a step is more than ``max(given)`` past
 its last nonzero output (x_0 = 1 counting as output 0): every product of a
@@ -25,9 +25,9 @@ that call's weights: the factorials and signs of the Newton recursions (no
 power sum p_k = k! ch_k is formed, and nothing is divided by k! after), and
 the signs of a product of duals.
 The public constructors check that each component is homogeneous of
-degree ``2k`` in the right ring.  Results computed here are homogeneous by
-construction and go through the trusted :func:`_character` and
-:func:`_class`, which only drop zero components.
+degree ``2k`` in the right ring, and sort the keys.  Results computed here
+are homogeneous with keys increasing by construction, and go through the
+trusted :func:`_character` and :func:`_class`, which only drop zero parts.
 """
 
 from __future__ import annotations
@@ -53,20 +53,12 @@ def _checked(ring: RingPresentation, parts, what: str) -> Components:
         if any(d != 2 * k for d in part.degrees()):
             raise ValueError(f"{what} component {k} is not homogeneous of degree {2 * k}")
         out[k] = part
-    return _nonzero(out)
+    return _nonzero({k: out[k] for k in sorted(out)})
 
 
 def _nonzero(parts: Components) -> Components:
-    """The nonzero components, keys increasing; only keys out of order are
-    sorted."""
-    out, last = {}, 0
-    for k, p in parts.items():
-        if k < last:
-            return {k: parts[k] for k in sorted(parts) if parts[k]._terms}
-        last = k
-        if p._terms:
-            out[k] = p
-    return out
+    """The nonzero components, in the given order."""
+    return {k: p for k, p in parts.items() if p._terms}
 
 
 def _character(ring: RingPresentation, rank: ParamScalar, parts: Components) -> "ChernCharacter":
@@ -137,12 +129,12 @@ def _newton(ring: RingPresentation, given: Components, to_character: bool) -> Co
 
 def _bound(ring: RingPresentation, *inputs: Components) -> int:
     """The last component a recursion or product over ``inputs`` can make
-    nonzero: half the base's ``top_degree`` when no component is
-    fiber-bearing, else half the ring's ``max_degree``.  Each component
-    reads its terms once in its lifetime, not on every call."""
+    nonzero: half the base's ``top_degree`` when no term of a component
+    carries fiber weight, else half the ring's ``max_degree``.  Each call
+    reads the terms up to the first that carries it."""
     for parts in inputs:
         for x in parts.values():
-            if x.fiber_bearing:
+            if any(map(ring.weight, x._terms)):
                 return ring.max_degree // 2
     return ring.top_degree // 2
 
@@ -264,7 +256,7 @@ class TotalChernClass(_SparseGraded):
             k = ring.degree(mono) // 2  # generators have even degree
             if k:
                 terms.setdefault(k, {})[mono] = coeff
-        return _class(ring, {k: GradedElement(ring, t) for k, t in terms.items()})
+        return _class(ring, {k: GradedElement(ring, terms[k]) for k in sorted(terms)})
 
     def component(self, k: int) -> GradedElement:
         return self.ring.one() if k == 0 else self._get(k)

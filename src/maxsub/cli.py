@@ -99,7 +99,10 @@ def _integer(text: str) -> int:
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python's int-to-text limit: echo none of them
+        raise argparse.ArgumentTypeError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,12 +16,12 @@ rules are oriented by a lex order of the generators, which makes rewriting
 terminate; a rule set with no such order is rejected.  Then every critical
 pair (two reducers meeting at the lcm of their left-hand sides) is joined,
 so normal forms do not depend on the order in which rules are applied.
-Each zero and each rule's left-hand side is also compiled, on load, to its
-support ``((index, exponent), ...)``, zeros first, so a monomial seen for
-the first time is matched against the reducers in one plain loop.  Normal
+A zero is a reduction to 0 (Bergman), so zeros and rules are one table of
+reducers, zeros first, each compiled on load to its support ``((index,
+exponent), ...)``: a monomial seen for the first time is matched against
+it in one plain loop, and the critical pairs are read from it too.  Normal
 forms of monomials are cached on first use, a truncating one as empty.
-Each element reads once, when first asked, whether a term carries fiber
-weight.  :meth:`RingPresentation.sum_of_products` is the one-pass normal form
+:meth:`RingPresentation.sum_of_products` is the one-pass normal form
 of a sum of products, which the Chern layer uses for each recursion step and
 graded-product component: each pair of monomials looks up its normal form
 once, and the integer numerators of the coefficients go straight into the
@@ -163,11 +163,10 @@ class RingPresentation:
         for mono in self.zeros:
             if not any(mono):
                 raise PresentationError("the empty monomial cannot be declared zero")
-        # each reducer as its support ((index, exponent), ...) and its rule,
-        # None for a zero: zeros first, then the rules in their given order
+        # (support ((index, exponent), ...), lhs, rhs) per reducer: the zeros, as rules to 0, then the rules
         self._reducers = tuple(
-            (tuple((i, e) for i, e in enumerate(lhs) if e), rule)
-            for lhs, rule in [(z, None) for z in self.zeros] + [(r.lhs, r) for r in self.rules]
+            (tuple((i, e) for i, e in enumerate(lhs) if e), lhs, rhs)
+            for lhs, rhs in [(z, ()) for z in self.zeros] + list(self.rules)
         )
         self._orient()  # the integral check below normalizes
         for mono in self.integrals:
@@ -246,9 +245,9 @@ class RingPresentation:
             )
 
     def _rewrite(self, mono: Monomial, lhs: Monomial, rhs) -> dict:
-        """One rewrite step on ``mono`` by ``lhs -> rhs``; ``lhs`` divides ``mono``."""
+        """The normal form of one rewrite step on ``mono`` by ``lhs -> rhs``; ``lhs`` divides ``mono``."""
         quotient = tuple(m - l for m, l in zip(mono, lhs))
-        return {tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rhs}
+        return self._normalize({tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rhs})
 
     def _truncates(self, mono: Monomial) -> bool:
         """The one truncation rule, shared by products and normal forms:
@@ -261,14 +260,13 @@ class RingPresentation:
             return cached
         result = {}
         if not self._truncates(mono):
-            # the first reducer whose support ``mono`` covers: a zero kills it
-            for support, rule in self._reducers:
+            # the first reducer whose support ``mono`` covers
+            for support, lhs, rhs in self._reducers:
                 for i, e in support:
                     if mono[i] < e:
                         break
                 else:
-                    if rule is not None:
-                        result = self._normalize(self._rewrite(mono, rule.lhs, rule.rhs))
+                    result = self._rewrite(mono, lhs, rhs)
                     break
             else:
                 result = {mono: _ONE}
@@ -417,8 +415,8 @@ class RingPresentation:
                 raise ValueError("elements belong to different presentations")
 
     def _check_critical_pairs(self):
-        """Join both one-step reductions of every critical pair: two
-        reducers, at least one a rule, at the lcm of their left-hand sides.
+        """Join both one-step reductions of every critical pair: each rule
+        and each later rule, then each zero, at the lcm of their left-hand sides.
 
         Rewriting terminates (:meth:`_orient`) and commutes with monomial
         multiples, so this makes normal forms independent of rule order
@@ -428,18 +426,15 @@ class RingPresentation:
         truncates is 0 on both sides.  Presets are user-editable files, so
         this runs on every load.
         """
-        reducers = [(self.monomial_str(rule.lhs), rule.lhs, rule.rhs) for rule in self.rules]
-        reducers += [("zero-monomial", mono, ()) for mono in self.zeros]
-        for i, (label, lhs, rhs) in enumerate(reducers[: len(self.rules)]):
-            for other_label, other_lhs, other_rhs in reducers[i + 1 :]:
-                lcm = tuple(map(max, lhs, other_lhs))
-                if self._truncates(lcm):
-                    continue
-                first = self._normalize(self._rewrite(lcm, lhs, rhs))
-                if self._normalize(self._rewrite(lcm, other_lhs, other_rhs)) != first:
+        zeros, rules = self._reducers[: len(self.zeros)], self._reducers[len(self.zeros) :]
+        for i, (_, lhs, rhs) in enumerate(rules):
+            for j, (_, lhs2, rhs2) in enumerate(rules[i + 1 :] + zeros, start=i + 1):
+                lcm = tuple(map(max, lhs, lhs2))
+                if not self._truncates(lcm) and self._rewrite(lcm, lhs, rhs) != self._rewrite(lcm, lhs2, rhs2):
+                    other = self.monomial_str(lhs2) if j < len(rules) else "zero-monomial"
                     raise PresentationError(
                         f"rewrite system is not locally confluent on {self.monomial_str(lcm)}: "
-                        f"reducing via {label} and via {other_label} give different normal forms"
+                        f"reducing via {self.monomial_str(lhs)} and via {other} give different normal forms"
                     )
 
     # -- element constructors ----------------------------------------------
@@ -463,7 +458,8 @@ class RingPresentation:
         raise ValueError(f"the coefficient {value} uses {PARAMETER!r}, which this ring does not declare")
 
     def scalar(self, value: int | Fraction | ParamScalar) -> "GradedElement":
-        return GradedElement(self, self._normalize({(0,) * self.ngens: self.coefficient(value)}))
+        # the unit monomial is normal: no reducer has an empty left-hand side
+        return GradedElement(self, {(0,) * self.ngens: self.coefficient(value)})
 
     def generator(self, name: str) -> "GradedElement":
         if name not in self._index:
@@ -514,19 +510,18 @@ class RingPresentation:
 def _element(ring: RingPresentation, terms: dict) -> "GradedElement":
     """Trusted constructor: ``terms`` holds no zero coefficient."""
     out = object.__new__(GradedElement)
-    out.ring, out._terms, out._fiber_bearing = ring, terms, None
+    out.ring, out._terms = ring, terms
     return out
 
 
 class GradedElement:
     """A ring element in normal form: a finite sum coeff * basis monomial."""
 
-    __slots__ = ("ring", "_terms", "_fiber_bearing")  # the last is None until first read
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: RingPresentation, terms: Mapping[Monomial, ParamScalar]):
         self.ring = ring
         self._terms = {m: c for m, c in terms.items() if c}
-        self._fiber_bearing = None
 
     # -- views ------------------------------------------------------------
 
@@ -536,15 +531,6 @@ class GradedElement:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def fiber_bearing(self) -> bool:
-        """Whether a term has fiber weight; its terms are read once, on the
-        first call, as the element is immutable."""
-        out = self._fiber_bearing
-        if out is None:
-            out = self._fiber_bearing = any(map(self.ring.weight, self._terms))
-        return out
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({self.ring.degree(m) for m in self._terms}))

@@ -28,8 +28,11 @@ from .scalars import ParamScalar
 # Names and numbers are ASCII only: str.isalpha and str.isdigit also accept
 # letters and digits of other scripts, which the grammar does not have.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_DIGITS = frozenset("0123456789")
-_OPS = set("+-*^/()")
+# The lexical grammar, one group per token kind, tried in order: only "\n" starts
+# a line, \s is str.isspace, and ``other`` is a character the grammar lacks.
+_TOKEN_RE = re.compile(
+    rf"(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<num>[0-9]+)|(?P<name>{_NAME_RE.pattern})|(?P<op>[-+*^/()])|(?P<other>.)"
+)
 # Parentheses recurse in the parser and in walk; this bound keeps them far
 # from Python's recursion limit, so deep input is a ParseError.
 MAX_NESTING = 100
@@ -47,35 +50,16 @@ class Token:
 
 def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
     tokens = []
-    pos = 0
-    cur_line, cur_col = line, column
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            cur_line += 1
-            cur_col = 1
-            pos += 1
-        elif ch.isspace():
-            pos += 1
-            cur_col += 1
-        elif ch in _DIGITS:
-            end = pos
-            while end < len(text) and text[end] in _DIGITS:
-                end += 1
-            tokens.append(Token("num", text[pos:end], cur_line, cur_col))
-            cur_col += end - pos
-            pos = end
-        elif match := _NAME_RE.match(text, pos):
-            tokens.append(Token("name", match.group(), cur_line, cur_col))
-            cur_col += len(match.group())
-            pos = match.end()
-        elif ch in _OPS:
-            tokens.append(Token("op", ch, cur_line, cur_col))
-            cur_col += 1
-            pos += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", cur_line, cur_col)
-    tokens.append(Token("end", "", cur_line, cur_col))
+    offset = -column  # a character's column is its position minus ``offset``
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, offset = line + 1, match.start()
+        elif kind == "other":
+            raise ParseError(f"unexpected character {match.group()!r}", line, match.start() - offset)
+        elif kind != "space":
+            tokens.append(Token(kind, match.group(), line, match.start() - offset))
+    tokens.append(Token("end", "", line, len(text) - offset))
     return tokens
 
 

@@ -51,6 +51,8 @@ PARSING = "src/maxsub/parsing.py"
 G2_PAIRS = "tests/test_ring.py::test_sum_of_products_on_every_pair_of_basis_monomials[g2-rank2]"
 RATIONAL_RULE_PAIRS = "tests/test_ring.py::test_sum_of_products_matches_the_fold_with_a_rational_rule"
 MONOMIALS = "tests/test_parsing.py::test_monomial_reads_a_product_of_powers"
+THREE_PRODUCT_ROUTE = "tests/test_pipeline.py::test_shared_product_matches_the_three_product_route[g2-rank2]"
+OUT_OF_ORDER = "tests/test_chern.py::test_components_out_of_order_are_sorted"
 
 MUTANTS = (
     # -- rules over Q: the kernel folds a rational normal-form coefficient --
@@ -207,9 +209,16 @@ MUTANTS = (
     Mutant(
         "zeros-tried-after-rules",
         RING,
-        "[(z, None) for z in self.zeros] + [(r.lhs, r) for r in self.rules]",
-        "[(r.lhs, r) for r in self.rules] + [(z, None) for z in self.zeros]",
+        "[(z, ()) for z in self.zeros] + list(self.rules)",
+        "list(self.rules) + [(z, ()) for z in self.zeros]",
         ("tests/test_ring.py::test_monomial_under_a_zero_and_a_rule_normalizes_to_zero",),
+    ),
+    Mutant(
+        "confluence-skips-the-zeros",
+        RING,
+        "enumerate(rules[i + 1 :] + zeros, start=i + 1)",
+        "enumerate(rules[i + 1 :], start=i + 1)",
+        ("tests/test_confluence.py::test_confluence_error_names_both_reducers[rule-against-zero]",),
     ),
     Mutant(
         "restriction-keeps-weight-one",
@@ -217,6 +226,14 @@ MUTANTS = (
         "{m: c for m, c in self._terms.items() if not ring.weight(m)}",
         "{m: c for m, c in self._terms.items() if ring.weight(m) < 2}",
         ("tests/test_ring.py::test_restriction_kills_fiber_supported",),
+    ),
+    # -- the scanner --
+    Mutant(
+        "scanner-column-off-by-one-after-a-newline",
+        PARSING,
+        "line, offset = line + 1, match.start()",
+        "line, offset = line + 1, match.end()",
+        ("tests/test_parsing.py::test_tokenizer_positions_across_lines",),
     ),
     # -- powers --
     Mutant(
@@ -253,7 +270,7 @@ MUTANTS = (
         CHERN,
         "signs = (1, -1) if dual else (1, 1)",
         "signs = (1, 1)",
-        ("tests/test_pipeline.py::test_shared_product_matches_the_three_product_route[g2-rank2]",),
+        (THREE_PRODUCT_ROUTE,),
     ),
     Mutant(
         "newton-weight-sign-flipped",
@@ -267,14 +284,35 @@ MUTANTS = (
         CHERN,
         "return {k: sum_of_products(terms) for k, terms in pairs.items() if terms}",
         "return {k: sum_of_products(terms) for k, terms in pairs.items() if terms and k > 1}",
-        ("tests/test_pipeline.py::test_shared_product_matches_the_three_product_route[g2-rank2]",),
+        (THREE_PRODUCT_ROUTE,),
     ),
     Mutant(
         "bound-one-short",
         CHERN,
         "    return ring.top_degree // 2\n",
         "    return ring.top_degree // 2 - 1\n",
-        ("tests/test_pipeline.py::test_count_and_integral",),
+        ("tests/test_pipeline.py::test_count_and_integral", THREE_PRODUCT_ROUTE),
+    ),
+    Mutant(
+        "bound-needs-every-term-fiber-bearing",
+        CHERN,
+        "if any(map(ring.weight, x._terms)):",
+        "if all(map(ring.weight, x._terms)):",
+        ("tests/test_chern.py::test_newton_recursions_cross_gaps_as_wide_as_their_reach[bounded]",),
+    ),
+    Mutant(
+        "checked-keys-unsorted",
+        CHERN,
+        "return _nonzero({k: out[k] for k in sorted(out)})",
+        "return _nonzero({k: out[k] for k in out})",
+        (OUT_OF_ORDER,),
+    ),
+    Mutant(
+        "total-element-keys-unsorted",
+        CHERN,
+        "{k: GradedElement(ring, terms[k]) for k in sorted(terms)}",
+        "{k: GradedElement(ring, terms[k]) for k in terms}",
+        (OUT_OF_ORDER,),
     ),
 )
 

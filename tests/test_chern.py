@@ -162,6 +162,11 @@ def test_components_out_of_order_are_sorted():
     ch = ChernCharacter(RING, 2, {2: c2, 1: c1})
     assert [k for k, _ in ch.items()] == [1, 2]
     assert ch.total_class() == ChernCharacter(RING, 2, {1: c1, 2: c2}).total_class()
+    # a sum keeps the order of its terms: the degree-4 term comes first
+    total = RING.one() + RING.parse("alpha^2") + RING.parse("alpha")
+    c = TotalChernClass.from_total_element(RING, total)
+    assert [k for k, _ in c.items()] == [1, 2]
+    assert c.character(2) == TotalChernClass(RING, [RING.parse("alpha"), RING.parse("alpha^2")]).character(2)
 
 
 def test_reprs():

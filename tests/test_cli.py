@@ -403,6 +403,23 @@ def test_integer_option_is_ascii_exits_2(capsys, argv):
     assert out.err.endswith(f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["formulas", "m2", "--n"], id="n"),
+        pytest.param(["count", "--preset", "jacobian", "--genus"], id="genus"),
+    ],
+)
+def test_integer_option_past_the_digit_limit_exits_2(capsys, argv):
+    # int() refuses more digits than Python's int-to-text limit: the error names the limit, not the digits
+    assert run([*argv, "9" * 5000]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert out.err.endswith(f"error: argument {argv[-1]}: an integer has more than {limit} digits\n")
+    assert "99" not in out.err and "_integer" not in out.err
+
+
 def test_negative_integer_option(capsys):
     assert run(["formulas", "stratum-dim", "--n", "2", "--n-sub", "1", "--d", "-7", "--g", "2", "--s", "1"]) == 0
     out = capsys.readouterr()

@@ -33,6 +33,23 @@ def test_exhaustive_oracle_rejects_what_load_rejects():
     assert "not locally confluent on x^2*y" in exhaustive_confluence_failure(ring)
 
 
+@pytest.mark.parametrize(
+    "sections, labels",
+    [
+        pytest.param("rules: x^2 -> y^2\nrules: x*y -> 0\n", "x^2 and via x*y", id="rule-against-rule"),
+        pytest.param("rules: x^2 -> y^2\nzeros: x*y\n", "x^2 and via zero-monomial", id="rule-against-zero"),
+        # a zero is named by its place in the table, not by its empty right-hand side
+        pytest.param("rules: x^2 -> y^2\nrules: x*y -> 0\nzeros: x*y\n", "x^2 and via x*y", id="rule-to-0-beside-a-zero"),
+    ],
+)
+def test_confluence_error_names_both_reducers(sections, labels):
+    with pytest.raises(PresentationError) as err:
+        load_presentation(f"generators: x=2, y=2\n{sections}top_degree: 6\n")
+    assert str(err.value) == (
+        f"rewrite system is not locally confluent on x^2*y: reducing via {labels} give different normal forms"
+    )
+
+
 def test_unorientable_rules_are_named():
     text = "generators: x=2, y=2\nrules: x^2 -> y^2\nrules: y^2 -> x^2 + 2*x*y\ntop_degree: 4\n"
     with pytest.raises(PresentationError) as err:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxsub.errors import PresentationError
 from maxsub.parsing import (
@@ -13,7 +15,11 @@ from maxsub.parsing import (
     tokenize,
 )
 
-from helpers import reference_expand
+from helpers import reference_expand, reference_tokenize
+
+#: Every token kind, "\n" and the spaces that look like line breaks but are
+#: not one, and letters and digits of other scripts, which the grammar lacks.
+SCANNER_ALPHABET = "ab_Z09 +-*^/()\n\t\r\x0c\x1c\u0085\u2028\u3000α²٣.#"
 
 
 def terms(text):
@@ -35,6 +41,34 @@ def test_tokenizer_positions():
         ("num", "2", 3, 9),
         ("end", "", 3, 10),
     ]
+
+
+def scan(scanner, text, line, column):
+    """The tokens as ``(kind, value, line, column)``, or the ParseError's text and position."""
+    try:
+        tokens = scanner(text, line, column)
+    except ParseError as error:
+        return str(error), error.line, error.column
+    return [t if isinstance(t, tuple) else (t.kind, t.value, t.line, t.column) for t in tokens]
+
+
+def test_tokenizer_positions_across_lines():
+    assert scan(tokenize, "x +\n  12*\x1cy\n\u0085(", 4, 7) == [
+        ("name", "x", 4, 7),
+        ("op", "+", 4, 9),
+        ("num", "12", 5, 3),
+        ("op", "*", 5, 5),
+        ("name", "y", 5, 7),
+        ("op", "(", 6, 2),
+        ("end", "", 6, 3),
+    ]
+    assert scan(tokenize, "x\n  α", 2, 5) == ("line 3, column 3: unexpected character 'α'", 3, 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(SCANNER_ALPHABET, max_size=40), st.integers(1, 60), st.integers(1, 60))
+def test_tokenize_matches_the_reference_scanner(text, line, column):
+    assert scan(tokenize, text, line, column) == scan(reference_tokenize, text, line, column)
 
 
 def test_expand_basic():
