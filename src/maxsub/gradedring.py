@@ -53,7 +53,7 @@ All values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import comb, gcd
 from operator import add, mul, sub
@@ -247,7 +247,7 @@ class RingPresentation:
     def _rewrite(self, mono: Monomial, lhs: Monomial, rhs) -> dict:
         """The normal form of one rewrite step on ``mono`` by ``lhs -> rhs``; ``lhs`` divides ``mono``."""
         quotient = tuple(m - l for m, l in zip(mono, lhs))
-        return self._normalize({tuple(q + r for q, r in zip(quotient, rmono)): rcoeff for rmono, rcoeff in rhs})
+        return self._normalize((tuple(q + r for q, r in zip(quotient, rmono)), rcoeff) for rmono, rcoeff in rhs)
 
     def _truncates(self, mono: Monomial) -> bool:
         """The one truncation rule, shared by products and normal forms:
@@ -273,9 +273,11 @@ class RingPresentation:
         self._nf_cache[mono] = result
         return result
 
-    def _normalize(self, raw: Mapping[Monomial, ParamScalar]) -> dict[Monomial, ParamScalar]:
+    def _normalize(self, terms: Iterable[tuple[Monomial, ParamScalar]]) -> dict[Monomial, ParamScalar]:
+        """The normal form of a sum of ``(monomial, coefficient)`` terms, in
+        any order and with repeats, as a dict with no zero coefficient."""
         out: dict[Monomial, ParamScalar] = {}
-        for mono, coeff in raw.items():
+        for mono, coeff in terms:
             if not coeff:
                 continue
             for nmono, ncoeff in self._monomial_nf(mono).items():
@@ -465,7 +467,7 @@ class RingPresentation:
         if name not in self._index:
             raise UnknownGeneratorError(f"unknown generator {name!r}")
         mono = tuple(1 if i == self._index[name] else 0 for i in range(self.ngens))
-        return GradedElement(self, self._normalize({mono: self._one_scalar}))
+        return _element(self, self._normalize(((mono, self._one_scalar),)))
 
     def parameter(self, name: str) -> ParamScalar:
         """The rank n, which only a ring that declares it has."""
@@ -572,23 +574,14 @@ class GradedElement:
 
     def __mul__(self, other):
         if isinstance(other, GradedElement):
-            self.ring._check_ring(other)
-            if not self._terms or not other._terms:
-                return self.ring.zero()
-            raw: dict[Monomial, ParamScalar] = {}
-            truncates = self.ring._truncates
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono = tuple(map(add, m1, m2))
-                    if truncates(mono):
-                        continue
-                    total = raw.get(mono)
-                    total = c1 * c2 if total is None else total + c1 * c2
-                    if total:
-                        raw[mono] = total
-                    else:
-                        del raw[mono]
-            return GradedElement(self.ring, self.ring._normalize(raw))
+            ring, truncates = self.ring, self.ring._truncates
+            ring._check_ring(other)
+            # each product that does not truncate goes straight into the normal form
+            products = (
+                (m, c1 * c2) for m1, c1 in self._terms.items() for m2, c2 in other._terms.items()
+                for m in (tuple(map(add, m1, m2)),) if not truncates(m)
+            )
+            return _element(ring, ring._normalize(products))
         if isinstance(other, ParamScalar):
             other = self.ring.coefficient(other)
         elif not isinstance(other, (int, Fraction)):
@@ -606,27 +599,29 @@ class GradedElement:
 
     def __pow__(self, exponent: int):
         """``self^k`` with ``self = c + y``, ``c`` the constant coefficient.
+        When ``c`` is not 0 the power is the binomial sum of
+        ``C(k, j)*c^(k-j)*y^j`` in one pass, as the ring is commutative.
         Every monomial of ``y`` has degree at least ``d``, so ``y^j`` is 0
-        once ``j*d`` passes ``max_degree``.  When ``c`` is not 0 and that
-        leaves no more terms than square and multiply takes products, the
-        power is the binomial sum of ``C(k, j)*c^(k-j)*y^j`` in one pass, as
-        the ring is commutative; any other power is squared and multiplied."""
+        once ``j*d`` passes ``max_degree``: the sum stops at the first zero
+        ``y^j``, and its weights step down from the top one by
+        ``C(k, j-1) = C(k, j)*j/(k-j+1)``.  A base with no constant term is
+        squared and multiplied, as its binomial sum is ``y^k`` alone."""
         ring = self.ring
         c = self._terms.get((0,) * ring.ngens)
         if c is not None and isinstance(exponent, int) and exponent >= 0:
             y = _element(ring, {m: t for m, t in self._terms.items() if any(m)})
             d = min(map(ring.degree, y._terms), default=ring.max_degree + 1)
             top = min(exponent, ring.max_degree // d)
-            if top <= 2 * exponent.bit_length():
-                powers = [ring.one(), y][: top + 1]  # y^j up to the first zero or j = top
-                while len(powers) <= top and not (y_j := powers[-1] * y).is_zero:
-                    powers.append(y_j)
-                pairs, scale = [], c ** (exponent - len(powers) + 1)
-                for j in reversed(range(len(powers))):
-                    pairs.append((comb(exponent, j), powers[j], scale))
-                    if j:
-                        scale = scale * c
-                return ring.sum_of_products(pairs)
+            powers = [ring.one(), y][: top + 1]  # y^j up to the first zero or j = top
+            while len(powers) <= top and not (y_j := powers[-1] * y).is_zero:
+                powers.append(y_j)
+            top = len(powers) - 1
+            pairs, scale, weight = [], c ** (exponent - top), comb(exponent, top)
+            for j in reversed(range(top + 1)):
+                pairs.append((weight, powers[j], scale))
+                if j:
+                    scale, weight = scale * c, weight * j // (exponent - j + 1)
+            return ring.sum_of_products(pairs)
         return power(self, exponent, ring.one())
 
     def __eq__(self, other):

@@ -139,7 +139,7 @@ def _merge_pairs(ring, pairs):
 
 def elements_st(ring, max_degree=10, max_terms=3, allowed=None):
     return raw_terms_st(ring, max_degree, max_terms, allowed).map(
-        lambda raw: GradedElement(ring, ring._normalize(raw))
+        lambda raw: GradedElement(ring, ring._normalize(raw.items()))
     )
 
 
@@ -263,6 +263,18 @@ def three_product_route(preset):
         "difference_class": difference,
         "integral": difference.top().integrate(),
     }
+
+
+def count_at(preset, k):
+    """The count with the integer rank ``k`` put in for n from the start, the
+    rational twin of ``count_maximal_subbundles(preset).count.evaluate(k)``:
+    the same ``_pushforward_times(X, -k, k(g-1) - d)``, ``total_class``, ``top``
+    and ``integrate``, with the induced degree d taken at n = k.  X has no n,
+    so no polynomial coefficient is formed and the kernel's polynomial
+    branches never run: substituting k commutes with every ring operation."""
+    degree = preset.induced_degree.evaluate(k)
+    difference = pipeline._pushforward_times(pipeline._dual_product(preset), -k, k * (preset.genus - 1) - degree)
+    return difference.total_class().top().integrate() / preset.covering_degree
 
 
 # -- reference scalar ------------------------------------------------------------
@@ -549,7 +561,7 @@ def reference_tokenize(text, line=1, column=1):
 def expanded_parse(ring, text):
     """Reference evaluation: expand the whole expression as a free
     polynomial, resolve its names, and only then reduce to normal form."""
-    return GradedElement(ring, ring._normalize(expanded_terms(ring, text)))
+    return GradedElement(ring, ring._normalize(expanded_terms(ring, text).items()))
 
 
 class UncheckedRing(RingPresentation):

@@ -9,8 +9,9 @@ Run from anywhere, with pytest and hypothesis installed::
 ``src/`` and ``tests/`` are copied once to a temporary directory.  Each mutant
 replaces one exact text in one file of the copy, runs its selection there
 and puts the file back; the tree this script lives in is never written.
-Before any mutant, every selection runs once on the unmutated copy and must
-pass, so a selection that names no test or fails anyway is caught.  A mutant
+Before any mutant, every selection runs once on its own on the unmutated
+copy and must pass, so a selection that names no test, fails anyway, or
+passes only after other tests have run is caught.  A mutant
 is *killed* when its selection fails (or runs past :data:`TIMEOUT`) and
 *survives* when it passes.  An old text that is not found exactly once is an
 error, so the table follows the code.
@@ -53,6 +54,8 @@ RATIONAL_RULE_PAIRS = "tests/test_ring.py::test_sum_of_products_matches_the_fold
 MONOMIALS = "tests/test_parsing.py::test_monomial_reads_a_product_of_powers"
 THREE_PRODUCT_ROUTE = "tests/test_pipeline.py::test_shared_product_matches_the_three_product_route[g2-rank2]"
 OUT_OF_ORDER = "tests/test_chern.py::test_components_out_of_order_are_sorted"
+BINOMIAL_WEIGHTS = "tests/test_evaluate.py::test_binomial_weights_step_down_exactly"
+SUBSTITUTION = "tests/test_evaluate.py::test_substituting_k_for_n_commutes_with_the_ring"
 
 MUTANTS = (
     # -- rules over Q: the kernel folds a rational normal-form coefficient --
@@ -196,14 +199,29 @@ MUTANTS = (
         SCALARS,
         "e = e1 + e2",
         "e = e1",
-        (G2_PAIRS,),
+        (G2_PAIRS, SUBSTITUTION),
     ),
     Mutant(
         "product-multiplier-dropped",
         SCALARS,
         "    for e1, c1 in p.items():\n        c1 *= k",
         "    for e1, c1 in p.items():\n        pass",
-        (RATIONAL_RULE_PAIRS,),
+        (RATIONAL_RULE_PAIRS, SUBSTITUTION),
+    ),
+    Mutant(
+        "second-polynomial-factor-is-the-first",
+        RING,
+        "p, q, k12 = n1, n2, k1",
+        "p, q, k12 = n1, n1, k1",
+        (SUBSTITUTION,),
+    ),
+    # -- the element product: one stream of products into the normal form --
+    Mutant(
+        "products-not-normalized",
+        RING,
+        "return _element(ring, ring._normalize(products))",
+        "return _element(ring, dict(products))",
+        ("tests/test_evaluate.py::test_parse_matches_expand_then_reduce_examples",),
     ),
     # -- normal forms --
     Mutant(
@@ -239,23 +257,30 @@ MUTANTS = (
     Mutant(
         "wrong-binomial-weight",
         RING,
-        "pairs.append((comb(exponent, j), powers[j], scale))",
-        "pairs.append((comb(exponent, j) + (j == 3), powers[j], scale))",
+        "pairs.append((weight, powers[j], scale))",
+        "pairs.append((weight + (j == 3), powers[j], scale))",
         ("tests/test_evaluate.py::test_power_matches_repeated_multiplication[jacobian-g12]",),
     ),
     Mutant(
-        "never-binomial",
+        "binomial-weight-step-off-by-one",
         RING,
-        "if top <= 2 * exponent.bit_length():",
+        "weight * j // (exponent - j + 1)",
+        "weight * j // (exponent - j + 2)",
+        (BINOMIAL_WEIGHTS,),
+    ),
+    Mutant(
+        "binomial-route-skipped",
+        RING,
+        "if c is not None and isinstance(exponent, int) and exponent >= 0:",
         "if False:",
         ("tests/test_evaluate.py::test_power_route",),
     ),
     Mutant(
-        "always-binomial",
+        "binomial-top-one-short",
         RING,
-        "if top <= 2 * exponent.bit_length():",
-        "if True:",
-        ("tests/test_evaluate.py::test_power_route",),
+        "top = min(exponent, ring.max_degree // d)",
+        "top = min(exponent, ring.max_degree // d - 1)",
+        (BINOMIAL_WEIGHTS,),
     ),
     Mutant(
         "no-leading-coefficient-check",
@@ -347,12 +372,14 @@ def main(names) -> int:
             if text.count(m.old) != 1:
                 print(f"{m.name}: the old text occurs {text.count(m.old)} times in {m.path}, not once")
                 return 2
-        selection = list(dict.fromkeys(node for m in mutants for node in m.selection))
-        code, seconds, tail = _pytest(work, selection)
-        if code != 0:
-            print(f"baseline: the selections do not pass on the unmutated code (exit {code})\n{tail}")
-            return 2
-        print(f"baseline: {len(selection)} selection(s) pass in {seconds:.1f} s")
+        start = time.perf_counter()
+        selections = list(dict.fromkeys(m.selection for m in mutants))
+        for selection in selections:
+            code, _, tail = _pytest(work, selection)
+            if code != 0:
+                print(f"baseline: {' '.join(selection)} does not pass on the unmutated code (exit {code})\n{tail}")
+                return 2
+        print(f"baseline: {len(selections)} selection(s) pass in {time.perf_counter() - start:.1f} s")
         survived = []
         for m in mutants:
             path = os.path.join(work, m.path)

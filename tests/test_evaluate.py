@@ -3,6 +3,7 @@ against the reference that expands them as free polynomials first."""
 
 import time
 from importlib import resources
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,15 +14,16 @@ from hypothesis import strategies as st
 from maxsub import gradedring
 from maxsub.cli import run
 from maxsub.errors import PresentationError, UnknownGeneratorError
-from maxsub.gradedring import load_presentation
+from maxsub.gradedring import GradedElement, load_presentation
 from maxsub.parsing import Name
+from maxsub.scalars import ParamScalar
 
-from helpers import expanded_parse, expanded_terms, g2_ring, jacobian_preset
+from helpers import expanded_parse, expanded_terms, g2_ring, jacobian_preset, within
 
 G2_RING = str(resources.files("maxsub").joinpath("presets", "g2-rank2.ring"))
 RINGS = {"g2-rank2": g2_ring, "jacobian-g3": lambda: jacobian_preset(3).ring}
-# a top degree so high that no power up to 40 truncates, so powers with a
-# constant coefficient there are squared and multiplied
+# a top degree so high that no power up to 40 truncates, so the binomial
+# sum of a power with a constant coefficient runs to its last term
 HIGH_RING = """params: n
 generators: theta=2, xi1=2, f=2
 rules: xi1^2 -> -2*theta*f
@@ -29,7 +31,7 @@ fiber: f
 fiber_supported: xi1
 top_degree: 1000000
 """
-# the rings of the ring-arith benchmark, and one where powers take the other route
+# the rings of the ring-arith benchmark, and one where no power truncates
 POWER_RINGS = {
     **RINGS,
     "jacobian-g12": lambda: jacobian_preset(12).ring,
@@ -144,19 +146,84 @@ def test_power_matches_repeated_multiplication(ring_name):
 
 
 def test_power_route(monkeypatch):
-    # a base with a nonzero constant whose nilpotent part vanishes soon is
-    # expanded by the binomial theorem; any other is squared and multiplied.
-    # The ring-arith oracle also calls ``**``, so it cannot tell the routes apart
+    # a base with a nonzero constant is expanded by the binomial theorem, however
+    # far its sum runs; a base with none is squared and multiplied.  The
+    # ring-arith oracle also calls ``**``, so it cannot tell the routes apart.
+    # The rings are loaded first, as reading a preset takes powers of its own
+    g2, high = g2_ring(), load_presentation("generators: a=2\ntop_degree: 1000000\n")
     squared = []
     real = gradedring.power
     monkeypatch.setattr(gradedring, "power", lambda x, k, one: squared.append(k) or real(x, k, one))
-    g2, high = g2_ring(), load_presentation("generators: a=2\ntop_degree: 1000000\n")
     assert g2.parse("(1 + alpha)^20") == expanded_parse(g2, "(1 + alpha)^20")
     assert squared == []
     assert g2.parse("(alpha + theta)^20") == expanded_parse(g2, "(alpha + theta)^20")
     assert str(high.parse("a^500000")) == "a^500000"
     assert high.parse("(1 + a)^40") == expanded_parse(high, "(1 + a)^40")
-    assert squared == [20, 500000, 40]
+    assert squared == [20, 500000]
+
+
+def test_power_of_one_plus_theta_at_genus_1000_is_its_binomial_sum():
+    # theta^1000 is the last nonzero power of theta: 1001 terms, each
+    # C(100000, j)*theta^j, where squaring multiplies dense elements
+    ring = jacobian_preset(1000).ring
+    with within(5):
+        power = ring.parse("(1 + theta)^100000")
+    assert dict(power.items()) == {(j, 0, 0): ParamScalar.constant(comb(100000, j)) for j in range(1001)}
+
+
+def test_binomial_weights_step_down_exactly():
+    # the weights are C(k, top) stepped down by C(k, j-1) = C(k, j)*j/(k-j+1)
+    ring = load_presentation("generators: a=2\ntop_degree: 8000\n")
+    with within(10):
+        terms = dict(ring.parse("(1 + a)^1000000").items())
+    assert len(terms) == 4001
+    for j in (0, 1, 2, 3, 1000, 2718, 3999, 4000):
+        assert terms[(j,)] == comb(1000000, j), j
+
+
+# -- n -> k is a ring map: a constant k put in for n before or after --
+
+# generator monomials of g2-rank2, some rewritten by a rule, some truncating in a product
+SUBSTITUTION_MONOMIALS = ["alpha", "theta", "xi1", "xi2", "Lambda", "f", "alpha*theta", "xi1*theta", "alpha^2*xi2"]
+
+
+def n_polynomial_st():
+    """A polynomial of degree up to 2 in ``{n}``, a placeholder for n or a constant."""
+    coefficients = st.lists(rationals_st(), min_size=1, max_size=3)
+    return coefficients.map(lambda cs: " + ".join(f"{c}*{{n}}^{e}" for e, c in enumerate(cs)))
+
+
+def nilpotent_st():
+    """A sum of generator monomials with coefficients in ``{n}``: no constant term."""
+    terms = st.lists(st.tuples(n_polynomial_st(), st.sampled_from(SUBSTITUTION_MONOMIALS)), min_size=1, max_size=3)
+    return terms.map(lambda ts: " + ".join(f"({c})*{m}" for c, m in ts))
+
+
+@st.composite
+def substitution_expressions_st(draw, depth=2):
+    """Sums and products of polynomials in ``{n}``, nilpotent elements, their
+    powers, and powers whose constant term is a polynomial in ``{n}``."""
+    kind = draw(st.sampled_from(["scalar", "nilpotent", "nilpotent^", "binomial^", "+", "*"][: 6 if depth else 4]))
+    if kind == "scalar":
+        return draw(n_polynomial_st())
+    if kind == "nilpotent":
+        return draw(nilpotent_st())
+    if kind == "nilpotent^":
+        return f"({draw(nilpotent_st())})^{draw(st.integers(0, 8))}"
+    if kind == "binomial^":
+        return f"({draw(n_polynomial_st())} + {draw(nilpotent_st())})^{draw(st.integers(0, 12))}"
+    left, right = draw(substitution_expressions_st(depth - 1)), draw(substitution_expressions_st(depth - 1))
+    return f"({left}) {kind} ({right})"
+
+
+@given(template=substitution_expressions_st(), k=st.integers(-5, 5))
+def test_substituting_k_for_n_commutes_with_the_ring(template, k):
+    # with n an expression is reduced through the polynomial coefficients, and
+    # with (k) through rational ones only: n -> k is a ring map, so the two agree
+    ring = g2_ring()
+    symbolic = ring.parse(template.format(n="n"))
+    substituted = GradedElement(ring, {m: ParamScalar.constant(c.evaluate(k)) for m, c in symbolic.items()})
+    assert substituted == ring.parse(template.format(n=f"({k})"))
 
 
 @pytest.mark.parametrize("text", ["0*foo", "foo - foo", "foo^0", "theta^7*foo", "theta^6*alpha*(foo + 1)"])

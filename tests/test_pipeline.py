@@ -7,6 +7,8 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maxsub import pipeline
 from maxsub.chern import ChernCharacter, TotalChernClass
@@ -22,6 +24,7 @@ from maxsub.pipeline import (
 from helpers import (
     PRESET_FILES,
     character_difference,
+    count_at,
     g2_preset,
     homogeneous_component,
     jacobian_preset,
@@ -94,6 +97,14 @@ def test_jacobian_count_at_genus_1000_is_fast():
         elapsed = time.perf_counter() - start
         assert count == preset.rank_symbol**1000
     assert elapsed < 3.0
+
+
+@given(genus=st.sampled_from([None, *range(2, 13)]), k=st.integers(-40, 200))
+def test_count_at_an_integer_rank_is_the_count_evaluated_there(genus, k):
+    # n -> k is a ring map: the count taken with k for n from the start forms no
+    # polynomial coefficient, and equals the symbolic count evaluated at k
+    preset = g2_preset() if genus is None else jacobian_preset(genus)
+    assert count_maximal_subbundles(preset).count.evaluate(k) == count_at(preset, k)
 
 
 def test_theta_integrals_match_bruteforce():

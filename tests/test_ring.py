@@ -163,7 +163,7 @@ def test_declared_implied_zeros_change_nothing(text, zeros):
     assert len(declared.zeros) == len(shipped.zeros) + zeros.count(",")
     one = ParamScalar.constant(1)
     for mono in shipped.monomials_up_to(shipped.top_degree + 4):
-        assert declared._normalize({mono: one}) == shipped._normalize({mono: one})
+        assert declared._normalize(((mono, one),)) == shipped._normalize(((mono, one),))
 
 
 G2_RULE = "rules: xi1^2 -> -2*theta*f"
@@ -430,7 +430,7 @@ def test_sum_of_products_on_every_pair_of_basis_monomials(genus):
     coeffs = [ParamScalar.constant(c) for c in (1, Fraction(-2, 3))] + [n, n**2 - Fraction(1, 4)]
     weights = [1, -1, Fraction(1, 3), Fraction(-5, 2)]
     one = ring._one_scalar
-    basis = [m for m in ring.monomials_up_to(ring.max_degree) if ring._normalize({m: one}) == {m: one}]
+    basis = [m for m in ring.monomials_up_to(ring.max_degree) if ring._normalize(((m, one),)) == {m: one}]
     elements = [GradedElement(ring, {m: coeffs[i % len(coeffs)]}) for i, m in enumerate(basis)]
     for _ in ("fresh", "warm"):
         for i, x in enumerate(elements):
